@@ -408,6 +408,36 @@ def solve_case_on_cloud(case: ManufacturedCase, cloud: PointCloud, t: float,
     return interp, report
 
 
+def _measure_level(result: SweepResult, level: int, case: ManufacturedCase,
+                   cloud: PointCloud, ref: PointCloud, t: float, beta: float,
+                   flags: list[str], start: float,
+                   profile: Optional[KernelProfile],
+                   solver_options: Optional[SolveOptions],
+                   dense_cutoff: int):
+    """Solve one sweep level, measure its errors on ``ref``, append the row.
+
+    ``start`` is the level's perf_counter start, for the wall-time column.
+    Returns (interp, row); raises :class:`SweepAborted` carrying the rows
+    so far on solver failure.
+    """
+    try:
+        interp, report = solve_case_on_cloud(
+            case, cloud, t, beta, profile, solver_options, dense_cutoff)
+    except SolverError as exc:
+        raise SweepAborted(result, exc) from exc
+    row = SweepRow(
+        level=level, n=cloud.n, h=cloud.metadata["h"], t=t, beta=beta,
+        l2_error=l2_error(interp, case, ref),
+        h1_error=h1_error(interp, case, ref),
+        boundary_l2_error=boundary_l2_error(interp, case, ref),
+        residual=report.residual_norm,
+        wall_time_s=time.perf_counter() - start,
+        flags=flags,
+    )
+    result.rows.append(row)
+    return interp, row
+
+
 def convergence_sweep(case: ManufacturedCase, levels: Sequence[int],
                       coupling: Optional[Coupling] = None,
                       profile: Optional[KernelProfile] = None,
@@ -429,29 +459,17 @@ def convergence_sweep(case: ManufacturedCase, levels: Sequence[int],
     for level, n in enumerate(levels):
         start = time.perf_counter()
         cloud = generate(case.spec.with_resolution(int(n)), seed=seed)
+        ref = generate(case.spec.with_resolution(int(n) * reference_factor),
+                       seed=seed)
         h = cloud.metadata["h"]
         t = coupling.t_of(h)
         beta = coupling.beta_of(t)
-        flags = guardrails.check(t, beta, h)
-        try:
-            interp, report = solve_case_on_cloud(
-                case, cloud, t, beta, profile, solver_options, dense_cutoff)
-        except SolverError as exc:
-            raise SweepAborted(result, exc) from exc
-        ref = generate(case.spec.with_resolution(int(n) * reference_factor),
-                       seed=seed)
-        row = SweepRow(
-            level=level, n=cloud.n, h=h, t=t, beta=beta,
-            l2_error=l2_error(interp, case, ref),
-            h1_error=h1_error(interp, case, ref),
-            boundary_l2_error=boundary_l2_error(interp, case, ref),
-            residual=report.residual_norm,
-            wall_time_s=time.perf_counter() - start,
-            flags=flags,
-        )
+        interp, row = _measure_level(
+            result, level, case, cloud, ref, t, beta,
+            guardrails.check(t, beta, h), start, profile, solver_options,
+            dense_cutoff)
         if collect_lemma:
             row.lemma = lemma_norm_check(interp, ref)
-        result.rows.append(row)
     return result
 
 
@@ -478,21 +496,9 @@ def robin_gap_study(case: ManufacturedCase, t: float, n: int,
     result = SweepResult(case_name=case.name, rows=[])
     for level, beta in enumerate(betas):
         start = time.perf_counter()
-        flags = guardrails.check(t, beta, h)
-        try:
-            interp, report = solve_case_on_cloud(
-                case, cloud, t, beta, profile, solver_options, dense_cutoff)
-        except SolverError as exc:
-            raise SweepAborted(result, exc) from exc
-        result.rows.append(SweepRow(
-            level=level, n=cloud.n, h=h, t=t, beta=beta,
-            l2_error=l2_error(interp, case, ref),
-            h1_error=h1_error(interp, case, ref),
-            boundary_l2_error=boundary_l2_error(interp, case, ref),
-            residual=report.residual_norm,
-            wall_time_s=time.perf_counter() - start,
-            flags=flags,
-        ))
+        _measure_level(result, level, case, cloud, ref, t, beta,
+                       guardrails.check(t, beta, h), start, profile,
+                       solver_options, dense_cutoff)
     return result
 
 
@@ -515,20 +521,7 @@ def error_floor_study(case: ManufacturedCase, t: float, beta: float,
         cloud = generate(case.spec.with_resolution(int(n)), seed=seed)
         ref = generate(case.spec.with_resolution(int(n) * reference_factor),
                        seed=seed)
-        h = cloud.metadata["h"]
-        flags = guardrails.check(t, beta, h, warn=False)
-        try:
-            interp, report = solve_case_on_cloud(
-                case, cloud, t, beta, profile, solver_options, dense_cutoff)
-        except SolverError as exc:
-            raise SweepAborted(result, exc) from exc
-        result.rows.append(SweepRow(
-            level=level, n=cloud.n, h=h, t=t, beta=beta,
-            l2_error=l2_error(interp, case, ref),
-            h1_error=h1_error(interp, case, ref),
-            boundary_l2_error=boundary_l2_error(interp, case, ref),
-            residual=report.residual_norm,
-            wall_time_s=time.perf_counter() - start,
-            flags=flags,
-        ))
+        flags = guardrails.check(t, beta, cloud.metadata["h"], warn=False)
+        _measure_level(result, level, case, cloud, ref, t, beta, flags, start,
+                       profile, solver_options, dense_cutoff)
     return result

@@ -21,13 +21,16 @@ exactly: matrix @ 1 equals the boundary-column vector because the L-part
 annihilates constants.
 
 Every row is built by one shared routine that masks candidates to the open
-support s < 1 and sums in ascending column order, so assembly with a
-neighbor index and assembly by direct scan produce bit-identical matrices
-— the direct scan is the audit oracle for the indexed fast path.
+support s < 1 and sums in ascending column order, so assembly with the
+k-d-tree neighbor index and assembly by direct scan produce bit-identical
+matrices — the direct scan is the audit oracle for the indexed fast path.
+Rows are always collected as compressed sparse rows; dense storage, for
+small clouds, is that matrix converted with ``toarray``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -87,10 +90,11 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
              dense_cutoff: int = DENSE_CUTOFF) -> LinearSystem:
     """Build the linear system for source f (per point) and boundary data b.
 
-    ``use_index``: route candidate search through a uniform-grid neighbor
-    index (default for clouds above ``dense_cutoff``); either route yields
-    bit-identical output.  ``dense``: force storage; default is dense for
-    n <= dense_cutoff, compressed sparse rows beyond.
+    ``use_index``: take each row's candidates from a k-d-tree neighbor
+    index (default for clouds above 128 points) instead of scanning every
+    point; either route yields bit-identical output.  ``dense``: force
+    storage; default is dense for n <= dense_cutoff, compressed sparse rows
+    beyond.  Raises ``ValueError`` on non-finite ``f`` or ``b``.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
@@ -102,6 +106,8 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
     m = cloud.boundary_indices.shape[0]
     if b.shape != (m,):
         raise ValueError(f"b length {b.shape[0]} != boundary size {m}")
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(b))):
+        raise ValueError("source f and boundary data b must be finite")
     if dense is None:
         dense = n <= dense_cutoff
     if use_index is None:
@@ -119,20 +125,16 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
     bpos = np.full(n, -1, dtype=np.intp)
     bpos[cloud.boundary_indices] = np.arange(m)
 
-    index = NeighborIndex(points, params.support_radius) if use_index else None
-    all_idx = None if use_index else np.arange(n, dtype=np.intp)
+    if use_index:
+        candidates = NeighborIndex(points, params.support_radius).query_many(points)
+    else:
+        candidates = itertools.repeat(np.arange(n, dtype=np.intp), n)
 
     rhs = np.empty(n)
-    if dense:
-        mat = np.zeros((n, n))
-    else:
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        col_chunks: list[np.ndarray] = []
-        val_chunks: list[np.ndarray] = []
-
-    nnz = 0
-    for i in range(n):
-        cand = index.query_point(points[i]) if use_index else all_idx
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    col_chunks: list[np.ndarray] = []
+    val_chunks: list[np.ndarray] = []
+    for i, cand in enumerate(candidates):
         diff = points[cand] - points[i]
         s = np.einsum("ij,ij->i", diff, diff) * inv4t
         keep = s < 1.0
@@ -159,19 +161,17 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
             rhs_b = 0.0
         rhs[i] = rhs_b + np.sum(rbar * f[nbr] * vw[nbr])
 
-        if dense:
-            mat[i, nbr] = vals
-        else:
-            col_chunks.append(nbr)
-            val_chunks.append(vals)
-            indptr[i + 1] = indptr[i] + nbr.shape[0]
-        nnz += nbr.shape[0]
+        col_chunks.append(nbr)
+        val_chunks.append(vals)
+        indptr[i + 1] = indptr[i] + nbr.shape[0]
 
-    if not dense:
-        mat = sp.csr_matrix(
-            (np.concatenate(val_chunks), np.concatenate(col_chunks), indptr),
-            shape=(n, n),
-        )
+    mat = sp.csr_matrix(
+        (np.concatenate(val_chunks), np.concatenate(col_chunks), indptr),
+        shape=(n, n),
+    )
+    nnz = mat.nnz
+    if dense:
+        mat = mat.toarray()
 
     meta = {
         "t": t,

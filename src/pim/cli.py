@@ -132,6 +132,10 @@ def cmd_solve(args, cfg: dict) -> int:
         except ValueError as exc:
             _err(str(exc))
             return 2
+        if case.spec.ambient_dim != cloud.ambient_dim:
+            _err(f"case {case.name} lives in {case.spec.ambient_dim}-d space, "
+                 f"but the cloud's points are {cloud.ambient_dim}-d")
+            return 2
         fvals = case.f(cloud.points)
         bvals = case.b(cloud.boundary_points)
     else:
@@ -183,8 +187,12 @@ def cmd_solve(args, cfg: dict) -> int:
     for flag in flags:
         print(f"warning: stability guardrail exceeded: {flag}", file=sys.stderr)
 
-    system = assembly.assemble(cloud, params, profile, beta, fvals, bvals,
-                               dense_cutoff=cfg["assembly.dense_cutoff"])
+    try:
+        system = assembly.assemble(cloud, params, profile, beta, fvals, bvals,
+                                   dense_cutoff=cfg["assembly.dense_cutoff"])
+    except ValueError as exc:
+        _err(str(exc))
+        return 2
     if args.matrix_out:
         assembly.dump_matrixmarket(system, args.matrix_out)
     try:

@@ -15,24 +15,33 @@ For clouds sampled from the unit sphere the gradient is projected onto the
 analytic tangent plane (radial normal); clouds of unknown provenance get
 the raw ambient gradient.
 
-Evaluation is vectorized over query chunks and parallelized across a small
-thread pool; the PIM_THREADS environment variable caps the worker count.
+The kernels vanish beyond the support radius 2 sqrt(t), so each query sums
+only over the samples and boundary points a k-d-tree neighbor index finds
+within that radius; the per-query sums are accumulated with ``bincount``
+over blocks of ``CHUNK`` queries.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kernel import KernelParams, KernelProfile
+from .neighbors import NeighborIndex
 from .pointcloud import PointCloud
 
-__all__ = ["Interpolant", "OutOfSupport", "eval_csv", "worker_count"]
+__all__ = ["Interpolant", "OutOfSupport"]
 
 CHUNK = 256  # query points per evaluation block
+
+
+def _row_sums(rows: np.ndarray, vals: np.ndarray, q: int) -> np.ndarray:
+    """Sum per-pair values into their q query rows; vals is (pairs,) or (pairs, d)."""
+    if vals.ndim == 1:
+        return np.bincount(rows, weights=vals, minlength=q)
+    return np.column_stack([np.bincount(rows, weights=col, minlength=q)
+                            for col in vals.T])
 
 
 class OutOfSupport(ValueError):
@@ -43,18 +52,6 @@ class OutOfSupport(ValueError):
         super().__init__(
             f"point {self.point.tolist()} is beyond the support radius of every sample"
         )
-
-
-def worker_count() -> int:
-    """Thread-pool size: min(4, cpus), capped by PIM_THREADS if set."""
-    cap = os.environ.get("PIM_THREADS")
-    base = min(4, os.cpu_count() or 1)
-    if cap is not None:
-        try:
-            base = min(base, max(1, int(cap)))
-        except ValueError:
-            pass
-    return base
 
 
 @dataclass
@@ -69,6 +66,8 @@ class Interpolant:
     f: np.ndarray
     b: np.ndarray
     _uS_minus_b: np.ndarray = field(init=False, repr=False)
+    _samples: NeighborIndex = field(init=False, repr=False)
+    _boundary: NeighborIndex = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.beta <= 0.0:
@@ -85,45 +84,55 @@ class Interpolant:
         if self.b.shape != (m,):
             raise ValueError("b length mismatch")
         self._uS_minus_b = self.u[self.cloud.boundary_indices] - self.b
+        radius = self.params.support_radius
+        self._samples = NeighborIndex(self.cloud.points, radius)
+        self._boundary = NeighborIndex(self.cloud.boundary_points, radius)
 
     # -- core chunk evaluation ------------------------------------------------
 
     def _chunk(self, X: np.ndarray, want_grad: bool):
-        """Return (w, num) and, if requested, their gradients over a chunk."""
+        """Return (w, num) and, if requested, their gradients over a chunk.
+
+        Each sum runs over the (query, point) pairs within the support
+        radius; ``rows`` names the query of a pair, ``cols`` its point.
+        """
         cl, t = self.cloud, self.params.t
         c_t, beta = self.params.C_t, self.beta
-        P = cl.points
-        S = P[cl.boundary_indices]
         V = cl.volume_weights
-        A = cl.area_weights
         prof = self.profile
+        q = X.shape[0]
 
-        diff = X[:, None, :] - P[None, :, :]            # (c, n, d)
-        s = np.einsum("cnd,cnd->cn", diff, diff) / (4.0 * t)
+        rows, cols = self._samples.pairs(X)
+        diff = X[rows] - cl.points[cols]                 # (pairs, d)
+        s = np.einsum("pd,pd->p", diff, diff) / (4.0 * t)
         rt = c_t * prof.R(s)
         rbar = c_t * prof.Rbar(s)
-        diff_s = X[:, None, :] - S[None, :, :]          # (c, m, d)
-        ss = np.einsum("cmd,cmd->cm", diff_s, diff_s) / (4.0 * t)
+        brows, bcols = self._boundary.pairs(X)
+        diff_s = X[brows] - self._boundary.points[bcols]  # (boundary pairs, d)
+        ss = np.einsum("pd,pd->p", diff_s, diff_s) / (4.0 * t)
         rbar_s = c_t * prof.Rbar(ss)
 
-        w = rt @ V
-        num = (rt @ (self.u * V)
-               - (2.0 * t / beta) * (rbar_s @ (self._uS_minus_b * A))
-               + t * (rbar @ (self.f * V)))
+        v = V[cols]
+        uv = (self.u * V)[cols]
+        fv = (self.f * V)[cols]
+        ga = (self._uS_minus_b * cl.area_weights)[bcols]
+        w = _row_sums(rows, rt * v, q)
+        num = (_row_sums(rows, rt * uv, q)
+               - (2.0 * t / beta) * _row_sums(brows, rbar_s * ga, q)
+               + t * _row_sums(rows, rbar * fv, q))
         if not want_grad:
             return w, num, None, None
 
         # d/dx R_t = C_t R'(s) (x-y)/(2t);  d/dx Rbar_t = -R_t (x-y)/(2t)
-        drt = (c_t / (2.0 * t)) * prof.Rprime(s)[:, :, None] * diff
-        drbar = (-1.0 / (2.0 * t)) * rt[:, :, None] * diff
+        drt = (c_t / (2.0 * t)) * prof.Rprime(s)[:, None] * diff
+        drbar = (-1.0 / (2.0 * t)) * rt[:, None] * diff
         rt_s = c_t * prof.R(ss)
-        drbar_s = (-1.0 / (2.0 * t)) * rt_s[:, :, None] * diff_s
+        drbar_s = (-1.0 / (2.0 * t)) * rt_s[:, None] * diff_s
 
-        gw = np.einsum("cnd,n->cd", drt, V)
-        gnum = (np.einsum("cnd,n->cd", drt, self.u * V)
-                - (2.0 * t / beta) * np.einsum("cmd,m->cd", drbar_s,
-                                               self._uS_minus_b * A)
-                + t * np.einsum("cnd,n->cd", drbar, self.f * V))
+        gw = _row_sums(rows, drt * v[:, None], q)
+        gnum = (_row_sums(rows, drt * uv[:, None], q)
+                - (2.0 * t / beta) * _row_sums(brows, drbar_s * ga[:, None], q)
+                + t * _row_sums(rows, drbar * fv[:, None], q))
         return w, num, gw, gnum
 
     def _run(self, X: np.ndarray, want_grad: bool):
@@ -134,8 +143,8 @@ class Interpolant:
         q = X.shape[0]
         vals = np.empty(q)
         grads = np.empty((q, X.shape[1])) if want_grad else None
-
-        def work(lo: int, hi: int):
+        for lo in range(0, q, CHUNK):
+            hi = min(lo + CHUNK, q)
             w, num, gw, gnum = self._chunk(X[lo:hi], want_grad)
             bad = np.flatnonzero(w <= 0.0)
             if bad.size:
@@ -143,17 +152,6 @@ class Interpolant:
             vals[lo:hi] = num / w
             if want_grad:
                 grads[lo:hi] = (gnum * w[:, None] - num[:, None] * gw) / (w * w)[:, None]
-
-        spans = [(lo, min(lo + CHUNK, q)) for lo in range(0, q, CHUNK)]
-        nw = worker_count()
-        if nw <= 1 or len(spans) <= 1:
-            for lo, hi in spans:
-                work(lo, hi)
-        else:
-            with ThreadPoolExecutor(max_workers=nw) as pool:
-                futures = [pool.submit(work, lo, hi) for lo, hi in spans]
-                for fut in futures:
-                    fut.result()
         return vals, grads
 
     # -- public API -----------------------------------------------------------
@@ -194,44 +192,3 @@ class Interpolant:
 
     def grad(self, x, project: str = "auto") -> np.ndarray:
         return self.grad_many(np.asarray(x, dtype=float).reshape(1, -1), project)[0]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def eval_csv(interp: Interpolant, in_path, out_path) -> int:
-    """Evaluate value and gradient at query points from a CSV file.
-
-    Input: optional header, then one point per row (d comma-separated
-    coordinates).  Output columns: x1..xd, value, grad_x1..grad_xd.
-    Returns the number of points evaluated.
-    """
-    d = interp.cloud.ambient_dim
-    rows = []
-    with open(in_path) as fh:
-        for lineno, ln in enumerate(fh, start=1):
-            stripped = ln.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = [c.strip() for c in stripped.split(",")]
-            if len(parts) < d:
-                raise ValueError(f"line {lineno}: expected {d} coordinates")
-            try:
-                rows.append([float(c) for c in parts[:d]])
-            except ValueError:
-                if not rows:
-                    continue  # header row
-                raise ValueError(f"line {lineno}: non-numeric coordinate") from None
-    X = np.array(rows, dtype=float).reshape(-1, d)
-    vals = interp.eval_many(X)
-    grads = interp.grad_many(X)
-    header = [f"x{i + 1}" for i in range(d)] + ["value"] + \
-        [f"grad_x{i + 1}" for i in range(d)]
-    with open(out_path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(X.shape[0]):
-            cells = [_fmt(c) for c in X[i]] + [_fmt(vals[i])] + \
-                [_fmt(g) for g in grads[i]]
-            fh.write(",".join(cells) + "\n")
-    return X.shape[0]

@@ -1,10 +1,11 @@
 """Fixed-radius neighbor queries over a static point set.
 
-The kernel has compact support, so every matrix row touches only points
-within a known radius.  A uniform grid of cubical cells with edge equal to
-the query radius answers each query by scanning the 3^d surrounding cells,
-which is O(neighbors) per query for quasi-uniform clouds — and is simple
-enough to audit against the O(n^2) direct scan.
+The kernels have compact support, so every matrix row and every
+reconstruction sum touches only points within a known radius.  A k-d tree
+(``scipy.spatial.cKDTree``) proposes candidates within a slightly padded
+radius; the final cut is the same squared-distance test ``query_brute``
+applies, so indexed and direct-scan results agree exactly whatever rounding
+the tree uses internally.
 
 Queries return indices sorted ascending.  Assembly sums contributions in
 index order, so results are bit-identical whether rows are built from this
@@ -13,13 +14,24 @@ index or from a masked full distance matrix.
 
 from __future__ import annotations
 
+import itertools
+from typing import Iterator
+
 import numpy as np
+from scipy.spatial import cKDTree
 
 __all__ = ["NeighborIndex"]
 
+CHUNK = 256  # query points per batched tree call in query_many
+
+# Relative padding of the tree's search radius.  The tree measures distance
+# with its own rounding; a pad far above a few ulps keeps it from dropping a
+# point the exact test below would keep.
+_PAD = 1e-9
+
 
 class NeighborIndex:
-    """Uniform-grid spatial hash for fixed-radius neighbor queries.
+    """k-d tree over a point set for fixed-radius neighbor queries.
 
     Parameters
     ----------
@@ -38,48 +50,46 @@ class NeighborIndex:
         self.points = points
         self.radius = float(radius)
         self._r2 = self.radius * self.radius
-        n, d = points.shape
-        self._origin = points.min(axis=0)
-        self._cell = self.radius
-        keys = np.floor((points - self._origin) / self._cell).astype(np.int64)
-        self._buckets: dict[tuple, np.ndarray] = {}
-        order = np.lexsort(keys.T[::-1])
-        sk = keys[order]
-        starts = np.flatnonzero(np.any(np.diff(sk, axis=0) != 0, axis=1)) + 1
-        bounds = np.concatenate([[0], starts, [n]])
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            grp = order[s:e]
-            grp.sort()
-            self._buckets[tuple(sk[s])] = grp
-        self._keys = keys
-        # precomputed 3^d cell-offset block
-        self._offsets = np.stack(np.meshgrid(
-            *([np.arange(-1, 2)] * d), indexing="ij"
-        ), axis=-1).reshape(-1, d)
+        self._tree = cKDTree(points)
 
-    def _candidates(self, x: np.ndarray) -> np.ndarray:
-        base = np.floor((x - self._origin) / self._cell).astype(np.int64)
-        found = [self._buckets.get(tuple(base + off)) for off in self._offsets]
-        found = [g for g in found if g is not None]
-        if not found:
-            return np.empty(0, dtype=np.intp)
-        cand = np.concatenate(found)
-        cand.sort()
-        return cand
+    def pairs(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every (query, point) pair within ``radius``, as index arrays.
+
+        Returns ``(rows, cols)``: ``rows`` indexes ``queries`` and ascends,
+        ``cols`` indexes the points and ascends within each row.
+        """
+        queries = np.atleast_2d(np.asarray(queries, dtype=float))
+        lists = self._tree.query_ball_point(queries, self.radius * (1.0 + _PAD),
+                                            return_sorted=True)
+        counts = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+        rows = np.repeat(np.arange(len(lists), dtype=np.intp), counts)
+        cols = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp,
+                           count=int(counts.sum()))
+        diff = self.points[cols] - queries[rows]
+        keep = np.einsum("ij,ij->i", diff, diff) <= self._r2
+        return rows[keep], cols[keep]
 
     def query_point(self, x: np.ndarray) -> np.ndarray:
         """Indices (ascending) of points within ``radius`` of ``x``."""
         x = np.asarray(x, dtype=float).ravel()
-        cand = self._candidates(x)
-        if cand.size == 0:
-            return cand
-        diff = self.points[cand] - x
-        keep = np.einsum("ij,ij->i", diff, diff) <= self._r2
-        return cand[keep]
+        return self.pairs(x[None, :])[1]
+
+    def query_many(self, queries: np.ndarray) -> Iterator[np.ndarray]:
+        """Yield the ascending neighbor indices of each query point in turn.
+
+        Pairs are found ``CHUNK`` queries at a time, so memory stays bounded
+        by one block's pairs however many queries there are.
+        """
+        queries = np.atleast_2d(np.asarray(queries, dtype=float))
+        for lo in range(0, queries.shape[0], CHUNK):
+            block = queries[lo:lo + CHUNK]
+            rows, cols = self.pairs(block)
+            ends = np.cumsum(np.bincount(rows, minlength=block.shape[0]))
+            yield from np.split(cols, ends[:-1])
 
     def query_self(self) -> list[np.ndarray]:
         """Neighbor list for every indexed point (each includes itself)."""
-        return [self.query_point(p) for p in self.points]
+        return list(self.query_many(self.points))
 
     def query_brute(self, x: np.ndarray) -> np.ndarray:
         """Direct O(n) scan; oracle for query_point."""

@@ -92,6 +92,11 @@ class ManifoldSpec:
     def spherical_cap(cls, z0: float, n: int) -> "ManifoldSpec":
         return cls(shape="spherical_cap", resolution=n, z0=z0)
 
+    @property
+    def ambient_dim(self) -> int:
+        """Coordinates per generated point."""
+        return {"interval": 1, "rectangle": 2, "disk": 2, "spherical_cap": 3}[self.shape]
+
     def with_resolution(self, n: int) -> "ManifoldSpec":
         return replace(self, resolution=n)
 

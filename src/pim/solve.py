@@ -102,7 +102,7 @@ def _solve_dense(system: LinearSystem, options: SolveOptions) -> SolveReport:
         solution=x, method="dense-lu", iterations=0, residual_norm=res,
         diagnostics={"claimed_residual": res, "min_pivot": pmin, "max_pivot": scale},
     )
-    if res > options.tol:
+    if not res <= options.tol:  # a NaN residual fails too
         raise NoConvergence(
             "direct solve residual above tolerance",
             {"residual": res, "tol": options.tol, "min_pivot": pmin},
@@ -136,7 +136,7 @@ def _solve_iterative(system: LinearSystem, options: SolveOptions) -> SolveReport
         "claimed_residual": claimed, "info": info,
         "restart": restart, "max_outer": maxiter,
     }
-    if info != 0 or res > options.tol:
+    if info != 0 or not res <= options.tol:
         raise NoConvergence(
             "iterative solve failed to reach tolerance",
             {**diagnostics, "residual": res, "tol": options.tol,

@@ -270,3 +270,44 @@ def test_oracle_check_all_pass(capsys):
     assert rc == 0
     assert "0 failure(s) out of 7 checks" in out
     assert out.count("  pass  ") == 7
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_solve_rejects_nonfinite_source(tmp_path, value, capsys):
+    # a NaN source once produced an all-NaN solution, residual = nan, exit 0
+    cloud = tmp_path / "disk.csv"
+    assert main(["generate", "--shape", "disk", "--n", "300",
+                 "--out", str(cloud)]) == 0
+    out = tmp_path / "sol.csv"
+    rc = main(["solve", "--cloud", str(cloud), f"--f-const={value}",
+               "--dense-cutoff", "1000", "--out", str(out)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_rejects_nonfinite_boundary_data(tmp_path, interval_csv, capsys):
+    out = tmp_path / "sol.csv"
+    rc = main(["solve", "--cloud", interval_csv, "--f-const", "1",
+               "--b-const", "nan", "--out", str(out)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_case_dimension_mismatch(tmp_path, capsys):
+    # a 3-d case on a 2-d cloud once died with an IndexError traceback
+    cloud = tmp_path / "disk.csv"
+    assert main(["generate", "--shape", "disk", "--n", "200",
+                 "--out", str(cloud)]) == 0
+    out = tmp_path / "sol.csv"
+    rc = main(["solve", "--cloud", str(cloud), "--case", "cap_linear",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cap_linear" in err and "3-d" in err and "2-d" in err
+    assert not out.exists()
+    rc = main(["solve", "--cloud", str(cloud), "--case", "interval_sine",
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from pim.analysis import get_case, solve_case_on_cloud
-from pim.interpolate import Interpolant, OutOfSupport, eval_csv, worker_count
-from pim.kernel import KernelParams, cubic_profile, eval_Rbar_t, eval_Rt
+from pim.interpolate import CHUNK, Interpolant, OutOfSupport
+from pim.kernel import (KernelParams, cubic_profile, eval_Rbar_t, eval_Rt,
+                        grad_Rbar_t_x, grad_Rt_x)
 
 
 def constant_interp(cloud, c, t=0.01, beta=0.2):
@@ -181,69 +182,53 @@ def test_constructor_validation(interval_cloud):
 
 
 # ---------------------------------------------------------------------------
-# CSV evaluation and threading
+# neighbour-only sums against a dense oracle
 # ---------------------------------------------------------------------------
 
-def test_eval_csv_roundtrip(tmp_path, solved_disk):
-    queries = np.array([[0.1, 0.0], [0.0, 0.25], [-0.3, -0.3]])
-    src = tmp_path / "queries.csv"
-    lines = ["x,y", "# a comment", ""]
-    lines += [f"{a:.17g}, {b:.17g}" for a, b in queries]
-    src.write_text("\n".join(lines) + "\n")
-    out = tmp_path / "values.csv"
-    count = eval_csv(solved_disk, src, out)
-    assert count == 3
-
-    rows = out.read_text().strip().splitlines()
-    assert rows[0] == "x1,x2,value,grad_x1,grad_x2"
-    parsed = np.array([[float(c) for c in r.split(",")] for r in rows[1:]])
-    assert np.array_equal(parsed[:, :2], queries)
-    # .17g output round-trips the binary values exactly
-    assert np.array_equal(parsed[:, 2], solved_disk.eval_many(queries))
-    assert np.array_equal(parsed[:, 3:], solved_disk.grad_many(queries))
-
-
-def test_eval_csv_rejects_bad_rows(tmp_path, solved_interval):
-    src = tmp_path / "bad.csv"
-    src.write_text("0.5\noops\n")
-    with pytest.raises(ValueError, match="line 2"):
-        eval_csv(solved_interval, src, tmp_path / "out.csv")
-    src.write_text("# nothing but comments\n")
-    out = tmp_path / "out.csv"
-    assert eval_csv(solved_interval, src, out) == 0
-    assert out.read_text().strip() == "x1,value,grad_x1"
+def dense_oracle(interp, X):
+    """I(x) and its raw gradient, summed over every sample and boundary point."""
+    cl, params, t, beta = interp.cloud, interp.params, interp.params.t, interp.beta
+    P, S = cl.points[None, :, :], cl.boundary_points[None, :, :]
+    Xp = X[:, None, :]
+    V, uV, fV = cl.volume_weights, interp.u * cl.volume_weights, \
+        interp.f * cl.volume_weights
+    gA = (interp.u[cl.boundary_indices] - interp.b) * cl.area_weights
+    rt, rbar = eval_Rt(Xp, P, params), eval_Rbar_t(Xp, P, params)
+    rbar_s = eval_Rbar_t(Xp, S, params)
+    w = rt @ V
+    num = rt @ uV - (2.0 * t / beta) * (rbar_s @ gA) + t * (rbar @ fV)
+    drt, drbar = grad_Rt_x(Xp, P, params), grad_Rbar_t_x(Xp, P, params)
+    drbar_s = grad_Rbar_t_x(Xp, S, params)
+    gw = np.einsum("qnd,n->qd", drt, V)
+    gnum = (np.einsum("qnd,n->qd", drt, uV)
+            - (2.0 * t / beta) * np.einsum("qmd,m->qd", drbar_s, gA)
+            + t * np.einsum("qnd,n->qd", drbar, fV))
+    grad = (gnum * w[:, None] - num[:, None] * gw) / (w * w)[:, None]
+    return num / w, grad
 
 
-def test_eval_csv_short_row(tmp_path, solved_disk):
-    src = tmp_path / "short.csv"
-    src.write_text("0.1,0.2\n0.3\n")
-    with pytest.raises(ValueError, match="expected 2 coordinates"):
-        eval_csv(solved_disk, src, tmp_path / "out.csv")
+def support_edge_queries(cloud, radius, rng, count):
+    """Rim samples, every seventh sample, and ambient points 0.9 support radii
+    from random samples, rim samples among them, so each query has a sample
+    well inside its support and many pairs near the support edge."""
+    rim = cloud.boundary_points
+    base = np.vstack([rim, cloud.points[rng.integers(0, cloud.n, size=count)]])
+    d = rng.standard_normal(base.shape)
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    return np.vstack([rim, cloud.points[::7], base + 0.9 * radius * d])
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("PIM_THREADS", raising=False)
-    default = worker_count()
-    assert 1 <= default <= 4
-    monkeypatch.setenv("PIM_THREADS", "1")
-    assert worker_count() == 1
-    monkeypatch.setenv("PIM_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("PIM_THREADS", "not-a-number")
-    assert worker_count() == default
+@pytest.mark.parametrize("which", ["solved_disk", "solved_cap"])
+def test_neighbour_sums_match_dense_oracle(which, request, rng):
+    interp = request.getfixturevalue(which)
+    X = support_edge_queries(interp.cloud, interp.params.support_radius, rng, 300)
+    assert X.shape[0] > CHUNK       # spans more than one evaluation block
+    vals = interp.eval_many(X)
+    grads = interp.grad_many(X, project="none")
+    want_v, want_g = dense_oracle(interp, X)
+    assert np.max(np.abs(vals - want_v)) <= 1e-12 * np.max(np.abs(want_v))
+    assert np.max(np.abs(grads - want_g)) <= 1e-12 * np.max(np.abs(want_g))
+    # a repeat evaluation reproduces the first bit for bit
+    assert np.array_equal(interp.eval_many(X), vals)
+    assert np.array_equal(interp.grad_many(X, project="none"), grads)
 
-
-def test_thread_count_does_not_change_results(monkeypatch, solved_disk):
-    rng = np.random.default_rng(42)
-    r = 0.9 * np.sqrt(rng.uniform(size=700))
-    th = rng.uniform(0.0, 2.0 * np.pi, size=700)
-    X = np.column_stack([r * np.cos(th), r * np.sin(th)])
-
-    monkeypatch.setenv("PIM_THREADS", "1")
-    serial_v = solved_disk.eval_many(X)
-    serial_g = solved_disk.grad_many(X)
-    monkeypatch.setenv("PIM_THREADS", "4")
-    threaded_v = solved_disk.eval_many(X)
-    threaded_g = solved_disk.grad_many(X)
-    assert np.array_equal(serial_v, threaded_v)
-    assert np.array_equal(serial_g, threaded_g)

@@ -91,3 +91,46 @@ def test_invalid_radius():
         NeighborIndex(pts, radius=0.0)
     with pytest.raises(ValueError):
         NeighborIndex(pts, radius=-1.0)
+
+
+def test_points_at_radius_and_one_ulp_either_side(rng):
+    # the tree searches a padded radius; the exact cut must match query_brute
+    # for points at distance radius and one ulp inside and outside it
+    radius = 0.25
+    shells = (np.nextafter(radius, 0.0), radius, np.nextafter(radius, np.inf))
+    axis = [np.array([sign * r, 0.0]) for sign in (1.0, -1.0) for r in shells]
+    idx = NeighborIndex(np.array(axis), radius)
+    # on an axis the squared distances are exact: the outer points drop out
+    assert np.array_equal(idx.query_point(np.zeros(2)), [0, 1, 3, 4])
+
+    dirs = rng.standard_normal((40, 2))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    centre = np.array([0.1, -0.2])
+    pts = np.array([centre + r * u for u in dirs for r in shells])
+    idx = NeighborIndex(pts, radius)
+    want = idx.query_brute(centre)
+    assert 0 < want.size < pts.shape[0]
+    assert np.array_equal(idx.query_point(centre), want)
+    rows, cols = idx.pairs(np.vstack([centre, centre]))
+    assert np.array_equal(rows, np.repeat([0, 1], want.size))
+    assert np.array_equal(cols, np.concatenate([want, want]))
+    for i, row in enumerate(idx.query_self()):
+        assert np.array_equal(row, idx.query_brute(pts[i]))
+
+
+def test_pairs_rows_and_columns_ascending(rng):
+    pts = rng.uniform(-1, 1, size=(400, 3))
+    idx = NeighborIndex(pts, radius=0.4)
+    queries = rng.uniform(-1.2, 1.2, size=(50, 3))
+    rows, cols = idx.pairs(queries)
+    assert np.all(np.diff(rows) >= 0)
+    for q in range(queries.shape[0]):
+        assert np.array_equal(cols[rows == q], idx.query_brute(queries[q]))
+
+
+def test_empty_point_set():
+    idx = NeighborIndex(np.empty((0, 2)), radius=0.5)
+    rows, cols = idx.pairs(np.zeros((3, 2)))
+    assert rows.size == 0 and cols.size == 0
+    assert idx.query_point(np.zeros(2)).size == 0
+    assert idx.query_self() == []

@@ -134,3 +134,45 @@ def test_deterministic(interval_cloud):
         b = solve(assembled(interval_cloud, dense=dense),
                   SolveOptions(method=method))
         assert np.array_equal(a.solution, b.solution)
+
+
+@pytest.mark.parametrize("method", ["dense-lu", "iterative"])
+def test_nan_residual_is_a_failure(method):
+    # NaN compares False against the tolerance; a NaN residual once passed
+    # the verification and came back as a "solved" all-NaN vector
+    mat = 2.0 * np.eye(4)
+    mat[2, 1] = np.nan
+    if method == "iterative":
+        mat = sp.csr_matrix(mat)
+    system = LinearSystem(matrix=mat, rhs=np.zeros(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NoConvergence) as exc:
+            solve(system, SolveOptions(method=method))
+    assert np.isnan(exc.value.diagnostics["residual"])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_rhs_is_a_failure(bad):
+    rhs = np.ones(4)
+    rhs[1] = bad
+    system = LinearSystem(matrix=2.0 * np.eye(4), rhs=rhs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for method in ("dense-lu", "iterative"):
+            with pytest.raises(NoConvergence):
+                solve(system, SolveOptions(method=method))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_assemble_rejects_nonfinite_data(interval_cloud, bad):
+    params = KernelParams(t=0.01, k=1)
+    n, m = interval_cloud.n, len(interval_cloud.boundary_indices)
+    f = np.zeros(n)
+    f[7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        assemble(interval_cloud, params, cubic_profile, 0.2, f, np.zeros(m))
+    b = np.zeros(m)
+    b[-1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        assemble(interval_cloud, params, cubic_profile, 0.2, np.zeros(n), b)
