@@ -237,8 +237,9 @@ def h1_error(interp: Interpolant, case: ManufacturedCase,
              reference_cloud: PointCloud) -> float:
     q = reference_cloud.points
     w = reference_cloud.volume_weights
-    diff = case.u(q) - interp.eval_many(q)
-    gdiff = case.grad_u(q) - interp.grad_many(q)
+    vals, grads = interp.value_and_grad_many(q)
+    diff = case.u(q) - vals
+    gdiff = case.grad_u(q) - grads
     total = float(np.sum(diff * diff * w)) + \
         float(np.sum(np.einsum("qd,qd->q", gdiff, gdiff) * w))
     return math.sqrt(total)
@@ -271,8 +272,7 @@ def lemma_norm_check(interp: Interpolant, reference_cloud: PointCloud) -> dict:
 
     q = reference_cloud.points
     w = reference_cloud.volume_weights
-    vals = interp.eval_many(q)
-    grads = interp.grad_many(q)
+    vals, grads = interp.value_and_grad_many(q)
     h1_sq = float(np.sum(vals * vals * w)) + \
         float(np.sum(np.einsum("qd,qd->q", grads, grads) * w))
     h1 = math.sqrt(h1_sq)

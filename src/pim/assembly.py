@@ -20,17 +20,27 @@ off-diagonal kernel entries negative), so constants are reproduced
 exactly: matrix @ 1 equals the boundary-column vector because the L-part
 annihilates constants.
 
-Every row is built by one shared routine that masks candidates to the open
-support s < 1 and sums in ascending column order, so assembly with the
-k-d-tree neighbor index and assembly by direct scan produce bit-identical
-matrices — the direct scan is the audit oracle for the indexed fast path.
-Rows are always collected as compressed sparse rows; dense storage, for
-small clouds, is that matrix converted with ``toarray``.
+The matrix is built from one sorted list of candidate pairs, as int64 keys
+i * n + j: the k-d-tree self-join of :mod:`pim.neighbors`, or, for the
+direct-scan oracle, every pair.  One routine walks that list in blocks of
+``ROW_BLOCK`` rows: it masks the candidates to the open support s < 1,
+evaluates the kernels, weights and boundary addends for the whole block at
+once, and writes values and int32 column indices straight into the
+compressed-sparse-row arrays.  The diagonal and the right-hand side are
+per-row sums over contiguous slices in ascending column order, the same
+pairwise summation a row summed on its own gets, so indexed and direct-scan
+assembly produce bit-identical matrices — the direct scan is the audit
+oracle for the indexed fast path.  Dense storage, for small clouds, is
+that matrix converted with ``toarray``.
+
+A point with no other point inside its support has a row that does not
+couple it to the cloud; ``assemble`` rejects such clouds.  ``meta`` records
+the number of boundary points, so that :func:`pim.solve.solve` can refuse a
+boundary-free system, which is singular because L annihilates constants.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -44,6 +54,7 @@ from .pointcloud import PointCloud
 __all__ = ["LinearSystem", "assemble", "boundary_column_vector", "dump_matrixmarket"]
 
 DENSE_CUTOFF = 512  # default storage switch; config-overridable
+ROW_BLOCK = 256  # matrix rows per vectorized block; bounds the block temporaries
 
 
 @dataclass
@@ -90,11 +101,13 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
              dense_cutoff: int = DENSE_CUTOFF) -> LinearSystem:
     """Build the linear system for source f (per point) and boundary data b.
 
-    ``use_index``: take each row's candidates from a k-d-tree neighbor
-    index (default for clouds above 128 points) instead of scanning every
-    point; either route yields bit-identical output.  ``dense``: force
-    storage; default is dense for n <= dense_cutoff, compressed sparse rows
-    beyond.  Raises ``ValueError`` on non-finite ``f`` or ``b``.
+    ``use_index``: take the candidate pairs from a k-d-tree self-join
+    (default for clouds above 128 points) instead of taking every pair,
+    which costs O(n^2) time and memory; either route yields bit-identical
+    output.  ``dense``: force storage; default is dense for
+    n <= dense_cutoff, compressed sparse rows beyond.  Raises
+    ``ValueError`` on non-finite ``f`` or ``b``, and on a point with no
+    other point within the support radius.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
@@ -126,50 +139,73 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
     bpos[cloud.boundary_indices] = np.arange(m)
 
     if use_index:
-        candidates = NeighborIndex(points, params.support_radius).query_many(points)
+        keys = NeighborIndex(points, params.support_radius).self_join()
     else:
-        candidates = itertools.repeat(np.arange(n, dtype=np.intp), n)
+        keys = np.arange(n * n, dtype=np.int64)
+    # candidate range of row i: keys[cand_ptr[i]:cand_ptr[i + 1]]
+    cand_ptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
 
+    cap = keys.shape[0]
+    idx_dtype = np.int32 if cap <= np.iinfo(np.int32).max else np.int64
+    data = np.empty(cap)
+    indices = np.empty(cap, dtype=idx_dtype)
+    indptr = np.zeros(n + 1, dtype=idx_dtype)
     rhs = np.empty(n)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    col_chunks: list[np.ndarray] = []
-    val_chunks: list[np.ndarray] = []
-    for i, cand in enumerate(candidates):
-        diff = points[cand] - points[i]
+    add = np.add.reduce
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
+        rows, cols = np.divmod(keys[cand_ptr[lo]:cand_ptr[hi]], n)
+        # take and repeat gather the same values as points[cols] and
+        # points[rows], several times faster
+        diff = (np.take(points, cols, axis=0)
+                - np.repeat(points[lo:hi], np.diff(cand_ptr[lo:hi + 1]), axis=0))
         s = np.einsum("ij,ij->i", diff, diff) * inv4t
         keep = s < 1.0
-        nbr = cand[keep]
-        sk = s[keep]
-        rt = c_t * profile.R(sk)
-        rbar = c_t * profile.Rbar(sk)
-        a = rt * vw[nbr] / t
+        rows, cols, s = rows[keep], cols[keep], s[keep]
+        rt = c_t * profile.R(s)
+        rbar = c_t * profile.Rbar(s)
+        a = rt * vw[cols] / t
 
-        self_pos = np.searchsorted(nbr, i)
-        off = np.ones(nbr.shape[0], dtype=bool)
-        off[self_pos] = False
-        diag = np.sum(a[off])
-
-        vals = np.where(off, -a, diag)
-        lb = bpos[nbr]
+        # Every row holds its own point exactly once, so dropping the self
+        # entries shifts row k of the block back by k in a_off.
+        on_diag = rows == cols
+        a_off = a[~on_diag]
+        lb = bpos[cols]
         is_b = lb >= 0
-        if np.any(is_b):
-            addend = np.zeros_like(vals)
-            addend[is_b] = two_over_beta * rbar[is_b] * aw[lb[is_b]]
-            vals = vals + addend
-            rhs_b = two_over_beta * np.sum(rbar[is_b] * b[lb[is_b]] * aw[lb[is_b]])
-        else:
-            rhs_b = 0.0
-        rhs[i] = rhs_b + np.sum(rbar * f[nbr] * vw[nbr])
+        lb = lb[is_b]
+        pb = rbar[is_b] * b[lb] * aw[lb]
+        pf = rbar * f[cols] * vw[cols]
+        ends = np.cumsum(np.bincount(rows - lo, minlength=hi - lo))
+        ptr = [0] + ends.tolist()
+        bptr = [0] + np.cumsum(np.bincount(rows[is_b] - lo, minlength=hi - lo)).tolist()
+        # Per-row sums over contiguous slices with np.sum's own reduction
+        # (np.add.reduce, minus np.sum's dispatch): the same pairwise
+        # summation, hence the same bits, as summing each row on its own.
+        # bincount or reduceat would sum in another order.
+        diag = np.empty(hi - lo)
+        for k, (p0, p1, q0, q1) in enumerate(zip(ptr, ptr[1:], bptr, bptr[1:])):
+            diag[k] = add(a_off[p0 - k:p1 - k - 1])
+            rhs[lo + k] = two_over_beta * add(pb[q0:q1]) + add(pf[p0:p1])
 
-        col_chunks.append(nbr)
-        val_chunks.append(vals)
-        indptr[i + 1] = indptr[i] + nbr.shape[0]
+        vals = -a
+        vals[on_diag] = diag
+        vals[is_b] += two_over_beta * rbar[is_b] * aw[lb]
+        base = int(indptr[lo])
+        end = base + vals.shape[0]
+        data[base:end] = vals
+        indices[base:end] = cols
+        indptr[lo + 1:hi + 1] = base + ends
+    isolated = np.flatnonzero(np.diff(indptr) == 1)
+    if isolated.size:
+        raise ValueError(
+            f"{isolated.size} point(s), first index {isolated[0]}, have no other "
+            f"point within the support radius {params.support_radius:.6g}: the "
+            "kernel does not couple them to the cloud (refine the cloud or raise t)")
 
-    mat = sp.csr_matrix(
-        (np.concatenate(val_chunks), np.concatenate(col_chunks), indptr),
-        shape=(n, n),
-    )
-    nnz = mat.nnz
+    nnz = int(indptr[n])
+    if nnz < cap:
+        data, indices = data[:nnz].copy(), indices[:nnz].copy()
+    mat = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     if dense:
         mat = mat.toarray()
 
@@ -182,6 +218,7 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
         "support_radius": params.support_radius,
         "dense": dense,
         "fill_ratio": nnz / float(n * n),
+        "boundary_points": m,
     }
     return LinearSystem(matrix=mat, rhs=rhs, meta=meta)
 

@@ -197,6 +197,9 @@ def cmd_solve(args, cfg: dict) -> int:
         assembly.dump_matrixmarket(system, args.matrix_out)
     try:
         report = run_solve(system, _solver_options(cfg))
+    except ValueError as exc:
+        _err(str(exc))
+        return 2
     except SolverError as exc:
         _err(f"solver failed: {exc}")
         return 1

@@ -184,11 +184,19 @@ class Interpolant:
         return G - np.einsum("qd,qd->q", G, nrm)[:, None] * nrm
 
     def grad_many(self, X, project: str = "auto") -> np.ndarray:
+        return self.value_and_grad_many(X, project)[1]
+
+    def value_and_grad_many(self, X, project: str = "auto"):
+        """Values and gradients in one pass over the pairs; returns (vals, grads).
+
+        The values are bit-identical to :meth:`eval_many`'s: both come out of
+        the same per-block sums.
+        """
         if project not in ("auto", "none", "sphere"):
             raise ValueError(f"unknown projection mode {project!r}")
         X = np.ascontiguousarray(np.atleast_2d(X), dtype=float)
-        _, grads = self._run(X, want_grad=True)
-        return self._project(X, grads, project)
+        vals, grads = self._run(X, want_grad=True)
+        return vals, self._project(X, grads, project)
 
     def grad(self, x, project: str = "auto") -> np.ndarray:
         return self.grad_many(np.asarray(x, dtype=float).reshape(1, -1), project)[0]

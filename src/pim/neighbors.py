@@ -3,26 +3,27 @@
 The kernels have compact support, so every matrix row and every
 reconstruction sum touches only points within a known radius.  A k-d tree
 (``scipy.spatial.cKDTree``) proposes candidates within a slightly padded
-radius; the final cut is the same squared-distance test ``query_brute``
-applies, so indexed and direct-scan results agree exactly whatever rounding
-the tree uses internally.
+radius; the queries' final cut is the same squared-distance test
+``query_brute`` applies, so indexed and direct-scan results agree exactly
+whatever rounding the tree uses internally.  Queries return indices sorted
+ascending.
 
-Queries return indices sorted ascending.  Assembly sums contributions in
-index order, so results are bit-identical whether rows are built from this
-index or from a masked full distance matrix.
+Assembly takes every pair of the cloud at once from ``self_join``: one tree
+self-join, mirrored, with the self pairs added, sorted as int64 keys
+``i * n + j`` so that rows, and the columns within a row, ascend.  The keys
+are candidates; assembly applies its own exact cut (the open kernel
+support) and sums in index order, so it is bit-identical to a masked full
+scan.  ``query_self`` applies the radius cut to the same keys.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 __all__ = ["NeighborIndex"]
-
-CHUNK = 256  # query points per batched tree call in query_many
 
 # Relative padding of the tree's search radius.  The tree measures distance
 # with its own rounding; a pad far above a few ulps keeps it from dropping a
@@ -74,22 +75,36 @@ class NeighborIndex:
         x = np.asarray(x, dtype=float).ravel()
         return self.pairs(x[None, :])[1]
 
-    def query_many(self, queries: np.ndarray) -> Iterator[np.ndarray]:
-        """Yield the ascending neighbor indices of each query point in turn.
+    def self_join(self) -> np.ndarray:
+        """Sorted keys ``i * n + j`` of the candidate pairs among the points.
 
-        Pairs are found ``CHUNK`` queries at a time, so memory stays bounded
-        by one block's pairs however many queries there are.
+        Holds both orders of every pair within ``radius`` and each point with
+        itself; the tree's padded radius may add pairs just beyond ``radius``,
+        so callers apply their own exact cut.
         """
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        for lo in range(0, queries.shape[0], CHUNK):
-            block = queries[lo:lo + CHUNK]
-            rows, cols = self.pairs(block)
-            ends = np.cumsum(np.bincount(rows, minlength=block.shape[0]))
-            yield from np.split(cols, ends[:-1])
+        n = self.points.shape[0]
+        half = self._tree.query_pairs(self.radius * (1.0 + _PAD), output_type="ndarray")
+        i, j = half.astype(np.int64, copy=False).T
+        k = i.shape[0]
+        keys = np.empty(2 * k + n, dtype=np.int64)
+        np.multiply(i, n, out=keys[:k])
+        keys[:k] += j
+        np.multiply(j, n, out=keys[k:2 * k])
+        keys[k:2 * k] += i
+        np.multiply(np.arange(n, dtype=np.int64), n + 1, out=keys[2 * k:])
+        keys.sort()
+        return keys
 
     def query_self(self) -> list[np.ndarray]:
         """Neighbor list for every indexed point (each includes itself)."""
-        return list(self.query_many(self.points))
+        n = self.points.shape[0]
+        if n == 0:
+            return []
+        rows, cols = np.divmod(self.self_join(), n)
+        diff = np.take(self.points, cols, axis=0) - np.take(self.points, rows, axis=0)
+        keep = np.einsum("ij,ij->i", diff, diff) <= self._r2
+        ends = np.cumsum(np.bincount(rows[keep], minlength=n))
+        return np.split(cols[keep], ends[:-1])
 
     def query_brute(self, x: np.ndarray) -> np.ndarray:
         """Direct O(n) scan; oracle for query_point."""

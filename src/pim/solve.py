@@ -153,8 +153,14 @@ def solve(system: LinearSystem, options: Optional[SolveOptions] = None) -> Solve
 
     Method "auto" picks dense LU for dense-stored matrices and restarted
     GMRES (Jacobi-preconditioned) for sparse ones.  Raises
-    :class:`SingularMatrix` or :class:`NoConvergence` on failure.
+    :class:`SingularMatrix` or :class:`NoConvergence` on failure, and
+    ``ValueError``, before any work, for a system assembled from a cloud
+    with no boundary points.
     """
+    if system.meta.get("boundary_points") == 0:
+        raise ValueError(
+            "the cloud has no boundary points: without the boundary penalty the "
+            "matrix annihilates constants and is singular")
     options = options or SolveOptions()
     method = options.method
     if method == "auto":

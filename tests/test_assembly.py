@@ -3,10 +3,12 @@ import pytest
 import scipy.sparse as sp
 from scipy.io import mmread
 
-from pim.assembly import assemble, boundary_column_vector, dump_matrixmarket
+from pim.analysis import Coupling
+from pim.assembly import (ROW_BLOCK, assemble, boundary_column_vector,
+                          dump_matrixmarket)
 from pim.kernel import (KernelParams, cubic_profile, eval_Rbar_t, eval_Rt,
                         truncated_gaussian_profile)
-from pim.pointcloud import ManifoldSpec, generate
+from pim.pointcloud import ManifoldSpec, PointCloud, generate
 
 
 def make_system(cloud, t, beta, profile=cubic_profile, **kw):
@@ -38,6 +40,32 @@ def test_indexed_equals_brute(spec, t, profile):
                     use_index=False, dense=True)
     assert np.array_equal(fast.matrix, slow.matrix)
     assert np.array_equal(fast.rhs, slow.rhs)
+
+
+@pytest.mark.parametrize("profile", [cubic_profile, truncated_gaussian_profile],
+                         ids=lambda p: p.name)
+@pytest.mark.parametrize("spec", [ManifoldSpec.disk(1000),
+                                  ManifoldSpec.spherical_cap(0.5, 1000)],
+                         ids=["disk", "cap"])
+def test_indexed_equals_brute_csr_over_row_blocks(spec, profile):
+    # jittered 2-d and 3-d clouds spanning several row blocks, CSR storage
+    cloud = generate(spec, seed=5, jitter=0.25)
+    assert cloud.n > 3 * ROW_BLOCK
+    t = Coupling().t_of(cloud.metadata["h"])
+    params = KernelParams(t=t, k=cloud.intrinsic_dim)
+    f = np.cos(cloud.points[:, 0]) + cloud.points[:, 1]
+    b = np.sin(cloud.boundary_points[:, 1]) + 0.5
+    fast = assemble(cloud, params, profile, 0.3, f, b, use_index=True, dense=False)
+    slow = assemble(cloud, params, profile, 0.3, f, b, use_index=False, dense=False)
+    assert not fast.is_dense and not slow.is_dense
+    for name in ("data", "indices", "indptr"):
+        a, c = getattr(fast.matrix, name), getattr(slow.matrix, name)
+        assert a.dtype == c.dtype and np.array_equal(a, c), name
+    assert np.array_equal(fast.rhs, slow.rhs)
+    # every row holds its own point, columns ascend within each row
+    for i in (0, ROW_BLOCK - 1, ROW_BLOCK, cloud.n - 1):
+        cols = fast.matrix.indices[fast.matrix.indptr[i]:fast.matrix.indptr[i + 1]]
+        assert i in cols and np.all(np.diff(cols) > 0)
 
 
 def test_dense_and_sparse_store_identical_values(interval_cloud):
@@ -204,6 +232,22 @@ def test_rejects_bad_inputs(interval_cloud):
                  np.zeros(n), np.zeros(m + 2))
 
 
+@pytest.mark.parametrize("boundary", [[0, 51], [0, 50]], ids=["rim", "interior"])
+def test_rejects_isolated_point(boundary):
+    # the point at 0.9 has no other point within the support radius 0.04,
+    # whether it lies on the boundary list or not
+    pts = np.concatenate([np.linspace(0.0, 0.5, 51), [0.9]])[:, None]
+    cloud = PointCloud(points=pts, intrinsic_dim=1,
+                       boundary_indices=np.array(boundary),
+                       volume_weights=np.full(52, 0.01),
+                       area_weights=np.ones(2))
+    params = KernelParams(t=0.0004, k=1)
+    for use_index in (True, False):
+        with pytest.raises(ValueError, match=r"1 point\(s\), first index 51"):
+            assemble(cloud, params, cubic_profile, 0.01, np.ones(52), np.zeros(2),
+                     use_index=use_index)
+
+
 def test_metadata(interval_cloud):
     system, params = make_system(interval_cloud, 0.01, 0.25)
     meta = system.meta
@@ -212,6 +256,7 @@ def test_metadata(interval_cloud):
     assert meta["profile"] == "cubic"
     assert meta["support_radius"] == params.support_radius
     assert 0.0 < meta["fill_ratio"] <= 1.0
+    assert meta["boundary_points"] == len(interval_cloud.boundary_indices)
     assert system.n == interval_cloud.n
 
 

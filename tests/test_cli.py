@@ -311,3 +311,35 @@ def test_solve_case_dimension_mismatch(tmp_path, capsys):
                "--out", str(out)])
     assert rc == 2
     assert not out.exists()
+
+
+def test_solve_rejects_boundary_free_cloud(tmp_path, capsys):
+    # once: dense LU failed at its pivot check (exit 1), and with CSR storage
+    # GMRES ran 3 500 iterations before exiting 1
+    disk = pointcloud.generate(pointcloud.ManifoldSpec.disk(300))
+    cloud = tmp_path / "no_boundary.csv"
+    pointcloud.save(pointcloud.PointCloud(
+        points=disk.points, intrinsic_dim=2,
+        boundary_indices=np.array([], dtype=int),
+        volume_weights=disk.volume_weights, area_weights=np.array([])), cloud)
+    out = tmp_path / "sol.csv"
+    for cutoff in ("1000", "100"):
+        rc = main(["solve", "--cloud", str(cloud), "--f-const", "1",
+                   "--dense-cutoff", cutoff, "--out", str(out)])
+        assert rc == 2
+        assert "no boundary points" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_solve_rejects_isolated_point(tmp_path, capsys):
+    pts = np.concatenate([np.linspace(0.0, 0.5, 51), [0.9]])[:, None]
+    cloud = tmp_path / "isolated.csv"
+    pointcloud.save(pointcloud.PointCloud(
+        points=pts, intrinsic_dim=1, boundary_indices=np.array([0, 50]),
+        volume_weights=np.full(52, 0.01), area_weights=np.ones(2)), cloud)
+    out = tmp_path / "sol.csv"
+    rc = main(["solve", "--cloud", str(cloud), "--f-const", "1", "--t", "0.0004",
+               "--beta", "0.01", "--out", str(out)])
+    assert rc == 2
+    assert "first index 51" in capsys.readouterr().err
+    assert not out.exists()

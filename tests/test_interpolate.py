@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from pim.analysis import get_case, solve_case_on_cloud
+from pim.analysis import (get_case, h1_error, lemma_norm_check,
+                          solve_case_on_cloud)
 from pim.interpolate import CHUNK, Interpolant, OutOfSupport
 from pim.kernel import (KernelParams, cubic_profile, eval_Rbar_t, eval_Rt,
                         grad_Rbar_t_x, grad_Rt_x)
@@ -232,3 +235,30 @@ def test_neighbour_sums_match_dense_oracle(which, request, rng):
     assert np.array_equal(interp.eval_many(X), vals)
     assert np.array_equal(interp.grad_many(X, project="none"), grads)
 
+
+
+@pytest.mark.parametrize("which", ["solved_disk", "solved_cap"])
+def test_value_and_grad_many_is_one_fused_pass(which, request, rng):
+    interp = request.getfixturevalue(which)
+    X = support_edge_queries(interp.cloud, interp.params.support_radius, rng, 300)
+    for project in ("auto", "none"):
+        vals, grads = interp.value_and_grad_many(X, project)
+        assert np.array_equal(vals, interp.eval_many(X))
+        assert np.array_equal(grads, interp.grad_many(X, project))
+    with pytest.raises(ValueError):
+        interp.value_and_grad_many(X, project="bogus")
+
+
+def test_h1_and_lemma_norms_unchanged_by_fused_pass(solved_cap, cap_cloud):
+    # the norms, recomputed here from separate value and gradient passes,
+    # must match the fused pass bit for bit
+    case = get_case("cap_linear")
+    q, w = cap_cloud.points, cap_cloud.volume_weights
+    vals, grads = solved_cap.eval_many(q), solved_cap.grad_many(q)
+    diff, gdiff = case.u(q) - vals, case.grad_u(q) - grads
+    h1 = math.sqrt(float(np.sum(diff * diff * w))
+                   + float(np.sum(np.einsum("qd,qd->q", gdiff, gdiff) * w)))
+    assert h1_error(solved_cap, case, cap_cloud) == h1
+    norm = math.sqrt(float(np.sum(vals * vals * w))
+                     + float(np.sum(np.einsum("qd,qd->q", grads, grads) * w)))
+    assert lemma_norm_check(solved_cap, cap_cloud)["h1_norm"] == norm

@@ -134,3 +134,42 @@ def test_empty_point_set():
     assert rows.size == 0 and cols.size == 0
     assert idx.query_point(np.zeros(2)).size == 0
     assert idx.query_self() == []
+
+
+def test_self_join_keys(rng):
+    pts = rng.uniform(-1, 1, size=(600, 3))
+    n, radius = pts.shape[0], 0.3
+    idx = NeighborIndex(pts, radius)
+    keys = idx.self_join()
+    assert keys.dtype == np.int64
+    assert np.all(np.diff(keys) > 0)  # sorted, no duplicates
+    rows, cols = np.divmod(keys, n)
+    mirrored = np.sort(cols * n + rows)
+    assert np.array_equal(mirrored, keys)  # both orders of every pair
+    assert np.all(np.isin(np.arange(n) * (n + 1), keys))  # every self pair
+    # a superset of the exact pairs, and nothing far past the radius
+    for i in (0, 1, 299, n - 1):
+        assert np.all(np.isin(idx.query_brute(pts[i]), cols[rows == i]))
+    dist = np.linalg.norm(pts[rows] - pts[cols], axis=1)
+    assert np.max(dist) <= radius * (1.0 + 1e-8)
+
+
+def test_query_self_matches_brute_on_a_large_cloud_with_shells(rng):
+    # a jittered cloud plus, around a few of its points, points at exactly
+    # the radius and one ulp either side of it
+    radius = 0.2
+    cloud = generate(ManifoldSpec.disk(900), seed=4, jitter=0.25)
+    shells = (np.nextafter(radius, 0.0), radius, np.nextafter(radius, np.inf))
+    extra = []
+    for centre in cloud.points[rng.choice(cloud.n, size=6, replace=False)]:
+        dirs = rng.standard_normal((10, 2))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        extra += [centre + r * u for u in dirs for r in shells]
+        extra += [centre + np.array([sign * r, 0.0])
+                  for sign in (1.0, -1.0) for r in shells]
+    pts = np.vstack([cloud.points, extra])
+    idx = NeighborIndex(pts, radius)
+    rows = idx.query_self()
+    assert len(rows) == pts.shape[0]
+    for i, row in enumerate(rows):
+        assert np.array_equal(row, idx.query_brute(pts[i])), i

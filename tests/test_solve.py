@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -176,3 +177,17 @@ def test_assemble_rejects_nonfinite_data(interval_cloud, bad):
     b[-1] = bad
     with pytest.raises(ValueError, match="finite"):
         assemble(interval_cloud, params, cubic_profile, 0.2, np.zeros(n), b)
+
+
+@pytest.mark.parametrize("method", ["dense-lu", "iterative"])
+def test_boundary_free_cloud_rejected_before_solving(disk_cloud, method):
+    # L annihilates constants, so without boundary points the matrix is
+    # singular; GMRES once ran 3 500 iterations on it before failing
+    cloud = dataclasses.replace(disk_cloud, boundary_indices=np.array([], dtype=int),
+                                area_weights=np.array([]))
+    params = KernelParams(t=0.05, k=2)
+    system = assemble(cloud, params, cubic_profile, 0.2, np.ones(cloud.n),
+                      np.array([]))
+    assert system.meta["boundary_points"] == 0
+    with pytest.raises(ValueError, match="no boundary points"):
+        solve(system, SolveOptions(method=method))
