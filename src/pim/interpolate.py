@@ -16,9 +16,13 @@ analytic tangent plane (radial normal); clouds of unknown provenance get
 the raw ambient gradient.
 
 The kernels vanish beyond the support radius 2 sqrt(t), so each query sums
-only over the samples and boundary points a k-d-tree neighbor index finds
-within that radius; the per-query sums are accumulated with ``bincount``
-over blocks of ``CHUNK`` queries.
+only over the samples within that radius.  Queries are evaluated in blocks
+of ``CHUNK``: one k-d-tree join per block finds the block's in-support
+sample pairs, and the difference vectors of its exact radius cut give every
+kernel argument.  The boundary points are samples under the same cut, so
+the boundary sums run over the subset of those pairs whose sample is a
+boundary point; no second search or distance pass is made.  The per-query
+sums are accumulated with ``bincount`` in pair order.
 """
 
 from __future__ import annotations
@@ -65,15 +69,18 @@ class Interpolant:
     u: np.ndarray
     f: np.ndarray
     b: np.ndarray
-    _uS_minus_b: np.ndarray = field(init=False, repr=False)
+    _uV: np.ndarray = field(init=False, repr=False)
+    _fV: np.ndarray = field(init=False, repr=False)
+    _gA: np.ndarray = field(init=False, repr=False)
+    _bpos: np.ndarray = field(init=False, repr=False)
     _samples: NeighborIndex = field(init=False, repr=False)
-    _boundary: NeighborIndex = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.beta <= 0.0:
             raise ValueError("beta must be positive")
-        n = self.cloud.n
-        m = self.cloud.boundary_indices.shape[0]
+        cl = self.cloud
+        n = cl.n
+        m = cl.boundary_indices.shape[0]
         self.u = np.asarray(self.u, dtype=float).ravel()
         self.f = np.asarray(self.f, dtype=float).ravel()
         self.b = np.asarray(self.b, dtype=float).ravel()
@@ -83,42 +90,44 @@ class Interpolant:
             raise ValueError("f length mismatch")
         if self.b.shape != (m,):
             raise ValueError("b length mismatch")
-        self._uS_minus_b = self.u[self.cloud.boundary_indices] - self.b
-        radius = self.params.support_radius
-        self._samples = NeighborIndex(self.cloud.points, radius)
-        self._boundary = NeighborIndex(self.cloud.boundary_points, radius)
+        self._uV = self.u * cl.volume_weights
+        self._fV = self.f * cl.volume_weights
+        self._gA = (self.u[cl.boundary_indices] - self.b) * cl.area_weights
+        # boundary position of each sample, -1 for interior samples
+        self._bpos = np.full(n, -1, dtype=np.intp)
+        self._bpos[cl.boundary_indices] = np.arange(m)
+        self._samples = NeighborIndex(cl.points, self.params.support_radius)
 
     # -- core chunk evaluation ------------------------------------------------
 
     def _chunk(self, X: np.ndarray, want_grad: bool):
         """Return (w, num) and, if requested, their gradients over a chunk.
 
-        Each sum runs over the (query, point) pairs within the support
-        radius; ``rows`` names the query of a pair, ``cols`` its point.
+        Each sum runs over the (query, sample) pairs within the support
+        radius; ``rows`` names the query of a pair, ``cols`` its sample.  The
+        boundary sums take the pairs whose sample is a boundary point, with
+        ``brows`` their queries and ``bpos`` their boundary positions.
         """
-        cl, t = self.cloud, self.params.t
-        c_t, beta = self.params.C_t, self.beta
-        V = cl.volume_weights
+        t, c_t, beta = self.params.t, self.params.C_t, self.beta
         prof = self.profile
         q = X.shape[0]
 
-        rows, cols = self._samples.pairs(X)
-        diff = X[rows] - cl.points[cols]                 # (pairs, d)
+        rows, cols, diff = self._samples.join(X)
+        diff = -diff                                     # x - p_j, exactly
         s = np.einsum("pd,pd->p", diff, diff) / (4.0 * t)
         rt = c_t * prof.R(s)
         rbar = c_t * prof.Rbar(s)
-        brows, bcols = self._boundary.pairs(X)
-        diff_s = X[brows] - self._boundary.points[bcols]  # (boundary pairs, d)
-        ss = np.einsum("pd,pd->p", diff_s, diff_s) / (4.0 * t)
-        rbar_s = c_t * prof.Rbar(ss)
+        bpos = self._bpos[cols]
+        isb = bpos >= 0
+        brows, bpos = rows[isb], bpos[isb]
 
-        v = V[cols]
-        uv = (self.u * V)[cols]
-        fv = (self.f * V)[cols]
-        ga = (self._uS_minus_b * cl.area_weights)[bcols]
+        v = self.cloud.volume_weights[cols]
+        uv = self._uV[cols]
+        fv = self._fV[cols]
+        ga = self._gA[bpos]
         w = _row_sums(rows, rt * v, q)
         num = (_row_sums(rows, rt * uv, q)
-               - (2.0 * t / beta) * _row_sums(brows, rbar_s * ga, q)
+               - (2.0 * t / beta) * _row_sums(brows, rbar[isb] * ga, q)
                + t * _row_sums(rows, rbar * fv, q))
         if not want_grad:
             return w, num, None, None
@@ -126,12 +135,10 @@ class Interpolant:
         # d/dx R_t = C_t R'(s) (x-y)/(2t);  d/dx Rbar_t = -R_t (x-y)/(2t)
         drt = (c_t / (2.0 * t)) * prof.Rprime(s)[:, None] * diff
         drbar = (-1.0 / (2.0 * t)) * rt[:, None] * diff
-        rt_s = c_t * prof.R(ss)
-        drbar_s = (-1.0 / (2.0 * t)) * rt_s[:, None] * diff_s
 
         gw = _row_sums(rows, drt * v[:, None], q)
         gnum = (_row_sums(rows, drt * uv[:, None], q)
-                - (2.0 * t / beta) * _row_sums(brows, drbar_s * ga[:, None], q)
+                - (2.0 * t / beta) * _row_sums(brows, drbar[isb] * ga[:, None], q)
                 + t * _row_sums(rows, drbar * fv[:, None], q))
         return w, num, gw, gnum
 

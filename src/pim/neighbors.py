@@ -2,11 +2,15 @@
 
 The kernels have compact support, so every matrix row and every
 reconstruction sum touches only points within a known radius.  A k-d tree
-(``scipy.spatial.cKDTree``) proposes candidates within a slightly padded
-radius; the queries' final cut is the same squared-distance test
+(``scipy.spatial.cKDTree``) over the points proposes candidates within a
+slightly padded radius; the final cut is the same squared-distance test
 ``query_brute`` applies, so indexed and direct-scan results agree exactly
-whatever rounding the tree uses internally.  Queries return indices sorted
-ascending.
+whatever rounding the tree uses internally.
+
+Queries come in batches: ``join`` joins a tree over the queries to the
+point tree in one C-level call, sorts the candidate pairs once as int64
+keys ``q * n + j``, applies the exact cut, and returns the kept pairs with
+the difference vectors the cut computed.
 
 Assembly takes every pair of the cloud at once from ``self_join``: one tree
 self-join, mirrored, with the self pairs added, sorted as int64 keys
@@ -17,8 +21,6 @@ scan.  ``query_self`` applies the radius cut to the same keys.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -53,22 +55,30 @@ class NeighborIndex:
         self._r2 = self.radius * self.radius
         self._tree = cKDTree(points)
 
-    def pairs(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every (query, point) pair within ``radius``, as index arrays.
+    def join(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (query, point) pair within ``radius``, with its difference.
 
-        Returns ``(rows, cols)``: ``rows`` indexes ``queries`` and ascends,
-        ``cols`` indexes the points and ascends within each row.
+        Returns ``(rows, cols, diff)``: ``rows`` indexes ``queries`` and
+        ascends, ``cols`` indexes the points and ascends within each row, and
+        ``diff[p] = points[cols[p]] - queries[rows[p]]``.  Raises
+        ``ValueError`` if a query is not finite.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        lists = self._tree.query_ball_point(queries, self.radius * (1.0 + _PAD),
-                                            return_sorted=True)
-        counts = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
-        rows = np.repeat(np.arange(len(lists), dtype=np.intp), counts)
-        cols = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp,
-                           count=int(counts.sum()))
-        diff = self.points[cols] - queries[rows]
+        n = self.points.shape[0]
+        hits = cKDTree(queries).sparse_distance_matrix(
+            self._tree, self.radius * (1.0 + _PAD), output_type="ndarray")
+        keys = hits["i"] * n + hits["j"]
+        keys.sort()
+        rows, cols = np.divmod(keys, n)
+        diff = np.take(self.points, cols, axis=0) - np.take(queries, rows, axis=0)
         keep = np.einsum("ij,ij->i", diff, diff) <= self._r2
-        return rows[keep], cols[keep]
+        if keep.all():      # the padded radius rarely adds a pair; skip the copies
+            return rows, cols, diff
+        return rows[keep], cols[keep], diff[keep]
+
+    def pairs(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, cols)`` of :meth:`join`, without the differences."""
+        return self.join(queries)[:2]
 
     def query_point(self, x: np.ndarray) -> np.ndarray:
         """Indices (ascending) of points within ``radius`` of ``x``."""

@@ -6,10 +6,11 @@ import pytest
 from scipy.integrate import simpson
 
 from pim.analysis import (Coupling, Guardrails, SWEEP_HEADER, SweepAborted,
-                          boundary_l2_error, builtin_cases, convergence_sweep,
-                          error_floor_study, fd_laplacian_check, get_case,
-                          h1_error, l2_error, l2_norm, lemma_norm_check,
-                          robin_gap_study, solve_case_on_cloud)
+                          SweepResult, _measure_level, boundary_l2_error,
+                          builtin_cases, convergence_sweep, error_floor_study,
+                          fd_laplacian_check, get_case, h1_error, l2_error,
+                          l2_norm, lemma_norm_check, robin_gap_study,
+                          solve_case_on_cloud)
 from pim.interpolate import Interpolant
 from pim.pointcloud import ManifoldSpec, generate
 from pim.solve import SolverError
@@ -255,6 +256,23 @@ def test_sweep_determinism_excluding_wall_time(small_sweep):
     again = convergence_sweep(case, [51, 101], reference_factor=2)
     for r1, r2 in zip(small_sweep.rows, again.rows):
         assert r1.csv_cells()[:9] == r2.csv_cells()[:9]
+
+
+@pytest.mark.parametrize("case_name", ["disk_paraboloid", "cap_linear"])
+def test_measure_level_norms_equal_the_public_norms(case_name):
+    # a sweep level takes L2 and H1 from one value-and-gradient pass; they
+    # must equal l2_error's and h1_error's separate passes bit for bit
+    case = get_case(case_name)
+    cloud = generate(case.spec.with_resolution(300), seed=1, jitter=0.2)
+    ref = generate(case.spec.with_resolution(600), seed=1)
+    result = SweepResult(case_name=case.name, rows=[])
+    interp, row = _measure_level(result, 0, case, cloud, ref, t=0.03, beta=0.15,
+                                 flags=[], start=0.0, profile=None,
+                                 solver_options=None, dense_cutoff=512)
+    assert result.rows == [row]
+    assert row.l2_error == l2_error(interp, case, ref)
+    assert row.h1_error == h1_error(interp, case, ref)
+    assert row.boundary_l2_error == boundary_l2_error(interp, case, ref)
 
 
 def test_sweep_abort_preserves_partial(monkeypatch):

@@ -8,6 +8,7 @@ from pim.analysis import (get_case, h1_error, lemma_norm_check,
 from pim.interpolate import CHUNK, Interpolant, OutOfSupport
 from pim.kernel import (KernelParams, cubic_profile, eval_Rbar_t, eval_Rt,
                         grad_Rbar_t_x, grad_Rt_x)
+from pim.pointcloud import PointCloud
 
 
 def constant_interp(cloud, c, t=0.01, beta=0.2):
@@ -235,6 +236,36 @@ def test_neighbour_sums_match_dense_oracle(which, request, rng):
     assert np.array_equal(interp.eval_many(X), vals)
     assert np.array_equal(interp.grad_many(X, project="none"), grads)
 
+
+def permuted_boundary(cloud, rng):
+    """The same cloud with its boundary list (and area weights) shuffled."""
+    perm = rng.permutation(cloud.boundary_indices.size)
+    return PointCloud(points=cloud.points, intrinsic_dim=cloud.intrinsic_dim,
+                      boundary_indices=cloud.boundary_indices[perm],
+                      volume_weights=cloud.volume_weights,
+                      area_weights=cloud.area_weights[perm],
+                      metadata=dict(cloud.metadata))
+
+
+@pytest.mark.parametrize("case_name, cloud_name", [
+    ("disk_paraboloid", "disk_cloud"), ("cap_linear", "cap_cloud")])
+def test_boundary_sums_follow_a_permuted_boundary_list(case_name, cloud_name,
+                                                       request, rng):
+    # the boundary sums map each sample to its position in boundary_indices;
+    # with the list out of index order, a wrong position would pair a rim
+    # sample with another sample's u - b and area weight
+    cloud = permuted_boundary(request.getfixturevalue(cloud_name), rng)
+    assert np.any(np.diff(cloud.boundary_indices) < 0)
+    interp, _ = solve_case_on_cloud(get_case(case_name), cloud, t=0.03, beta=0.15)
+    X = support_edge_queries(cloud, interp.params.support_radius, rng, 300)
+    vals = interp.eval_many(X)
+    grads = interp.grad_many(X, project="none")
+    want_v, want_g = dense_oracle(interp, X)
+    assert np.max(np.abs(vals - want_v)) <= 1e-12 * np.max(np.abs(want_v))
+    assert np.max(np.abs(grads - want_g)) <= 1e-12 * np.max(np.abs(want_g))
+    rim = cloud.boundary_indices
+    gap = np.abs(interp.eval_many(cloud.points[rim]) - interp.u[rim])
+    assert np.all(gap <= 1e-9 * (1.0 + np.abs(interp.u[rim])))
 
 
 @pytest.mark.parametrize("which", ["solved_disk", "solved_cap"])

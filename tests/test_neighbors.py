@@ -173,3 +173,63 @@ def test_query_self_matches_brute_on_a_large_cloud_with_shells(rng):
     assert len(rows) == pts.shape[0]
     for i, row in enumerate(rows):
         assert np.array_equal(row, idx.query_brute(pts[i])), i
+
+
+def assert_join_matches_brute(idx, queries):
+    rows, cols, diff = idx.join(queries)
+    assert rows.shape == cols.shape == (diff.shape[0],)
+    assert diff.shape[1] == idx.points.shape[1]
+    assert np.all(np.diff(rows) >= 0)
+    for q in range(queries.shape[0]):
+        assert np.array_equal(cols[rows == q], idx.query_brute(queries[q])), q
+    # the differences are the ones the exact cut measured
+    assert np.array_equal(diff, idx.points[cols] - queries[rows])
+    assert all(np.array_equal(a, b) for a, b in zip(idx.pairs(queries), (rows, cols)))
+    return rows, cols
+
+
+def test_join_with_no_queries(rng):
+    idx = NeighborIndex(rng.uniform(-1, 1, size=(50, 2)), radius=0.3)
+    rows, cols = assert_join_matches_brute(idx, np.empty((0, 2)))
+    assert rows.size == 0 and cols.size == 0
+
+
+def test_join_duplicate_queries(rng):
+    pts = rng.uniform(-1, 1, size=(300, 2))
+    idx = NeighborIndex(pts, radius=0.3)
+    queries = np.vstack([pts[:5], pts[:5], np.repeat([[0.1, 0.2]], 3, axis=0)])
+    rows, cols = assert_join_matches_brute(idx, queries)
+    for q in range(5):
+        assert np.array_equal(cols[rows == q], cols[rows == q + 5])
+
+
+def test_join_query_without_neighbour(rng):
+    idx = NeighborIndex(rng.uniform(-1, 1, size=(200, 2)), radius=0.2)
+    queries = np.array([[0.0, 0.0], [5.0, 5.0], [0.5, -0.5]])
+    rows, _ = assert_join_matches_brute(idx, queries)
+    assert 1 not in rows and 0 in rows and 2 in rows
+
+
+def test_join_one_dimensional_points(rng):
+    idx = NeighborIndex(rng.uniform(0, 1, size=(150, 1)), radius=0.05)
+    assert_join_matches_brute(idx, rng.uniform(-0.1, 1.1, size=(80, 1)))
+
+
+def test_join_more_queries_than_a_reconstruction_block(rng):
+    # the reconstruction joins 256 queries at a time; a single join must
+    # also handle more than that
+    idx = NeighborIndex(rng.uniform(-1, 1, size=(500, 3)), radius=0.35)
+    assert_join_matches_brute(idx, rng.uniform(-1.2, 1.2, size=(600, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_raises(bad):
+    for pts in (np.zeros((4, 2)), np.empty((0, 2))):
+        idx = NeighborIndex(pts, radius=0.5)
+        queries = np.array([[0.0, 0.0], [bad, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            idx.join(queries)
+        with pytest.raises(ValueError, match="finite"):
+            idx.pairs(queries)
+        with pytest.raises(ValueError, match="finite"):
+            idx.query_point(queries[1])
