@@ -269,6 +269,13 @@ def lemma_norm_check(interp: Interpolant, reference_cloud: PointCloud) -> dict:
     The ratio lhs/rhs should stay below a level-independent constant under
     refinement; the constant itself is empirical.
     """
+    return _lemma_record(interp, reference_cloud,
+                         *interp.value_and_grad_many(reference_cloud.points))
+
+
+def _lemma_record(interp: Interpolant, reference_cloud: PointCloud,
+                  vals: np.ndarray, grads: np.ndarray) -> dict:
+    """:func:`lemma_norm_check` from the values and gradients on the cloud."""
     cl = interp.cloud
     t = interp.params.t
     u = interp.u
@@ -277,9 +284,7 @@ def lemma_norm_check(interp: Interpolant, reference_cloud: PointCloud) -> dict:
     lhs_bnd = math.sqrt(float(np.sum(u_s * u_s * cl.area_weights)))
     lhs = lhs_vol + t ** 0.25 * lhs_bnd
 
-    q = reference_cloud.points
     w = reference_cloud.volume_weights
-    vals, grads = interp.value_and_grad_many(q)
     h1_sq = float(np.sum(vals * vals * w)) + \
         float(np.sum(np.einsum("qd,qd->q", grads, grads) * w))
     h1 = math.sqrt(h1_sq)
@@ -420,21 +425,22 @@ def _measure_level(result: SweepResult, level: int, case: ManufacturedCase,
                    flags: list[str], start: float,
                    profile: Optional[KernelProfile],
                    solver_options: Optional[SolveOptions],
-                   dense_cutoff: int):
+                   dense_cutoff: int, collect_lemma: bool = False):
     """Solve one sweep level, measure its errors on ``ref``, append the row.
 
     ``start`` is the level's perf_counter start, for the wall-time column.
-    Returns (interp, row); raises :class:`SweepAborted` carrying the rows
-    so far on solver failure.
+    With ``collect_lemma`` the row gets the :func:`lemma_norm_check` record
+    as ``lemma``.  Returns (interp, row); raises :class:`SweepAborted`
+    carrying the rows so far on solver failure.
     """
     try:
         interp, report = solve_case_on_cloud(
             case, cloud, t, beta, profile, solver_options, dense_cutoff)
     except SolverError as exc:
         raise SweepAborted(result, exc) from exc
-    # L2 and H1 from one value-and-gradient pass over the reference cloud
-    l2_sq, grad_sq = _reference_errors(case, ref,
-                                       *interp.value_and_grad_many(ref.points))
+    # L2, H1 and the lemma record from one value-and-gradient pass over ref
+    vals, grads = interp.value_and_grad_many(ref.points)
+    l2_sq, grad_sq = _reference_errors(case, ref, vals, grads)
     row = SweepRow(
         level=level, n=cloud.n, h=cloud.metadata["h"], t=t, beta=beta,
         l2_error=math.sqrt(l2_sq),
@@ -444,6 +450,8 @@ def _measure_level(result: SweepResult, level: int, case: ManufacturedCase,
         wall_time_s=time.perf_counter() - start,
         flags=flags,
     )
+    if collect_lemma:
+        row.lemma = _lemma_record(interp, ref, vals, grads)
     result.rows.append(row)
     return interp, row
 
@@ -474,12 +482,9 @@ def convergence_sweep(case: ManufacturedCase, levels: Sequence[int],
         h = cloud.metadata["h"]
         t = coupling.t_of(h)
         beta = coupling.beta_of(t)
-        interp, row = _measure_level(
-            result, level, case, cloud, ref, t, beta,
-            guardrails.check(t, beta, h), start, profile, solver_options,
-            dense_cutoff)
-        if collect_lemma:
-            row.lemma = lemma_norm_check(interp, ref)
+        _measure_level(result, level, case, cloud, ref, t, beta,
+                       guardrails.check(t, beta, h), start, profile,
+                       solver_options, dense_cutoff, collect_lemma)
     return result
 
 

@@ -33,6 +33,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_rows(table: np.ndarray) -> str:
+    """The rows of ``table`` as CSV lines of ``_fmt`` cells, in one %-format."""
+    n, c = table.shape
+    return (",".join(["%.17g"] * c) + "\n") * n % tuple(table.ravel().tolist())
+
+
 def _err(msg: str) -> None:
     print(f"pim: error: {msg}", file=sys.stderr)
 
@@ -209,9 +215,7 @@ def cmd_solve(args, cfg: dict) -> int:
     try:
         with open(args.out, "w") as fh:
             fh.write(",".join([f"x{i + 1}" for i in range(d)] + ["u"]) + "\n")
-            for i in range(cloud.n):
-                cells = [_fmt(c) for c in cloud.points[i]] + [_fmt(u[i])]
-                fh.write(",".join(cells) + "\n")
+            fh.write(_csv_rows(np.column_stack([cloud.points, u])))
     except OSError as exc:
         _err(f"cannot write {args.out}: {exc}")
         return 2

@@ -15,14 +15,17 @@ For clouds sampled from the unit sphere the gradient is projected onto the
 analytic tangent plane (radial normal); clouds of unknown provenance get
 the raw ambient gradient.
 
+The boundary points are samples, so the two Rbar_t sums fold into one
+per-sample weight h_j = t f_j V_j - (2t/beta) (u_j - b_j) A_j, the last term
+on boundary samples only, and the numerator is
+sum_j [R_t(x,p_j) u_j V_j + Rbar_t(x,p_j) h_j].
+
 The kernels vanish beyond the support radius 2 sqrt(t), so each query sums
 only over the samples within that radius.  Queries are evaluated in blocks
 of ``CHUNK``: one k-d-tree join per block finds the block's in-support
 sample pairs, and the difference vectors of its exact radius cut give every
-kernel argument.  The boundary points are samples under the same cut, so
-the boundary sums run over the subset of those pairs whose sample is a
-boundary point; no second search or distance pass is made.  The per-query
-sums are accumulated with ``bincount`` in pair order.
+kernel argument.  A block makes two value sums and, for gradients, two per
+coordinate, each one ``bincount`` in pair order.
 """
 
 from __future__ import annotations
@@ -38,14 +41,6 @@ from .pointcloud import PointCloud
 __all__ = ["Interpolant", "OutOfSupport"]
 
 CHUNK = 256  # query points per evaluation block
-
-
-def _row_sums(rows: np.ndarray, vals: np.ndarray, q: int) -> np.ndarray:
-    """Sum per-pair values into their q query rows; vals is (pairs,) or (pairs, d)."""
-    if vals.ndim == 1:
-        return np.bincount(rows, weights=vals, minlength=q)
-    return np.column_stack([np.bincount(rows, weights=col, minlength=q)
-                            for col in vals.T])
 
 
 class OutOfSupport(ValueError):
@@ -70,9 +65,7 @@ class Interpolant:
     f: np.ndarray
     b: np.ndarray
     _uV: np.ndarray = field(init=False, repr=False)
-    _fV: np.ndarray = field(init=False, repr=False)
-    _gA: np.ndarray = field(init=False, repr=False)
-    _bpos: np.ndarray = field(init=False, repr=False)
+    _h: np.ndarray = field(init=False, repr=False)
     _samples: NeighborIndex = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -90,12 +83,11 @@ class Interpolant:
             raise ValueError("f length mismatch")
         if self.b.shape != (m,):
             raise ValueError("b length mismatch")
+        t, bi = self.params.t, cl.boundary_indices
         self._uV = self.u * cl.volume_weights
-        self._fV = self.f * cl.volume_weights
-        self._gA = (self.u[cl.boundary_indices] - self.b) * cl.area_weights
-        # boundary position of each sample, -1 for interior samples
-        self._bpos = np.full(n, -1, dtype=np.intp)
-        self._bpos[cl.boundary_indices] = np.arange(m)
+        # per-sample Rbar_t weight; boundary indices are distinct
+        self._h = t * self.f * cl.volume_weights
+        self._h[bi] -= (2.0 * t / self.beta) * (self.u[bi] - self.b) * cl.area_weights
         self._samples = NeighborIndex(cl.points, self.params.support_radius)
 
     # -- core chunk evaluation ------------------------------------------------
@@ -104,49 +96,44 @@ class Interpolant:
         """Return (w, num) and, if requested, their gradients over a chunk.
 
         Each sum runs over the (query, sample) pairs within the support
-        radius; ``rows`` names the query of a pair, ``cols`` its sample.  The
-        boundary sums take the pairs whose sample is a boundary point, with
-        ``brows`` their queries and ``bpos`` their boundary positions.
+        radius; ``rows`` names the query of a pair, ``cols`` its sample.
+        ``w`` sums R_t V and ``num`` sums R_t uV + Rbar_t h.
         """
-        t, c_t, beta = self.params.t, self.params.C_t, self.beta
+        t, c_t = self.params.t, self.params.C_t
         prof = self.profile
         q = X.shape[0]
 
-        rows, cols, diff = self._samples.join(X)
-        diff = -diff                                     # x - p_j, exactly
+        rows, cols, diff = self._samples.join(X)         # diff = p_j - x
         s = np.einsum("pd,pd->p", diff, diff) / (4.0 * t)
         rt = c_t * prof.R(s)
-        rbar = c_t * prof.Rbar(s)
-        bpos = self._bpos[cols]
-        isb = bpos >= 0
-        brows, bpos = rows[isb], bpos[isb]
-
         v = self.cloud.volume_weights[cols]
         uv = self._uV[cols]
-        fv = self._fV[cols]
-        ga = self._gA[bpos]
-        w = _row_sums(rows, rt * v, q)
-        num = (_row_sums(rows, rt * uv, q)
-               - (2.0 * t / beta) * _row_sums(brows, rbar[isb] * ga, q)
-               + t * _row_sums(rows, rbar * fv, q))
+        h = self._h[cols]
+        w = np.bincount(rows, weights=rt * v, minlength=q)
+        num = np.bincount(rows, weights=rt * uv + c_t * prof.Rbar(s) * h,
+                          minlength=q)
         if not want_grad:
             return w, num, None, None
 
-        # d/dx R_t = C_t R'(s) (x-y)/(2t);  d/dx Rbar_t = -R_t (x-y)/(2t)
-        drt = (c_t / (2.0 * t)) * prof.Rprime(s)[:, None] * diff
-        drbar = (-1.0 / (2.0 * t)) * rt[:, None] * diff
-
-        gw = _row_sums(rows, drt * v[:, None], q)
-        gnum = (_row_sums(rows, drt * uv[:, None], q)
-                - (2.0 * t / beta) * _row_sums(brows, drbar[isb] * ga[:, None], q)
-                + t * _row_sums(rows, drbar * fv[:, None], q))
+        # with y = x - p_j, grad R_t = (C_t/2t) R'(s) y and grad Rbar_t =
+        # -R_t y/(2t); the pair weights a and g carry the sign of diff = -y
+        drt = (-c_t / (2.0 * t)) * prof.Rprime(s)
+        a = drt * v
+        g = drt * uv + rt * h / (2.0 * t)
+        gw = np.column_stack([np.bincount(rows, weights=a * dk, minlength=q)
+                              for dk in diff.T])
+        gnum = np.column_stack([np.bincount(rows, weights=g * dk, minlength=q)
+                                for dk in diff.T])
         return w, num, gw, gnum
 
-    def _run(self, X: np.ndarray, want_grad: bool):
+    def _queries(self, X) -> np.ndarray:
         X = np.ascontiguousarray(np.atleast_2d(X), dtype=float)
         if X.shape[1] != self.cloud.ambient_dim:
             raise ValueError(
                 f"query dimension {X.shape[1]} != ambient {self.cloud.ambient_dim}")
+        return X
+
+    def _run(self, X: np.ndarray, want_grad: bool):
         q = X.shape[0]
         vals = np.empty(q)
         grads = np.empty((q, X.shape[1])) if want_grad else None
@@ -165,7 +152,7 @@ class Interpolant:
 
     def weight(self, X) -> np.ndarray:
         """Denominator w(x) = sum_j R_t(x, p_j) V_j for each query point."""
-        X = np.ascontiguousarray(np.atleast_2d(X), dtype=float)
+        X = self._queries(X)
         out = np.empty(X.shape[0])
         for lo in range(0, X.shape[0], CHUNK):
             hi = min(lo + CHUNK, X.shape[0])
@@ -174,7 +161,7 @@ class Interpolant:
         return out
 
     def eval_many(self, X) -> np.ndarray:
-        vals, _ = self._run(X, want_grad=False)
+        vals, _ = self._run(self._queries(X), want_grad=False)
         return vals
 
     def eval(self, x) -> float:
@@ -201,7 +188,7 @@ class Interpolant:
         """
         if project not in ("auto", "none", "sphere"):
             raise ValueError(f"unknown projection mode {project!r}")
-        X = np.ascontiguousarray(np.atleast_2d(X), dtype=float)
+        X = self._queries(X)
         vals, grads = self._run(X, want_grad=True)
         return vals, self._project(X, grads, project)
 

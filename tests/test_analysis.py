@@ -275,6 +275,29 @@ def test_measure_level_norms_equal_the_public_norms(case_name):
     assert row.boundary_l2_error == boundary_l2_error(interp, case, ref)
 
 
+def test_sweep_lemma_record_shares_the_level_pass(monkeypatch):
+    # collect_lemma takes the lemma record from the level's one
+    # value-and-gradient pass; it must equal lemma_norm_check's own pass
+    case = get_case("interval_sine")
+    real = Interpolant.value_and_grad_many
+    passes = []
+
+    def counted(self, X, project="auto"):
+        passes.append((self, np.array(X)))
+        return real(self, X, project)
+
+    monkeypatch.setattr(Interpolant, "value_and_grad_many", counted)
+    levels = [51, 101]
+    sweep = convergence_sweep(case, levels, reference_factor=2,
+                              collect_lemma=True)
+    monkeypatch.undo()
+    assert len(passes) == len(levels)
+    for n, row, (interp, X) in zip(levels, sweep.rows, passes):
+        ref = generate(case.spec.with_resolution(2 * n), seed=0)
+        assert np.array_equal(X, ref.points)
+        assert row.lemma == lemma_norm_check(interp, ref)
+
+
 def test_sweep_abort_preserves_partial(monkeypatch):
     import pim.analysis as analysis
     real = analysis.solve_case_on_cloud

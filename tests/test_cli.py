@@ -3,7 +3,7 @@ import pytest
 from scipy.io import mmread
 
 from pim import pointcloud
-from pim.cli import main
+from pim.cli import _csv_rows, main
 
 
 @pytest.fixture()
@@ -183,6 +183,46 @@ def test_solve_alternate_profile(tmp_path, interval_csv):
     assert rc == 0
     _, body = read_solution(out)
     assert np.max(np.abs(body[:, 1] - 3.0)) < 1e-9
+
+
+def per_cell_csv(table):
+    return "".join(",".join(format(float(c), ".17g") for c in row) + "\n"
+                   for row in table)
+
+
+def test_csv_rows_match_per_cell_rendering(rng):
+    special = np.array([[-0.0, 0.0, 5e-324, 1e-300],
+                        [1.7976931348623157e308, -1e300, 0.1, 1.0 / 3.0],
+                        [np.inf, -np.inf, np.nan, 123456789.0],
+                        [2.0 ** -1022, -2.2250738585072014e-308, 1e16, 1e17]])
+    scaled = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 4))
+    for table in (special, scaled, special[:, :1], np.empty((0, 3))):
+        assert _csv_rows(table) == per_cell_csv(table)
+    assert _csv_rows(special).startswith("-0,0,4.9406564584124654e-324,1e-300\n")
+
+
+@pytest.mark.parametrize("b_const", ["1e150", "1e-300", "-2.5"])
+def test_solve_csv_is_per_cell_rendering(tmp_path, b_const):
+    # an interval lifted into the plane, its second coordinate -0.0, 0.0,
+    # subnormal or tiny, solved for huge, tiny and negative constant solutions
+    line = pointcloud.generate(pointcloud.ManifoldSpec.interval(0.0, 1.0, 101))
+    lift = np.resize([-0.0, 0.0, 5e-324, 1e-300], line.n)
+    cloud = pointcloud.PointCloud(
+        points=np.column_stack([line.points[:, 0], lift]), intrinsic_dim=1,
+        boundary_indices=line.boundary_indices,
+        volume_weights=line.volume_weights, area_weights=line.area_weights)
+    src, out = tmp_path / "lifted.csv", tmp_path / "sol.csv"
+    pointcloud.save(cloud, src)
+    rc = main(["solve", "--cloud", str(src), "--f-const", "0", "--b-const", b_const,
+               "--t", "0.004", "--beta", "0.1", "--out", str(out)])
+    assert rc == 0
+    header, *rows = out.read_text().splitlines(keepends=True)
+    assert header == "x1,x2,u\n"
+    u = np.array([float(r.rsplit(",", 1)[1]) for r in rows])
+    assert np.allclose(u, float(b_const), rtol=1e-9, atol=0.0)
+    assert "".join(rows) == per_cell_csv(np.column_stack([cloud.points, u]))
+    assert rows[0].startswith("0,-0,") and rows[2].startswith(
+        "0.02,4.9406564584124654e-324,")
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,14 @@ def solved_disk(disk_cloud):
 
 
 @pytest.fixture(scope="module")
+def solved_rectangle(rectangle_cloud):
+    # non-zero boundary data b = x^2 + y^2 and corner area weights
+    interp, _ = solve_case_on_cloud(get_case("rectangle_quadratic"),
+                                    rectangle_cloud, t=0.03, beta=0.15)
+    return interp
+
+
+@pytest.fixture(scope="module")
 def solved_cap(cap_cloud):
     interp, _ = solve_case_on_cloud(get_case("cap_linear"), cap_cloud,
                                     t=0.03, beta=0.15)
@@ -169,6 +177,12 @@ def test_query_dimension_checked(solved_disk):
         solved_disk.eval_many(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_weight_query_dimension_checked(solved_disk, width):
+    with pytest.raises(ValueError, match=f"query dimension {width} != ambient 2"):
+        solved_disk.weight(np.zeros((3, width)))
+
+
 def test_constructor_validation(interval_cloud):
     params = KernelParams(t=0.01, k=1)
     n = interval_cloud.n
@@ -222,7 +236,8 @@ def support_edge_queries(cloud, radius, rng, count):
     return np.vstack([rim, cloud.points[::7], base + 0.9 * radius * d])
 
 
-@pytest.mark.parametrize("which", ["solved_disk", "solved_cap"])
+@pytest.mark.parametrize("which", ["solved_interval", "solved_disk",
+                                   "solved_rectangle", "solved_cap"])
 def test_neighbour_sums_match_dense_oracle(which, request, rng):
     interp = request.getfixturevalue(which)
     X = support_edge_queries(interp.cloud, interp.params.support_radius, rng, 300)
@@ -237,9 +252,8 @@ def test_neighbour_sums_match_dense_oracle(which, request, rng):
     assert np.array_equal(interp.grad_many(X, project="none"), grads)
 
 
-def permuted_boundary(cloud, rng):
-    """The same cloud with its boundary list (and area weights) shuffled."""
-    perm = rng.permutation(cloud.boundary_indices.size)
+def permuted_boundary(cloud, perm):
+    """The same cloud with its boundary list (and area weights) permuted."""
     return PointCloud(points=cloud.points, intrinsic_dim=cloud.intrinsic_dim,
                       boundary_indices=cloud.boundary_indices[perm],
                       volume_weights=cloud.volume_weights,
@@ -254,7 +268,8 @@ def test_boundary_sums_follow_a_permuted_boundary_list(case_name, cloud_name,
     # the boundary sums map each sample to its position in boundary_indices;
     # with the list out of index order, a wrong position would pair a rim
     # sample with another sample's u - b and area weight
-    cloud = permuted_boundary(request.getfixturevalue(cloud_name), rng)
+    cloud = request.getfixturevalue(cloud_name)
+    cloud = permuted_boundary(cloud, rng.permutation(cloud.boundary_indices.size))
     assert np.any(np.diff(cloud.boundary_indices) < 0)
     interp, _ = solve_case_on_cloud(get_case(case_name), cloud, t=0.03, beta=0.15)
     X = support_edge_queries(cloud, interp.params.support_radius, rng, 300)
@@ -266,6 +281,22 @@ def test_boundary_sums_follow_a_permuted_boundary_list(case_name, cloud_name,
     rim = cloud.boundary_indices
     gap = np.abs(interp.eval_many(cloud.points[rim]) - interp.u[rim])
     assert np.all(gap <= 1e-9 * (1.0 + np.abs(interp.u[rim])))
+
+
+@pytest.mark.parametrize("which", ["solved_rectangle", "solved_cap"])
+def test_boundary_weights_follow_their_samples(which, request, rng):
+    # the boundary term is scattered onto the samples, so permuting the
+    # boundary list together with b leaves every sum bit for bit unchanged
+    interp = request.getfixturevalue(which)
+    cloud = interp.cloud
+    perm = rng.permutation(cloud.boundary_indices.size)
+    other = Interpolant(cloud=permuted_boundary(cloud, perm), params=interp.params,
+                        profile=interp.profile, beta=interp.beta,
+                        u=interp.u, f=interp.f, b=interp.b[perm])
+    X = support_edge_queries(cloud, interp.params.support_radius, rng, 300)
+    for got, want in zip(other.value_and_grad_many(X, "none"),
+                         interp.value_and_grad_many(X, "none")):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("which", ["solved_disk", "solved_cap"])
