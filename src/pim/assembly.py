@@ -20,15 +20,17 @@ off-diagonal kernel entries negative), so constants are reproduced
 exactly: matrix @ 1 equals the boundary-column vector because the L-part
 annihilates constants.
 
-The matrix is built from one sorted list of candidate pairs, as int64 keys
-i * n + j: the k-d-tree self-join of :mod:`pim.neighbors`, or, for the
-direct-scan oracle, every pair.  One routine walks that list in blocks of
-``ROW_BLOCK`` rows: it masks the candidates to the open support s < 1,
-evaluates the kernels, weights and boundary addends for the whole block at
-once, and writes values and int32 column indices straight into the
-compressed-sparse-row arrays.  The diagonal and the right-hand side are
-per-row sums over contiguous slices in ascending column order, the same
-pairwise summation a row summed on its own gets, so indexed and direct-scan
+The matrix is built from a candidate graph in compressed-sparse-row form:
+the k-d-tree self-join of :mod:`pim.neighbors`, or, for the direct-scan
+oracle, every pair.  One routine walks it in blocks of ``ROW_BLOCK`` rows:
+it masks the candidates to the open support s < 1, evaluates the kernels,
+weights and boundary addends for the whole block at once, and writes the
+values into ``data`` and the kept columns back over the graph's column
+array, which becomes the matrix's ``indices``.  A block is read before it
+is written and the write offset never passes the read offset, so no second
+column array exists.  The diagonal and the right-hand side are per-row sums
+over contiguous slices in ascending column order, the same pairwise
+summation a row summed on its own gets, so indexed and direct-scan
 assembly produce bit-identical matrices — the direct scan is the audit
 oracle for the indexed fast path.  Dense storage, for small clouds, is
 that matrix converted with ``toarray``.
@@ -54,7 +56,7 @@ from .pointcloud import PointCloud
 __all__ = ["LinearSystem", "assemble", "boundary_column_vector", "dump_matrixmarket"]
 
 DENSE_CUTOFF = 512  # default storage switch; config-overridable
-ROW_BLOCK = 256  # matrix rows per vectorized block; bounds the block temporaries
+ROW_BLOCK = 128  # matrix rows per vectorized block; bounds the block temporaries
 
 
 @dataclass
@@ -72,14 +74,6 @@ class LinearSystem:
     @property
     def is_dense(self) -> bool:
         return isinstance(self.matrix, np.ndarray)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
-    def residual_norm(self, x: np.ndarray) -> float:
-        r = self.matrix @ x - self.rhs
-        denom = max(float(np.linalg.norm(self.rhs)), np.finfo(float).tiny)
-        return float(np.linalg.norm(r) / denom)
 
 
 def boundary_column_vector(cloud: PointCloud, params: KernelParams,
@@ -139,29 +133,29 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
     bpos[cloud.boundary_indices] = np.arange(m)
 
     if use_index:
-        keys = NeighborIndex(points, params.support_radius).self_join()
+        cand_ptr, indices = NeighborIndex(points, params.support_radius).self_join()
     else:
-        keys = np.arange(n * n, dtype=np.int64)
-    # candidate range of row i: keys[cand_ptr[i]:cand_ptr[i + 1]]
-    cand_ptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-
-    cap = keys.shape[0]
-    idx_dtype = np.int32 if cap <= np.iinfo(np.int32).max else np.int64
-    data = np.empty(cap)
-    indices = np.empty(cap, dtype=idx_dtype)
-    indptr = np.zeros(n + 1, dtype=idx_dtype)
+        cand_ptr = np.arange(n + 1) * n  # every pair; n^2 < 2^31 for any n it can afford
+        indices = np.tile(np.arange(n, dtype=np.int32), n)
+    # row i's candidates are indices[cand_ptr[i]:cand_ptr[i + 1]]; fill compacts them
+    data = np.empty(indices.shape[0])
+    indptr = np.zeros(n + 1, dtype=indices.dtype)
     rhs = np.empty(n)
     add = np.add.reduce
-    for lo in range(0, n, ROW_BLOCK):
-        hi = min(lo + ROW_BLOCK, n)
-        rows, cols = np.divmod(keys[cand_ptr[lo]:cand_ptr[hi]], n)
+
+    def fill(lo: int, hi: int) -> None:
+        # rows lo:hi; the block's temporaries die when it returns
+        counts = np.diff(cand_ptr[lo:hi + 1])
+        cols = indices[cand_ptr[lo]:cand_ptr[hi]]
         # take and repeat gather the same values as points[cols] and
         # points[rows], several times faster
-        diff = (np.take(points, cols, axis=0)
-                - np.repeat(points[lo:hi], np.diff(cand_ptr[lo:hi + 1]), axis=0))
+        diff = np.take(points, cols, axis=0)
+        diff -= np.repeat(points[lo:hi], counts, axis=0)
         s = np.einsum("ij,ij->i", diff, diff) * inv4t
+        del diff
         keep = s < 1.0
-        rows, cols, s = rows[keep], cols[keep], s[keep]
+        rows = np.repeat(np.arange(lo, hi), counts)[keep]
+        cols, s = cols[keep], s[keep]
         rt = c_t * profile.R(s)
         rbar = c_t * profile.Rbar(s)
         a = rt * vw[cols] / t
@@ -187,14 +181,16 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
             diag[k] = add(a_off[p0 - k:p1 - k - 1])
             rhs[lo + k] = two_over_beta * add(pb[q0:q1]) + add(pf[p0:p1])
 
-        vals = -a
+        base = int(indptr[lo])
+        end = base + a.shape[0]
+        vals = np.negative(a, out=data[base:end])
         vals[on_diag] = diag
         vals[is_b] += two_over_beta * rbar[is_b] * aw[lb]
-        base = int(indptr[lo])
-        end = base + vals.shape[0]
-        data[base:end] = vals
         indices[base:end] = cols
         indptr[lo + 1:hi + 1] = base + ends
+
+    for lo in range(0, n, ROW_BLOCK):
+        fill(lo, min(lo + ROW_BLOCK, n))
     isolated = np.flatnonzero(np.diff(indptr) == 1)
     if isolated.size:
         raise ValueError(
@@ -202,9 +198,9 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
             f"point within the support radius {params.support_radius:.6g}: the "
             "kernel does not couple them to the cloud (refine the cloud or raise t)")
 
+    # Where the exact cut dropped candidates, scipy keeps the first nnz
+    # entries: a view, or a copy when most is slack, as for the direct scan.
     nnz = int(indptr[n])
-    if nnz < cap:
-        data, indices = data[:nnz].copy(), indices[:nnz].copy()
     mat = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     if dense:
         mat = mat.toarray()

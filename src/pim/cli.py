@@ -278,6 +278,9 @@ def cmd_sweep(args, cfg: dict) -> int:
         exc.partial.to_csv(args.out)
         _err(f"{exc}; partial results -> {args.out}")
         return 1
+    except ValueError as exc:
+        _err(str(exc))
+        return 2
     result.to_csv(args.out)
     print(analysis.SWEEP_HEADER)
     for row in result.rows:
@@ -411,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--wy", type=float, default=1.0, help="rectangle height")
     g.add_argument("--z0", type=float, default=0.5, help="cap rim height")
     g.add_argument("--jitter", type=float, default=0.0,
-                   help="interior perturbation, fraction of spacing")
+                   help="interior perturbation, fraction of spacing in [0, 0.5)")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True, help="output cloud CSV path")
     g.set_defaults(func=cmd_generate)

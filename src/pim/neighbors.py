@@ -13,11 +13,12 @@ keys ``q * n + j``, applies the exact cut, and returns the kept pairs with
 the difference vectors the cut computed.
 
 Assembly takes every pair of the cloud at once from ``self_join``: one tree
-self-join, mirrored, with the self pairs added, sorted as int64 keys
-``i * n + j`` so that rows, and the columns within a row, ascend.  The keys
-are candidates; assembly applies its own exact cut (the open kernel
-support) and sums in index order, so it is bit-identical to a masked full
-scan.  ``query_self`` applies the radius cut to the same keys.
+self-join, mirrored into int64 keys ``i * n + j`` in the tree's own pair
+buffer, sorted once and turned into a candidate graph in compressed-sparse-
+row form, ``(cand_ptr, cols)``, with the self pairs inserted; the keys die
+there.  Assembly applies its own exact cut (the open kernel support) to the
+candidates and sums in index order, so it is bit-identical to a masked full
+scan.  ``query_self`` applies the radius cut to the same graph.
 """
 
 from __future__ import annotations
@@ -85,36 +86,45 @@ class NeighborIndex:
         x = np.asarray(x, dtype=float).ravel()
         return self.pairs(x[None, :])[1]
 
-    def self_join(self) -> np.ndarray:
-        """Sorted keys ``i * n + j`` of the candidate pairs among the points.
+    def self_join(self) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate pairs among the points, as a compressed-sparse-row graph.
 
-        Holds both orders of every pair within ``radius`` and each point with
-        itself; the tree's padded radius may add pairs just beyond ``radius``,
-        so callers apply their own exact cut.
+        Returns ``(cand_ptr, cols)``: the candidates of point ``i`` are
+        ``cols[cand_ptr[i]:cand_ptr[i + 1]]``, ascending.  They hold both
+        orders of every pair within ``radius`` and each point itself; the
+        tree's padded radius may add pairs just beyond ``radius``, so callers
+        apply their own exact cut.  ``cols`` is int32 when the candidate
+        count fits, int64 otherwise, and ``cand_ptr`` is int64.
         """
         n = self.points.shape[0]
-        half = self._tree.query_pairs(self.radius * (1.0 + _PAD), output_type="ndarray")
-        i, j = half.astype(np.int64, copy=False).T
-        k = i.shape[0]
-        keys = np.empty(2 * k + n, dtype=np.int64)
-        np.multiply(i, n, out=keys[:k])
-        keys[:k] += j
-        np.multiply(j, n, out=keys[k:2 * k])
-        keys[k:2 * k] += i
-        np.multiply(np.arange(n, dtype=np.int64), n + 1, out=keys[2 * k:])
+        keys = self._tree.query_pairs(self.radius * (1.0 + _PAD), output_type="ndarray")
+        # keys i*n + j and j*n + i of each intp pair i < j, written over the
+        # pair array itself so that no second list of that size exists
+        ij = keys[:, 0] * n + keys[:, 1]
+        keys[:, 1] *= n
+        keys[:, 1] += keys[:, 0]
+        keys[:, 0] = ij
+        del ij
+        keys = keys.reshape(-1)
         keys.sort()
-        return keys
+        starts = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        at_self = np.searchsorted(keys, np.arange(n, dtype=np.int64) * (n + 1))
+        dtype = np.int32 if keys.shape[0] + n <= np.iinfo(np.int32).max else np.int64
+        cols = np.remainder(keys, n, out=np.empty(keys.shape, dtype), casting="unsafe")
+        del keys
+        return starts + np.arange(n + 1), np.insert(cols, at_self, np.arange(n, dtype=dtype))
 
     def query_self(self) -> list[np.ndarray]:
         """Neighbor list for every indexed point (each includes itself)."""
         n = self.points.shape[0]
         if n == 0:
             return []
-        rows, cols = np.divmod(self.self_join(), n)
+        cand_ptr, cols = self.self_join()
+        rows = np.repeat(np.arange(n), np.diff(cand_ptr))
         diff = np.take(self.points, cols, axis=0) - np.take(self.points, rows, axis=0)
         keep = np.einsum("ij,ij->i", diff, diff) <= self._r2
         ends = np.cumsum(np.bincount(rows[keep], minlength=n))
-        return np.split(cols[keep], ends[:-1])
+        return np.split(cols[keep].astype(np.int64), ends[:-1])
 
     def query_brute(self, x: np.ndarray) -> np.ndarray:
         """Direct O(n) scan; oracle for query_point."""

@@ -10,9 +10,8 @@ Two discrete operators act on a vector of sample values u:
   (2/beta) sum_l Rbar_t(p_i, s_l) u_l A_l,
   the operator actually inverted by the solver.
 
-The oracles evaluate the underlying integrals on a much finer cloud
-(``oracle_Lt``, ``oracle_Kt``) or form the kernel-smoothed average
-(``oracle_v``).  They exist to test the discrete operators against an
+The oracles evaluate the integral Laplacian on a much finer cloud
+(``oracle_Lt``) or form the kernel-smoothed average (``oracle_v``).  They exist to test the discrete operators against an
 independent discretization, not for production use.
 """
 
@@ -30,7 +29,6 @@ __all__ = [
     "apply_Lth_all",
     "apply_Kth",
     "oracle_Lt",
-    "oracle_Kt",
     "oracle_v",
     "energy_identity",
 ]
@@ -96,19 +94,6 @@ def oracle_Lt(u_fn: Callable[[np.ndarray], np.ndarray], x, fine_cloud: PointClou
     ux = float(u_fn(x[None, :])[0])
     uy = np.asarray(u_fn(fine_cloud.points), dtype=float)
     return float(np.sum(rt * (ux - uy) * fine_cloud.volume_weights) / params.t)
-
-
-def oracle_Kt(u_fn: Callable[[np.ndarray], np.ndarray], x, fine_cloud: PointCloud,
-              params: KernelParams, profile: KernelProfile, beta: float) -> float:
-    """oracle_Lt plus the continuous boundary penalty, fine-cloud quadrature."""
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    x = np.asarray(x, dtype=float).ravel()
-    sb = fine_cloud.points[fine_cloud.boundary_indices]
-    rbar = eval_Rbar_t(x, sb, params, profile)
-    u_s = np.asarray(u_fn(sb), dtype=float)
-    bnd = (2.0 / beta) * np.sum(rbar * u_s * fine_cloud.area_weights)
-    return oracle_Lt(u_fn, x, fine_cloud, params, profile) + float(bnd)
 
 
 def oracle_v(u_values, x, cloud: PointCloud, params: KernelParams,

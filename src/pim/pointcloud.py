@@ -180,7 +180,10 @@ def generate(spec: ManifoldSpec, seed: int = 0, jitter: float = 0.0) -> PointClo
     ``jitter`` displaces interior points by a uniform perturbation of up to
     ``jitter`` times the grid spacing (seeded, for robustness studies);
     boundary points never move.  Deterministic for fixed (spec, seed).
+    Raises ``ValueError`` unless ``0 <= jitter < 0.5``.
     """
+    if not 0.0 <= jitter < 0.5:
+        raise ValueError(f"jitter must be in [0, 0.5), got {jitter!r}")
     if spec.shape == "interval":
         cloud = _generate_interval(spec)
     elif spec.shape == "rectangle":

@@ -66,6 +66,8 @@ class SolveOptions:
             raise ValueError("tol must be positive")
         if self.max_iter_factor < 1:
             raise ValueError("max_iter_factor must be >= 1")
+        if self.restart < 1:
+            raise ValueError("restart must be >= 1")
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,7 +10,9 @@ from pim.assembly import (ROW_BLOCK, assemble, boundary_column_vector,
                           dump_matrixmarket)
 from pim.kernel import (KernelParams, cubic_profile, eval_Rbar_t, eval_Rt,
                         truncated_gaussian_profile)
+from pim.neighbors import NeighborIndex
 from pim.pointcloud import ManifoldSpec, PointCloud, generate
+from pim.solve import _true_residual
 
 
 def make_system(cloud, t, beta, profile=cubic_profile, **kw):
@@ -66,6 +70,101 @@ def test_indexed_equals_brute_csr_over_row_blocks(spec, profile):
     for i in (0, ROW_BLOCK - 1, ROW_BLOCK, cloud.n - 1):
         cols = fast.matrix.indices[fast.matrix.indptr[i]:fast.matrix.indptr[i + 1]]
         assert i in cols and np.all(np.diff(cols) > 0)
+
+
+# ---------------------------------------------------------------------------
+# memory: the candidate graph is compacted into the matrix's column array
+# ---------------------------------------------------------------------------
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory tracemalloc saw allocated during it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def coupled_assembly(cloud):
+    """Assembly of ``cloud`` under the default coupling, CSR storage."""
+    params = KernelParams(t=Coupling().t_of(cloud.metadata["h"]), k=cloud.intrinsic_dim)
+    f = np.cos(cloud.points[:, 0]) + cloud.points[:, 1]
+    b = np.sin(cloud.boundary_points[:, 1]) + 0.5
+    return params, lambda **kw: assemble(cloud, params, cubic_profile, 0.3, f, b,
+                                         dense=False, **kw)
+
+
+def with_shells(cloud, rng, centres=6):
+    """``cloud`` plus points at exactly its support radius and one ulp either
+    side of it around a few central samples, so the exact cut s < 1 drops
+    candidates."""
+    radius = coupled_assembly(cloud)[0].support_radius
+    shells = (np.nextafter(radius, 0.0), radius, np.nextafter(radius, np.inf))
+    inner = np.flatnonzero(np.linalg.norm(cloud.points, axis=1) < 0.5)
+    extra = []
+    for centre in cloud.points[rng.choice(inner, size=centres, replace=False)]:
+        dirs = rng.standard_normal((10, 2))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        extra += [centre + r * u for u in dirs for r in shells]
+        extra += [centre + np.array([sign * r, 0.0])
+                  for sign in (1.0, -1.0) for r in shells]
+    vw = np.full(len(extra), cloud.volume_weights.mean())
+    shelled = PointCloud(points=np.vstack([cloud.points, extra]), intrinsic_dim=2,
+                         boundary_indices=cloud.boundary_indices,
+                         volume_weights=np.concatenate([cloud.volume_weights, vw]),
+                         area_weights=cloud.area_weights)
+    shelled.metadata["h"] = cloud.metadata["h"]
+    return shelled
+
+
+def pairs_near_support(cloud, radius):
+    """Ordered pairs at distance <= radius * (1 + 1e-12), all of which the
+    tree proposes; the open support s < 1 keeps fewer when points sit at the
+    radius or one ulp beyond it."""
+    idx = NeighborIndex(cloud.points, radius * (1.0 + 1e-12))
+    return sum(row.size for row in idx.query_self())
+
+
+def matrix_bytes(mat):
+    return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+
+
+@pytest.mark.parametrize("spec,jitter,shells", [
+    (ManifoldSpec.disk(4000), 0.25, False),
+    (ManifoldSpec.spherical_cap(0.5, 4000), 0.0, False),
+    (ManifoldSpec.disk(4000), 0.25, True),
+], ids=["jittered-disk", "cap", "disk-with-shells"])
+def test_assembly_peak_memory_near_the_matrix(spec, jitter, shells, rng):
+    # no key list, second column array or trailing copy beside the matrix:
+    # its arrays plus the row-block temporaries stay within 1.5x its size
+    cloud = generate(spec, seed=3, jitter=jitter)
+    if shells:
+        cloud = with_shells(cloud, rng)
+    params, build = coupled_assembly(cloud)
+    system, peak = traced_peak(build)
+    mat = system.matrix
+    assert mat.data.shape == mat.indices.shape == (mat.nnz,)
+    if shells:
+        assert mat.nnz < pairs_near_support(cloud, params.support_radius)
+    assert peak <= 1.5 * matrix_bytes(mat)
+
+
+def test_exact_cut_drops_candidates_in_place(rng):
+    # the kept columns overwrite the candidate graph and the arrays shrink to
+    # nnz; the result still equals the direct scan byte for byte
+    cloud = with_shells(generate(ManifoldSpec.disk(900), seed=4, jitter=0.25), rng)
+    params, build = coupled_assembly(cloud)
+    fast, slow = build(use_index=True), build(use_index=False)
+    nnz = fast.matrix.nnz
+    assert nnz < pairs_near_support(cloud, params.support_radius)  # the cut dropped some
+    for name in ("data", "indices", "indptr"):
+        a, c = getattr(fast.matrix, name), getattr(slow.matrix, name)
+        assert a.dtype == c.dtype and a.tobytes() == c.tobytes(), name
+    assert fast.matrix.data.shape == fast.matrix.indices.shape == (nnz,)
+    assert fast.rhs.tobytes() == slow.rhs.tobytes()
 
 
 def test_dense_and_sparse_store_identical_values(interval_cloud):
@@ -157,7 +256,7 @@ def test_constant_data_residual_is_rounding_level(all_clouds):
                           np.zeros(cloud.n),
                           np.full(len(cloud.boundary_indices), c),
                           dense=True)
-        defect = system.matvec(np.full(cloud.n, c)) - system.rhs
+        defect = system.matrix @ np.full(cloud.n, c) - system.rhs
         scale = np.sum(np.abs(system.matrix), axis=1) * abs(c)
         eps = np.finfo(float).eps
         assert np.all(np.abs(defect) <= 64.0 * eps * scale), name
@@ -263,9 +362,9 @@ def test_metadata(interval_cloud):
 def test_residual_norm_definition(interval_cloud):
     system, _ = make_system(interval_cloud, 0.01, 0.25)
     x = np.ones(system.n)
-    expected = np.linalg.norm(system.matvec(x) - system.rhs) \
+    expected = np.linalg.norm(system.matrix @ x - system.rhs) \
         / max(np.linalg.norm(system.rhs), np.finfo(float).tiny)
-    assert system.residual_norm(x) == pytest.approx(expected, rel=1e-15)
+    assert _true_residual(system, x) == pytest.approx(expected, rel=1e-15)
 
 
 def test_matrixmarket_dump(tmp_path, interval_cloud):

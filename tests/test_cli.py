@@ -53,6 +53,17 @@ def test_generate_rejects_bad_spec(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jitter", ["5", "0.5", "-0.1"])
+def test_generate_rejects_jitter_out_of_range(tmp_path, capsys, jitter):
+    out = tmp_path / "x.csv"
+    rc = main(["generate", "--shape", "interval", "--n", "5", "--jitter", jitter,
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "pim: error:" in err and "jitter" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_out_is_usage_error(capsys):
     rc = main(["generate", "--shape", "disk", "--n", "10"])
     assert rc == 2
@@ -272,6 +283,40 @@ def test_sweep_bad_levels(tmp_path, capsys):
     rc = main(["sweep", "--case", "interval_sine", "--levels", "abc",
                "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("levels", ["1", "-3"])
+def test_sweep_rejects_levels_below_two(tmp_path, capsys, levels):
+    rc = main(["sweep", "--case", "disk_paraboloid", "--levels", levels,
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "pim: error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("restart", ["0", "-2"])
+def test_zero_restart_exits_2(tmp_path, capsys, interval_csv, restart):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"solver.restart = {restart}\n")
+    out = tmp_path / "u.csv"
+    rc = main(["--config", str(cfg), "solve", "--cloud", interval_csv,
+               "--f-const", "1", "--dense-cutoff", "1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "pim: error:" in err and "restart" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["solver.restart = 0", "kernel.profile = bogus",
+                                  "reference.factor = 0"])
+def test_sweep_bad_config_value_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    rc = main(["--config", str(cfg), "sweep", "--case", "interval_sine",
+               "--levels", "51", "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "pim: error:" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

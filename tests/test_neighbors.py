@@ -134,17 +134,21 @@ def test_empty_point_set():
     assert rows.size == 0 and cols.size == 0
     assert idx.query_point(np.zeros(2)).size == 0
     assert idx.query_self() == []
+    cand_ptr, cols = idx.self_join()
+    assert np.array_equal(cand_ptr, [0]) and cols.size == 0
 
 
-def test_self_join_keys(rng):
+def test_self_join_candidate_graph(rng):
     pts = rng.uniform(-1, 1, size=(600, 3))
     n, radius = pts.shape[0], 0.3
     idx = NeighborIndex(pts, radius)
-    keys = idx.self_join()
-    assert keys.dtype == np.int64
-    assert np.all(np.diff(keys) > 0)  # sorted, no duplicates
-    rows, cols = np.divmod(keys, n)
-    mirrored = np.sort(cols * n + rows)
+    cand_ptr, cols = idx.self_join()
+    assert cols.dtype == np.int32 and cand_ptr.shape == (n + 1,)
+    assert cand_ptr[0] == 0 and cand_ptr[-1] == cols.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(cand_ptr))
+    keys = rows * n + cols
+    assert np.all(np.diff(keys) > 0)  # rows and columns ascend, no duplicates
+    mirrored = np.sort(cols.astype(np.int64) * n + rows)
     assert np.array_equal(mirrored, keys)  # both orders of every pair
     assert np.all(np.isin(np.arange(n) * (n + 1), keys))  # every self pair
     # a superset of the exact pairs, and nothing far past the radius

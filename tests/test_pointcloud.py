@@ -98,6 +98,12 @@ def test_jitter_keeps_cap_on_sphere():
     assert np.max(np.abs(cloud.boundary_points[:, 2] - 0.2)) <= 1e-12
 
 
+@pytest.mark.parametrize("jitter", [0.5, 5.0, -0.1, float("nan"), float("inf")])
+def test_jitter_out_of_range_rejected(jitter):
+    with pytest.raises(ValueError, match="jitter"):
+        generate(ManifoldSpec.interval(0.0, 1.0, 5), seed=1, jitter=jitter)
+
+
 def test_jitter_moves_only_interior():
     base = generate(ManifoldSpec.disk(400))
     jit = generate(ManifoldSpec.disk(400), seed=11, jitter=0.25)

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from pim.assembly import LinearSystem, assemble
 from pim.kernel import KernelParams, cubic_profile
 from pim.solve import (NoConvergence, SingularMatrix, SolveOptions,
-                       SolverError, solve)
+                       SolverError, _true_residual, solve)
 
 
 def assembled(cloud, t=0.01, beta=0.2, dense=True):
@@ -74,7 +74,7 @@ def test_reported_residual_is_recomputed(interval_cloud):
     for dense in (True, False):
         system = assembled(interval_cloud, dense=dense)
         report = solve(system)
-        again = system.residual_norm(report.solution)
+        again = _true_residual(system, report.solution)
         assert report.residual_norm == pytest.approx(again, rel=1e-12)
         assert report.residual_norm <= 1e-10
         claimed = report.diagnostics["claimed_residual"]
@@ -125,6 +125,9 @@ def test_options_validation():
         SolveOptions(tol=0.0)
     with pytest.raises(ValueError):
         SolveOptions(max_iter_factor=0)
+    for restart in (0, -1):
+        with pytest.raises(ValueError, match="restart"):
+            SolveOptions(restart=restart)
 
 
 def test_deterministic(interval_cloud):
