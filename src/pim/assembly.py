@@ -90,16 +90,16 @@ def boundary_column_vector(cloud: PointCloud, params: KernelParams,
 
 def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
              beta: float, f, b, *,
-             use_index: Optional[bool] = None,
+             use_index: bool = True,
              dense: Optional[bool] = None,
              dense_cutoff: int = DENSE_CUTOFF) -> LinearSystem:
     """Build the linear system for source f (per point) and boundary data b.
 
-    ``use_index``: take the candidate pairs from a k-d-tree self-join
-    (default for clouds above 128 points) instead of taking every pair,
-    which costs O(n^2) time and memory; either route yields bit-identical
-    output.  ``dense``: force storage; default is dense for
-    n <= dense_cutoff, compressed sparse rows beyond.  Raises
+    ``use_index``: take the candidate pairs from a k-d-tree self-join;
+    ``False`` takes every pair instead, the direct-scan test oracle, which
+    costs O(n^2) time and memory and yields bit-identical output.
+    ``dense``: force storage; default is dense for n <= dense_cutoff,
+    compressed sparse rows beyond.  Raises
     ``ValueError`` on non-finite ``f`` or ``b``, and on a point with no
     other point within the support radius.
     """
@@ -117,8 +117,6 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
         raise ValueError("source f and boundary data b must be finite")
     if dense is None:
         dense = n <= dense_cutoff
-    if use_index is None:
-        use_index = n > 128
 
     points = cloud.points
     vw = cloud.volume_weights

@@ -185,6 +185,7 @@ def cmd_solve(args, cfg: dict) -> int:
 
     try:
         profile = get_profile(cfg["kernel.profile"])
+        options = _solver_options(cfg)
     except ValueError as exc:
         _err(str(exc))
         return 2
@@ -202,7 +203,7 @@ def cmd_solve(args, cfg: dict) -> int:
     if args.matrix_out:
         assembly.dump_matrixmarket(system, args.matrix_out)
     try:
-        report = run_solve(system, _solver_options(cfg))
+        report = run_solve(system, options)
     except ValueError as exc:
         _err(str(exc))
         return 2
@@ -297,7 +298,9 @@ def _oracle_checks(cfg: dict) -> list[tuple[str, bool, str]]:
     from .operators import (apply_Lth, apply_Lth_all, energy_identity,
                             oracle_Lt, oracle_v)
     profile = get_profile(cfg["kernel.profile"])
-    fineness = int(cfg["oracle.fineness"])
+    fineness = cfg["oracle.fineness"]
+    if fineness < 1:
+        raise ValueError(f"oracle.fineness must be at least 1, got {fineness}")
     checks: list[tuple[str, bool, str]] = []
     rng = np.random.default_rng(7)
 
@@ -382,7 +385,11 @@ def _oracle_checks(cfg: dict) -> list[tuple[str, bool, str]]:
 
 
 def cmd_oracle_check(args, cfg: dict) -> int:
-    checks = _oracle_checks(cfg)
+    try:
+        checks = _oracle_checks(cfg)
+    except ValueError as exc:
+        _err(str(exc))
+        return 2
     width = max(len(name) for name, _, _ in checks)
     failures = 0
     for name, ok, detail in checks:

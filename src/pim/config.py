@@ -1,9 +1,10 @@
 """Flat key = value configuration with dotted keys.
 
 One option per line, ``section.key = value``; blank lines and ``#``
-comments ignored.  Values are typed by trial: int, then float, then
-true/false, else string.  Unknown keys are rejected so typos fail loudly
-instead of silently falling back to defaults.
+comments ignored.  Values are typed by trial: int, then float, else
+string, and must then have the type of the key's default (a float key also
+takes an integer).  Unknown keys and mistyped values are rejected so typos
+fail loudly instead of silently falling back to defaults.
 """
 
 from __future__ import annotations
@@ -41,11 +42,6 @@ def parse_value(text: str):
             return caster(text)
         except ValueError:
             pass
-    low = text.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
     return text
 
 
@@ -65,7 +61,12 @@ def load_config(path) -> dict:
                 raise ConfigError(
                     f"{path}:{lineno}: unknown key {key!r} "
                     f"(known: {', '.join(sorted(DEFAULTS))})")
-            out[key] = parse_value(value)
+            value = parse_value(value)
+            kind = type(DEFAULTS[key])
+            if not (type(value) is kind or kind is float and type(value) is int):
+                raise ConfigError(
+                    f"{path}:{lineno}: {key} takes {kind.__name__} values, got {value!r}")
+            out[key] = kind(value)
     return out
 
 

@@ -23,9 +23,10 @@ sum_j [R_t(x,p_j) u_j V_j + Rbar_t(x,p_j) h_j].
 The kernels vanish beyond the support radius 2 sqrt(t), so each query sums
 only over the samples within that radius.  Queries are evaluated in blocks
 of ``CHUNK``: one k-d-tree join per block finds the block's in-support
-sample pairs, and the difference vectors of its exact radius cut give every
-kernel argument.  A block makes two value sums and, for gradients, two per
-coordinate, each one ``bincount`` in pair order.
+sample pairs, and the squared distances its exact radius cut measured give
+every kernel argument, so each pair's kernels are evaluated once.  A block
+makes two value sums and, for gradients, two per coordinate, each one
+``bincount`` in pair order.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ class Interpolant:
         prof = self.profile
         q = X.shape[0]
 
-        rows, cols, diff = self._samples.join(X)         # diff = p_j - x
-        s = np.einsum("pd,pd->p", diff, diff) / (4.0 * t)
+        rows, cols, diff, sq = self._samples.join(X)     # diff = p_j - x
+        s = sq / (4.0 * t)
         rt = c_t * prof.R(s)
         v = self.cloud.volume_weights[cols]
         uv = self._uV[cols]

@@ -14,6 +14,11 @@ kernels
 
 with C_t = (4 pi t)^(-k/2) (k the intrinsic manifold dimension) therefore
 have support radius exactly 2*sqrt(t) in the ambient space.
+
+Each profile is a closed form in w = max(1 - r, 0), which vanishes beyond
+the support, so callers that have already cut their pairs to the support
+pay for no mask.  Only the truncated-Gaussian tail integral needs an
+explicit zero there; R' may be -0.0 beyond the support.
 """
 
 from __future__ import annotations
@@ -55,30 +60,18 @@ class KernelProfile:
 
 
 def _cubic_R(r):
-    r = np.asarray(r, dtype=float)
-    inside = r < 1.0
-    out = np.zeros_like(r)
-    w = 1.0 - r[inside]
-    out[inside] = w * w * w
-    return out
+    w = np.maximum(1.0 - r, 0.0)
+    return w * w * w
 
 
 def _cubic_Rbar(r):
-    r = np.asarray(r, dtype=float)
-    inside = r < 1.0
-    out = np.zeros_like(r)
-    w = 1.0 - r[inside]
-    out[inside] = 0.25 * w * w * w * w
-    return out
+    w = np.maximum(1.0 - r, 0.0)
+    return 0.25 * w * w * w * w
 
 
 def _cubic_Rprime(r):
-    r = np.asarray(r, dtype=float)
-    inside = r < 1.0
-    out = np.zeros_like(r)
-    w = 1.0 - r[inside]
-    out[inside] = -3.0 * w * w
-    return out
+    w = np.maximum(1.0 - r, 0.0)
+    return -3.0 * w * w
 
 
 #: Default profile R(r) = (1 - r)^3 on [0, 1].  C^2 across r = 1 (value and
@@ -94,35 +87,21 @@ cubic_profile = KernelProfile(
 
 
 def _tgauss_R(r):
-    r = np.asarray(r, dtype=float)
-    inside = r < 1.0
-    out = np.zeros_like(r)
-    w = 1.0 - r[inside]
-    out[inside] = np.exp(-r[inside]) * w * w * w
-    return out
+    w = np.maximum(1.0 - r, 0.0)
+    return np.exp(-r) * w * w * w
 
 
 def _tgauss_Rbar(r):
     # integral of exp(-s)(1-s)^3 over [r, 1]; antiderivative found by parts.
-    r = np.asarray(r, dtype=float)
-    inside = r < 1.0
-    out = np.zeros_like(r)
-    ri = r[inside]
-    w = 1.0 - ri
-    out[inside] = 6.0 * math.exp(-1.0) + np.exp(-ri) * (
-        w * w * w - 3.0 * w * w + 6.0 * w - 6.0
-    )
-    return out
+    # At w = 0 the closed form leaves 6/e - 6 exp(-r), so zero it explicitly.
+    w = np.maximum(1.0 - r, 0.0)
+    return np.where(r < 1.0, 6.0 * math.exp(-1.0) + np.exp(-r) * (
+        w * w * w - 3.0 * w * w + 6.0 * w - 6.0), 0.0)
 
 
 def _tgauss_Rprime(r):
-    r = np.asarray(r, dtype=float)
-    inside = r < 1.0
-    out = np.zeros_like(r)
-    ri = r[inside]
-    w = 1.0 - ri
-    out[inside] = -np.exp(-ri) * w * w * (w + 3.0)
-    return out
+    w = np.maximum(1.0 - r, 0.0)
+    return -np.exp(-r) * w * w * (w + 3.0)
 
 
 #: Gaussian decay in the normalized argument, mollified to C^2 compact
@@ -176,11 +155,10 @@ class KernelParams:
         object.__setattr__(self, "support_radius", 2.0 * math.sqrt(self.t))
 
 
-def _normalized_sq_dist(x, y, t):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    diff = x - y
-    return np.sum(diff * diff, axis=-1) / (4.0 * t)
+def _diff_and_arg(x, y, t):
+    """x - y and the normalized argument s = |x - y|^2 / 4t."""
+    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return diff, np.sum(diff * diff, axis=-1) / (4.0 * t)
 
 
 def eval_Rt(x, y, params: KernelParams, profile: KernelProfile = cubic_profile):
@@ -189,22 +167,19 @@ def eval_Rt(x, y, params: KernelParams, profile: KernelProfile = cubic_profile):
     ``x`` and ``y`` may be single points or broadcastable arrays of points
     with the coordinate axis last.
     """
-    s = _normalized_sq_dist(x, y, params.t)
+    _, s = _diff_and_arg(x, y, params.t)
     return params.C_t * profile.R(s)
 
 
 def eval_Rbar_t(x, y, params: KernelParams, profile: KernelProfile = cubic_profile):
     """C_t * Rbar(|x - y|^2 / 4t).  Exactly zero beyond the support radius."""
-    s = _normalized_sq_dist(x, y, params.t)
+    _, s = _diff_and_arg(x, y, params.t)
     return params.C_t * profile.Rbar(s)
 
 
 def grad_Rt_x(x, y, params: KernelParams, profile: KernelProfile = cubic_profile):
     """Gradient of R_t(x, y) with respect to x: C_t R'(s) (x - y) / (2t)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    diff = x - y
-    s = np.sum(diff * diff, axis=-1) / (4.0 * params.t)
+    diff, s = _diff_and_arg(x, y, params.t)
     coeff = params.C_t * profile.Rprime(s) / (2.0 * params.t)
     return np.expand_dims(coeff, -1) * diff
 
@@ -215,9 +190,6 @@ def grad_Rbar_t_x(x, y, params: KernelParams, profile: KernelProfile = cubic_pro
     Since Rbar' = -R this is -C_t R(s) (x - y) / (2t); evaluated directly
     from R so the pairing with eval_Rt stays exact.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    diff = x - y
-    s = np.sum(diff * diff, axis=-1) / (4.0 * params.t)
+    diff, s = _diff_and_arg(x, y, params.t)
     coeff = -params.C_t * profile.R(s) / (2.0 * params.t)
     return np.expand_dims(coeff, -1) * diff

@@ -10,7 +10,9 @@ whatever rounding the tree uses internally.
 Queries come in batches: ``join`` joins a tree over the queries to the
 point tree in one C-level call, sorts the candidate pairs once as int64
 keys ``q * n + j``, applies the exact cut, and returns the kept pairs with
-the difference vectors the cut computed.
+the difference vectors and squared distances the cut computed, so callers
+never measure a pair twice.  ``query_brute``, a direct scan of one query,
+is the oracle for every batch query.
 
 Assembly takes every pair of the cloud at once from ``self_join``: one tree
 self-join, mirrored into int64 keys ``i * n + j`` in the tree's own pair
@@ -56,12 +58,13 @@ class NeighborIndex:
         self._r2 = self.radius * self.radius
         self._tree = cKDTree(points)
 
-    def join(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def join(self, queries: np.ndarray) -> tuple[np.ndarray, ...]:
         """Every (query, point) pair within ``radius``, with its difference.
 
-        Returns ``(rows, cols, diff)``: ``rows`` indexes ``queries`` and
-        ascends, ``cols`` indexes the points and ascends within each row, and
-        ``diff[p] = points[cols[p]] - queries[rows[p]]``.  Raises
+        Returns ``(rows, cols, diff, sq)``: ``rows`` indexes ``queries`` and
+        ascends, ``cols`` indexes the points and ascends within each row,
+        ``diff[p] = points[cols[p]] - queries[rows[p]]`` and ``sq[p]`` is its
+        squared length, the value the radius cut tested.  Raises
         ``ValueError`` if a query is not finite.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
@@ -72,19 +75,11 @@ class NeighborIndex:
         keys.sort()
         rows, cols = np.divmod(keys, n)
         diff = np.take(self.points, cols, axis=0) - np.take(queries, rows, axis=0)
-        keep = np.einsum("ij,ij->i", diff, diff) <= self._r2
+        sq = np.einsum("ij,ij->i", diff, diff)
+        keep = sq <= self._r2
         if keep.all():      # the padded radius rarely adds a pair; skip the copies
-            return rows, cols, diff
-        return rows[keep], cols[keep], diff[keep]
-
-    def pairs(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, cols)`` of :meth:`join`, without the differences."""
-        return self.join(queries)[:2]
-
-    def query_point(self, x: np.ndarray) -> np.ndarray:
-        """Indices (ascending) of points within ``radius`` of ``x``."""
-        x = np.asarray(x, dtype=float).ravel()
-        return self.pairs(x[None, :])[1]
+            return rows, cols, diff, sq
+        return rows[keep], cols[keep], diff[keep], sq[keep]
 
     def self_join(self) -> tuple[np.ndarray, np.ndarray]:
         """Candidate pairs among the points, as a compressed-sparse-row graph.
@@ -127,7 +122,7 @@ class NeighborIndex:
         return np.split(cols[keep].astype(np.int64), ends[:-1])
 
     def query_brute(self, x: np.ndarray) -> np.ndarray:
-        """Direct O(n) scan; oracle for query_point."""
+        """Direct O(n) scan; oracle for :meth:`join` and :meth:`query_self`."""
         x = np.asarray(x, dtype=float).ravel()
         diff = self.points - x
         keep = np.einsum("ij,ij->i", diff, diff) <= self._r2

@@ -275,6 +275,27 @@ def test_measure_level_norms_equal_the_public_norms(case_name):
     assert row.boundary_l2_error == boundary_l2_error(interp, case, ref)
 
 
+def test_sweep_level_makes_one_reconstruction_pass(monkeypatch):
+    # every norm of a level, the boundary one included, comes from one
+    # value-and-gradient pass over the reference cloud
+    calls = []
+    for name in ("value_and_grad_many", "eval_many"):
+        real = getattr(Interpolant, name)
+
+        def counted(self, X, *rest, _name=name, _real=real):
+            calls.append(_name)
+            return _real(self, X, *rest)
+
+        monkeypatch.setattr(Interpolant, name, counted)
+    case = get_case("disk_paraboloid")
+    cloud = generate(case.spec.with_resolution(200), seed=1, jitter=0.2)
+    ref = generate(case.spec.with_resolution(400), seed=1)
+    _measure_level(SweepResult(case_name=case.name, rows=[]), 0, case, cloud,
+                   ref, t=0.03, beta=0.15, flags=[], start=0.0, profile=None,
+                   solver_options=None, dense_cutoff=512)
+    assert calls == ["value_and_grad_many"]
+
+
 def test_sweep_lemma_record_shares_the_level_pass(monkeypatch):
     # collect_lemma takes the lemma record from the level's one
     # value-and-gradient pass; it must equal lemma_norm_check's own pass

@@ -46,6 +46,18 @@ def test_indexed_equals_brute(spec, t, profile):
     assert np.array_equal(fast.rhs, slow.rhs)
 
 
+def test_small_clouds_take_the_index_by_default(monkeypatch, interval_cloud):
+    # the direct scan is the oracle only, even for a 101-point cloud
+    joins = []
+    real = NeighborIndex.self_join
+    monkeypatch.setattr(NeighborIndex, "self_join",
+                        lambda self: joins.append(self) or real(self))
+    system, _ = make_system(interval_cloud, 0.004, 0.1)
+    assert len(joins) == 1
+    slow, _ = make_system(interval_cloud, 0.004, 0.1, use_index=False)
+    assert len(joins) == 1 and np.array_equal(system.matrix, slow.matrix)
+
+
 @pytest.mark.parametrize("profile", [cubic_profile, truncated_gaussian_profile],
                          ids=lambda p: p.name)
 @pytest.mark.parametrize("spec", [ManifoldSpec.disk(1000),

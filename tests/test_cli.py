@@ -299,12 +299,15 @@ def test_zero_restart_exits_2(tmp_path, capsys, interval_csv, restart):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"solver.restart = {restart}\n")
     out = tmp_path / "u.csv"
+    mtx = tmp_path / "m.mtx"
     rc = main(["--config", str(cfg), "solve", "--cloud", interval_csv,
-               "--f-const", "1", "--dense-cutoff", "1", "--out", str(out)])
+               "--f-const", "1", "--dense-cutoff", "1", "--matrix-out", str(mtx),
+               "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert "pim: error:" in err and "restart" in err and "Traceback" not in err
-    assert not out.exists()
+    # rejected before assembly: no matrix dump either
+    assert not out.exists() and not mtx.exists()
 
 
 @pytest.mark.parametrize("line", ["solver.restart = 0", "kernel.profile = bogus",
@@ -317,6 +320,28 @@ def test_sweep_bad_config_value_exits_2(tmp_path, capsys, line):
     assert rc == 2
     err = capsys.readouterr().err
     assert "pim: error:" in err and "Traceback" not in err
+
+
+MISTYPED = ["solver.tol = abc", "coupling.c_t = x", "guardrails.r0_penalty = x",
+            "assembly.dense_cutoff = abc"]
+
+
+@pytest.mark.parametrize("command,line",
+                         [(c, line) for c in ("solve", "sweep") for line in MISTYPED]
+                         + [("sweep", "reference.factor = 2.5")])
+def test_mistyped_config_value_exits_2(tmp_path, capsys, interval_csv, command, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "x.csv"
+    if command == "solve":
+        argv = ["solve", "--cloud", interval_csv, "--f-const", "1"]
+    else:
+        argv = ["sweep", "--case", "interval_sine", "--levels", "51"]
+    rc = main(["--config", str(cfg)] + argv + ["--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "pim: error:" in err and line.split()[0] in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +380,17 @@ def test_oracle_check_all_pass(capsys):
     assert rc == 0
     assert "0 failure(s) out of 7 checks" in out
     assert out.count("  pass  ") == 7
+
+
+@pytest.mark.parametrize("line,named", [("oracle.fineness = 0", "oracle.fineness"),
+                                        ("kernel.profile = bogus", "bogus")])
+def test_oracle_check_bad_config_value_exits_2(tmp_path, capsys, line, named):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    rc = main(["--config", str(cfg), "oracle-check"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "pim: error:" in err and named in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

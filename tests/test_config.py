@@ -7,8 +7,7 @@ def test_parse_value_typing():
     assert parse_value("3") == 3 and isinstance(parse_value("3"), int)
     assert parse_value("3.5") == 3.5 and isinstance(parse_value("3.5"), float)
     assert parse_value("1e-8") == 1e-8
-    assert parse_value("true") is True
-    assert parse_value("Off") is False
+    assert parse_value("true") == "true"  # no key is boolean
     assert parse_value("cubic") == "cubic"
     assert parse_value("  -12 ") == -12
 
@@ -26,6 +25,22 @@ def test_load_config(tmp_path):
     assert cfg == {"solver.tol": 1e-8,
                    "kernel.profile": "truncated_gaussian",
                    "assembly.dense_cutoff": 64}
+
+
+@pytest.mark.parametrize("line", ["solver.tol = abc", "reference.factor = 2.5",
+                                  "kernel.profile = 3"])
+def test_value_of_the_wrong_type_reports_line_number(tmp_path, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text("solver.restart = 50\n" + line + "\n")
+    with pytest.raises(ConfigError, match=r"bad\.cfg:2: " + line.split()[0]):
+        load_config(path)
+
+
+def test_float_keys_take_integers(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("coupling.c_t = 1\n")
+    cfg = load_config(path)
+    assert cfg["coupling.c_t"] == 1.0 and type(cfg["coupling.c_t"]) is float
 
 
 def test_unknown_key_reports_line_number(tmp_path):

@@ -32,6 +32,57 @@ def test_profile_admissibility(profile):
     assert np.all(R[half] >= profile.delta0 - 1e-15)
 
 
+def masked_reference(profile):
+    """The three profile functions evaluated through an r < 1 mask, with the
+    closed forms each profile documents."""
+    def masked(expr):
+        def fn(r):
+            r = np.asarray(r, dtype=float)
+            inside = r < 1.0
+            out = np.zeros_like(r)
+            out[inside] = expr(r[inside], 1.0 - r[inside])
+            return out
+        return fn
+    if profile.name == "cubic":
+        return (masked(lambda r, w: w * w * w),
+                masked(lambda r, w: 0.25 * w * w * w * w),
+                masked(lambda r, w: -3.0 * w * w))
+    return (masked(lambda r, w: np.exp(-r) * w * w * w),
+            masked(lambda r, w: 6.0 * math.exp(-1.0) + np.exp(-r) * (
+                w * w * w - 3.0 * w * w + 6.0 * w - 6.0)),
+            masked(lambda r, w: -np.exp(-r) * w * w * (w + 3.0)))
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
+def test_closed_forms_equal_the_masked_reference_bit_for_bit(profile, rng):
+    r = np.concatenate([rng.uniform(0.0, 1.0, 5000), [0.0, 0.5, np.nextafter(1.0, 0.0)],
+                        np.linspace(0.0, 1.0, 1000, endpoint=False)])
+    for fn, ref in zip((profile.R, profile.Rbar, profile.Rprime),
+                       masked_reference(profile)):
+        got, want = fn(r), ref(r)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
+def test_exact_zeros_on_and_beyond_the_support_edge(profile):
+    r = np.array([1.0, np.nextafter(1.0, 2.0), 1.5, 50.0, np.inf])
+    for fn in (profile.R, profile.Rbar, profile.Rprime):
+        assert np.all(fn(r) == 0.0)
+        for x in r:
+            assert fn(x) == 0.0 and fn(float(x)) == 0.0
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
+def test_scalar_arguments(profile):
+    r = np.array([0.0, 0.3, 0.999, 1.0, 2.0])
+    for fn in (profile.R, profile.Rbar, profile.Rprime):
+        values = fn(r)
+        for x, want in zip(r, values):
+            got = fn(float(x))
+            assert np.ndim(got) == 0 and float(got) == want
+            assert fn(x) == want
+
+
 @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
 def test_tail_integral_derivative(profile):
     # d/dr Rbar = -R by central differences on 100 interior nodes

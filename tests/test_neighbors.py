@@ -5,25 +5,37 @@ from pim.neighbors import NeighborIndex
 from pim.pointcloud import ManifoldSpec, generate
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def join_one(idx, x):
+    """Indices of the points within the radius of ``x``, through ``join``."""
+    rows, cols, diff, sq = idx.join(np.asarray(x, dtype=float).reshape(1, -1))
+    assert not rows.any()
+    assert same_bits(sq, np.einsum("ij,ij->i", diff, diff))
+    return cols
+
+
 def test_uniform_interval_window():
     pts = np.linspace(0.0, 1.0, 11)[:, None]
     idx = NeighborIndex(pts, radius=0.15)
-    got = idx.query_point(np.array([0.5]))
+    got = join_one(idx, np.array([0.5]))
     assert np.array_equal(got, [4, 5, 6])  # 0.4, 0.5, 0.6
 
 
 def test_radius_covers_everything():
     pts = np.linspace(0.0, 1.0, 8)[:, None]
     idx = NeighborIndex(pts, radius=2.0)
-    got = idx.query_point(np.array([0.37]))
+    got = join_one(idx, np.array([0.37]))
     assert np.array_equal(got, np.arange(8))
 
 
 def test_all_points_identical():
     pts = np.zeros((5, 2))
     idx = NeighborIndex(pts, radius=0.1)
-    assert np.array_equal(idx.query_point(np.zeros(2)), np.arange(5))
-    assert np.array_equal(idx.query_point(np.array([5.0, 5.0])),
+    assert np.array_equal(join_one(idx, np.zeros(2)), np.arange(5))
+    assert np.array_equal(join_one(idx, np.array([5.0, 5.0])),
                           np.array([], dtype=int))
 
 
@@ -32,7 +44,7 @@ def test_results_sorted_ascending(rng):
     idx = NeighborIndex(pts, radius=0.3)
     for _ in range(20):
         q = rng.uniform(-1.2, 1.2, size=2)
-        got = idx.query_point(q)
+        got = join_one(idx, q)
         assert np.all(np.diff(got) > 0)
 
 
@@ -43,7 +55,7 @@ def test_matches_brute_force_random(n, dim, rng):
     idx = NeighborIndex(pts, radius)
     for _ in range(100):
         q = rng.uniform(-1.3, 1.3, size=dim)
-        assert np.array_equal(idx.query_point(q), idx.query_brute(q))
+        assert np.array_equal(join_one(idx, q), idx.query_brute(q))
 
 
 def test_matches_brute_force_on_generated_clouds(disk_cloud, cap_cloud, rng):
@@ -52,7 +64,7 @@ def test_matches_brute_force_on_generated_clouds(disk_cloud, cap_cloud, rng):
         queries = rng.integers(0, cloud.n, size=60)
         for qi in queries:
             q = cloud.points[qi]
-            assert np.array_equal(idx.query_point(q), idx.query_brute(q))
+            assert np.array_equal(join_one(idx, q), idx.query_brute(q))
 
 
 def test_query_self_consistent(rng):
@@ -61,7 +73,7 @@ def test_query_self_consistent(rng):
     rows = idx.query_self()
     assert len(rows) == cloud.n
     for i in (0, 17, 133, cloud.n - 1):
-        assert np.array_equal(rows[i], idx.query_point(cloud.points[i]))
+        assert np.array_equal(rows[i], join_one(idx, cloud.points[i]))
         assert i in rows[i]  # every point is its own neighbor
 
 
@@ -69,7 +81,7 @@ def test_boundary_of_ball_included():
     # points exactly at distance == radius must be reported
     pts = np.array([[0.0, 0.0], [0.25, 0.0], [0.5, 0.0]])
     idx = NeighborIndex(pts, radius=0.25)
-    got = idx.query_point(np.array([0.0, 0.0]))
+    got = join_one(idx, np.array([0.0, 0.0]))
     assert np.array_equal(got, [0, 1])
 
 
@@ -79,7 +91,7 @@ def test_no_false_positives(rng):
     idx = NeighborIndex(pts, radius)
     for _ in range(50):
         q = rng.uniform(0, 1, size=2)
-        got = idx.query_point(q)
+        got = join_one(idx, q)
         if got.size:
             dist = np.linalg.norm(pts[got] - q, axis=1)
             assert np.max(dist) <= radius * (1 + 1e-12)
@@ -101,7 +113,7 @@ def test_points_at_radius_and_one_ulp_either_side(rng):
     axis = [np.array([sign * r, 0.0]) for sign in (1.0, -1.0) for r in shells]
     idx = NeighborIndex(np.array(axis), radius)
     # on an axis the squared distances are exact: the outer points drop out
-    assert np.array_equal(idx.query_point(np.zeros(2)), [0, 1, 3, 4])
+    assert np.array_equal(join_one(idx, np.zeros(2)), [0, 1, 3, 4])
 
     dirs = rng.standard_normal((40, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -110,8 +122,8 @@ def test_points_at_radius_and_one_ulp_either_side(rng):
     idx = NeighborIndex(pts, radius)
     want = idx.query_brute(centre)
     assert 0 < want.size < pts.shape[0]
-    assert np.array_equal(idx.query_point(centre), want)
-    rows, cols = idx.pairs(np.vstack([centre, centre]))
+    assert np.array_equal(join_one(idx, centre), want)
+    rows, cols, _, _ = idx.join(np.vstack([centre, centre]))
     assert np.array_equal(rows, np.repeat([0, 1], want.size))
     assert np.array_equal(cols, np.concatenate([want, want]))
     for i, row in enumerate(idx.query_self()):
@@ -122,7 +134,7 @@ def test_pairs_rows_and_columns_ascending(rng):
     pts = rng.uniform(-1, 1, size=(400, 3))
     idx = NeighborIndex(pts, radius=0.4)
     queries = rng.uniform(-1.2, 1.2, size=(50, 3))
-    rows, cols = idx.pairs(queries)
+    rows, cols, _, _ = idx.join(queries)
     assert np.all(np.diff(rows) >= 0)
     for q in range(queries.shape[0]):
         assert np.array_equal(cols[rows == q], idx.query_brute(queries[q]))
@@ -130,9 +142,9 @@ def test_pairs_rows_and_columns_ascending(rng):
 
 def test_empty_point_set():
     idx = NeighborIndex(np.empty((0, 2)), radius=0.5)
-    rows, cols = idx.pairs(np.zeros((3, 2)))
-    assert rows.size == 0 and cols.size == 0
-    assert idx.query_point(np.zeros(2)).size == 0
+    rows, cols, diff, sq = idx.join(np.zeros((3, 2)))
+    assert rows.size == 0 and cols.size == 0 and diff.shape == (0, 2) and sq.size == 0
+    assert join_one(idx, np.zeros(2)).size == 0
     assert idx.query_self() == []
     cand_ptr, cols = idx.self_join()
     assert np.array_equal(cand_ptr, [0]) and cols.size == 0
@@ -180,15 +192,16 @@ def test_query_self_matches_brute_on_a_large_cloud_with_shells(rng):
 
 
 def assert_join_matches_brute(idx, queries):
-    rows, cols, diff = idx.join(queries)
-    assert rows.shape == cols.shape == (diff.shape[0],)
+    rows, cols, diff, sq = idx.join(queries)
+    assert rows.shape == cols.shape == sq.shape == (diff.shape[0],)
     assert diff.shape[1] == idx.points.shape[1]
     assert np.all(np.diff(rows) >= 0)
     for q in range(queries.shape[0]):
         assert np.array_equal(cols[rows == q], idx.query_brute(queries[q])), q
     # the differences are the ones the exact cut measured
     assert np.array_equal(diff, idx.points[cols] - queries[rows])
-    assert all(np.array_equal(a, b) for a, b in zip(idx.pairs(queries), (rows, cols)))
+    # and the squared distances are the ones it tested, bit for bit
+    assert same_bits(sq, np.einsum("ij,ij->i", diff, diff))
     return rows, cols
 
 
@@ -234,6 +247,4 @@ def test_non_finite_query_raises(bad):
         with pytest.raises(ValueError, match="finite"):
             idx.join(queries)
         with pytest.raises(ValueError, match="finite"):
-            idx.pairs(queries)
-        with pytest.raises(ValueError, match="finite"):
-            idx.query_point(queries[1])
+            idx.join(queries[1])
