@@ -12,6 +12,11 @@ consistency ratio h/t^(3/2) vanishes under refinement) and
 beta = c_beta * sqrt(t), which lets all error contributions decay
 together.  Results are recorded as CSV rows; runs are deterministic apart
 from the wall-time column.
+
+The error norms and the norm-comparison record read the interpolant's
+values and gradients from :meth:`Interpolant.on_cloud`, so any caller that
+takes several of them on one reference cloud, in any order, pays for one
+value-and-gradient pass.
 """
 
 from __future__ import annotations
@@ -215,24 +220,29 @@ def fd_laplacian_check(case: ManufacturedCase, n_points: int = 100,
 # error norms on a reference quadrature cloud
 # ---------------------------------------------------------------------------
 
-def _reference_errors(case: ManufacturedCase, reference_cloud: PointCloud,
-                      vals: np.ndarray, grads: Optional[np.ndarray] = None):
-    """Squared L2 error of ``vals`` and, given ``grads``, squared gradient
-    error, both against ``case`` on the reference cloud's quadrature."""
+def _reference_errors(interp: Interpolant, case: ManufacturedCase,
+                      reference_cloud: PointCloud, with_grad: bool) -> float:
+    """Squared L2 error on the reference quadrature, plus, ``with_grad``, the gradient's."""
+    vals, grads = interp.on_cloud(reference_cloud)
     q = reference_cloud.points
     w = reference_cloud.volume_weights
     diff = case.u(q) - vals
     l2_sq = float(np.sum(diff * diff * w))
-    if grads is None:
-        return l2_sq, None
+    if not with_grad:
+        return l2_sq
     gdiff = case.grad_u(q) - grads
-    return l2_sq, float(np.sum(np.einsum("qd,qd->q", gdiff, gdiff) * w))
+    return l2_sq + float(np.sum(np.einsum("qd,qd->q", gdiff, gdiff) * w))
 
 
 def l2_error(interp: Interpolant, case: ManufacturedCase,
              reference_cloud: PointCloud, relative: bool = False) -> float:
-    vals = interp.eval_many(reference_cloud.points)
-    err = math.sqrt(_reference_errors(case, reference_cloud, vals)[0])
+    """L2 error of the reconstruction on the reference cloud's quadrature.
+
+    It takes the values from :meth:`Interpolant.on_cloud`, so it pays for a
+    value-and-gradient pass (about 1.4 times a values-only pass), which the
+    other norms on the same cloud then share.
+    """
+    err = math.sqrt(_reference_errors(interp, case, reference_cloud, False))
     if relative:
         norm = l2_norm(case, reference_cloud)
         return err / norm if norm > 0.0 else err
@@ -247,21 +257,14 @@ def l2_norm(case: ManufacturedCase, reference_cloud: PointCloud) -> float:
 
 def h1_error(interp: Interpolant, case: ManufacturedCase,
              reference_cloud: PointCloud) -> float:
-    vals, grads = interp.value_and_grad_many(reference_cloud.points)
-    l2_sq, grad_sq = _reference_errors(case, reference_cloud, vals, grads)
-    return math.sqrt(l2_sq + grad_sq)
+    return math.sqrt(_reference_errors(interp, case, reference_cloud, True))
 
 
 def boundary_l2_error(interp: Interpolant, case: ManufacturedCase,
                       reference_cloud: PointCloud) -> float:
-    """L2 mismatch of the reconstruction on the boundary sample set."""
-    return _boundary_error(case, reference_cloud,
-                           interp.eval_many(reference_cloud.boundary_points))
-
-
-def _boundary_error(case: ManufacturedCase, reference_cloud: PointCloud,
-                    vals: np.ndarray) -> float:
-    """:func:`boundary_l2_error` from the values on the boundary points."""
+    """L2 mismatch of the reconstruction on the boundary sample set, read
+    off the boundary rows of the reference cloud's pass."""
+    vals = interp.on_cloud(reference_cloud)[0][reference_cloud.boundary_indices]
     diff = case.u(reference_cloud.boundary_points) - vals
     return math.sqrt(float(np.sum(diff * diff * reference_cloud.area_weights)))
 
@@ -274,13 +277,6 @@ def lemma_norm_check(interp: Interpolant, reference_cloud: PointCloud) -> dict:
     The ratio lhs/rhs should stay below a level-independent constant under
     refinement; the constant itself is empirical.
     """
-    return _lemma_record(interp, reference_cloud,
-                         *interp.value_and_grad_many(reference_cloud.points))
-
-
-def _lemma_record(interp: Interpolant, reference_cloud: PointCloud,
-                  vals: np.ndarray, grads: np.ndarray) -> dict:
-    """:func:`lemma_norm_check` from the values and gradients on the cloud."""
     cl = interp.cloud
     t = interp.params.t
     u = interp.u
@@ -289,10 +285,10 @@ def _lemma_record(interp: Interpolant, reference_cloud: PointCloud,
     lhs_bnd = math.sqrt(float(np.sum(u_s * u_s * cl.area_weights)))
     lhs = lhs_vol + t ** 0.25 * lhs_bnd
 
+    vals, grads = interp.on_cloud(reference_cloud)
     w = reference_cloud.volume_weights
-    h1_sq = float(np.sum(vals * vals * w)) + \
-        float(np.sum(np.einsum("qd,qd->q", grads, grads) * w))
-    h1 = math.sqrt(h1_sq)
+    h1 = math.sqrt(float(np.sum(vals * vals * w))
+                   + float(np.sum(np.einsum("qd,qd->q", grads, grads) * w)))
     h = cl.metadata.get("h") or fill_distance(cl)
     f_inf = float(np.max(np.abs(interp.f))) if interp.f.size else 0.0
     rhs = h1 + math.sqrt(h) * t ** 0.75 * f_inf
@@ -318,8 +314,9 @@ class Coupling:
     c_beta: float = 0.5
 
     def __post_init__(self):
-        if self.c_t <= 0.0 or self.c_beta <= 0.0:
-            raise ValueError("coupling constants must be positive")
+        if not (0.0 < self.c_t < math.inf and 0.0 < self.c_beta < math.inf):
+            raise ValueError(f"coupling constants must be positive and finite, "
+                             f"got c_t={self.c_t}, c_beta={self.c_beta}")
         if not 0.0 < self.gamma_t < 2.0 / 3.0:
             raise ValueError(
                 f"gamma_t must lie in (0, 2/3) so h/t^(3/2) vanishes under "
@@ -443,21 +440,17 @@ def _measure_level(result: SweepResult, level: int, case: ManufacturedCase,
             case, cloud, t, beta, profile, solver_options, dense_cutoff)
     except SolverError as exc:
         raise SweepAborted(result, exc) from exc
-    # every norm and the lemma record from one value-and-gradient pass over
-    # ref; its boundary points are rows of that pass
-    vals, grads = interp.value_and_grad_many(ref.points)
-    l2_sq, grad_sq = _reference_errors(case, ref, vals, grads)
     row = SweepRow(
         level=level, n=cloud.n, h=cloud.metadata["h"], t=t, beta=beta,
-        l2_error=math.sqrt(l2_sq),
-        h1_error=math.sqrt(l2_sq + grad_sq),
-        boundary_l2_error=_boundary_error(case, ref, vals[ref.boundary_indices]),
+        l2_error=l2_error(interp, case, ref),
+        h1_error=h1_error(interp, case, ref),
+        boundary_l2_error=boundary_l2_error(interp, case, ref),
         residual=report.residual_norm,
         wall_time_s=time.perf_counter() - start,
         flags=flags,
     )
     if collect_lemma:
-        row.lemma = _lemma_record(interp, ref, vals, grads)
+        row.lemma = lemma_norm_check(interp, ref)
     result.rows.append(row)
     return interp, row
 

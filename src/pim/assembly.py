@@ -103,8 +103,8 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
     ``ValueError`` on non-finite ``f`` or ``b``, and on a point with no
     other point within the support radius.
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    if not 0.0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     n = cloud.n
     f = np.asarray(f, dtype=float).ravel()
     if f.shape != (n,):

@@ -179,8 +179,8 @@ def cmd_solve(args, cfg: dict) -> int:
             return 2
         t = coupling.t_of(h)
         beta = coupling.beta_of(t)
-    if t <= 0.0 or beta <= 0.0:
-        _err(f"t and beta must be positive, got t={t}, beta={beta}")
+    if not (0.0 < t < math.inf and 0.0 < beta < math.inf):
+        _err(f"t and beta must be positive and finite, got t={t}, beta={beta}")
         return 2
 
     try:
@@ -451,23 +451,16 @@ def _build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle-check", help="run oracle comparisons")
     o.set_defaults(func=cmd_oracle_check)
 
-    for p, keys in ((g, ()),
-                    (s, ("profile", "tol", "dense-cutoff", "c-t", "c-beta", "gamma-t")),
-                    (w, ("profile", "tol", "dense-cutoff", "c-t", "c-beta", "gamma-t")),
-                    (o, ("profile",))):
-        for key in keys:
-            if key == "profile":
-                p.add_argument("--profile", choices=PROFILE_NAMES,
-                               help="kernel profile (config: kernel.profile)")
-            elif key == "tol":
-                p.add_argument("--tol", type=float,
-                               help="solver tolerance (config: solver.tol)")
-            elif key == "dense-cutoff":
-                p.add_argument("--dense-cutoff", type=int,
-                               help="dense/sparse switch (config: assembly.dense_cutoff)")
-            else:
-                p.add_argument(f"--{key}", type=float,
-                               help=f"coupling constant (config: coupling.{key.replace('-', '_')})")
+    for p in (s, w, o):
+        p.add_argument("--profile", choices=PROFILE_NAMES,
+                       help="kernel profile (config: kernel.profile)")
+    for p in (s, w):
+        p.add_argument("--tol", type=float, help="solver tolerance (config: solver.tol)")
+        p.add_argument("--dense-cutoff", type=int,
+                       help="dense/sparse switch (config: assembly.dense_cutoff)")
+        for key in ("c-t", "c-beta", "gamma-t"):
+            p.add_argument(f"--{key}", type=float,
+                           help=f"coupling constant (config: coupling.{key.replace('-', '_')})")
     return parser
 
 

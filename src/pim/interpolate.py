@@ -68,10 +68,11 @@ class Interpolant:
     _uV: np.ndarray = field(init=False, repr=False)
     _h: np.ndarray = field(init=False, repr=False)
     _samples: NeighborIndex = field(init=False, repr=False)
+    _memo: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < np.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         cl = self.cloud
         n = cl.n
         m = cl.boundary_indices.shape[0]
@@ -156,9 +157,7 @@ class Interpolant:
         X = self._queries(X)
         out = np.empty(X.shape[0])
         for lo in range(0, X.shape[0], CHUNK):
-            hi = min(lo + CHUNK, X.shape[0])
-            w, _, _, _ = self._chunk(X[lo:hi], False)
-            out[lo:hi] = w
+            out[lo:lo + CHUNK] = self._chunk(X[lo:lo + CHUNK], False)[0]
         return out
 
     def eval_many(self, X) -> np.ndarray:
@@ -192,6 +191,20 @@ class Interpolant:
         X = self._queries(X)
         vals, grads = self._run(X, want_grad=True)
         return vals, self._project(X, grads, project)
+
+    def on_cloud(self, cloud: PointCloud):
+        """Read-only (vals, grads) at ``cloud.points``, "auto"-projected.
+
+        One :meth:`value_and_grad_many` pass, kept for the last cloud given
+        and keyed by the object itself: a PointCloud is frozen and its arrays
+        read-only, so the same object always asks for the same pass.
+        """
+        if not (self._memo and self._memo[0] is cloud):
+            vals, grads = self.value_and_grad_many(cloud.points)
+            vals.setflags(write=False)
+            grads.setflags(write=False)
+            self._memo = (cloud, vals, grads)
+        return self._memo[1], self._memo[2]
 
     def grad(self, x, project: str = "auto") -> np.ndarray:
         return self.grad_many(np.asarray(x, dtype=float).reshape(1, -1), project)[0]

@@ -147,8 +147,8 @@ class KernelParams:
     support_radius: float = field(init=False)
 
     def __post_init__(self):
-        if self.t <= 0.0:
-            raise ValueError(f"bandwidth t must be positive, got {self.t}")
+        if not 0.0 < self.t < math.inf:
+            raise ValueError(f"bandwidth t must be positive and finite, got {self.t}")
         if self.k < 1:
             raise ValueError(f"intrinsic dimension k must be >= 1, got {self.k}")
         object.__setattr__(self, "C_t", (4.0 * math.pi * self.t) ** (-self.k / 2.0))

@@ -62,8 +62,8 @@ class SolveOptions:
     def __post_init__(self):
         if self.method not in ("auto", "dense-lu", "iterative"):
             raise ValueError(f"unknown solver method {self.method!r}")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter_factor < 1:
             raise ValueError("max_iter_factor must be >= 1")
         if self.restart < 1:

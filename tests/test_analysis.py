@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from pim.analysis import (Coupling, Guardrails, SWEEP_HEADER, SweepAborted,
                           l2_norm, lemma_norm_check, robin_gap_study,
                           solve_case_on_cloud)
 from pim.interpolate import Interpolant
+from pim.kernel import get_profile
 from pim.pointcloud import ManifoldSpec, generate
 from pim.solve import SolverError
 
@@ -184,6 +186,11 @@ def test_coupling_rejects_nonvanishing_density_ratio():
         Coupling(c_t=0.0)
     with pytest.raises(ValueError):
         Coupling(c_beta=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"c_t={bad}"):
+            Coupling(c_t=bad)
+        with pytest.raises(ValueError, match=f"c_beta={bad}"):
+            Coupling(c_beta=bad)
     Coupling(gamma_t=0.66)  # just inside is fine
 
 
@@ -260,8 +267,9 @@ def test_sweep_determinism_excluding_wall_time(small_sweep):
 
 @pytest.mark.parametrize("case_name", ["disk_paraboloid", "cap_linear"])
 def test_measure_level_norms_equal_the_public_norms(case_name):
-    # a sweep level takes L2 and H1 from one value-and-gradient pass; they
-    # must equal l2_error's and h1_error's separate passes bit for bit
+    # a sweep level takes its norms from one value-and-gradient pass; they
+    # must equal norms computed from a fresh interpolant's separate passes
+    # (values, boundary values, values and gradients) bit for bit
     case = get_case(case_name)
     cloud = generate(case.spec.with_resolution(300), seed=1, jitter=0.2)
     ref = generate(case.spec.with_resolution(600), seed=1)
@@ -270,14 +278,28 @@ def test_measure_level_norms_equal_the_public_norms(case_name):
                                  flags=[], start=0.0, profile=None,
                                  solver_options=None, dense_cutoff=512)
     assert result.rows == [row]
-    assert row.l2_error == l2_error(interp, case, ref)
-    assert row.h1_error == h1_error(interp, case, ref)
-    assert row.boundary_l2_error == boundary_l2_error(interp, case, ref)
+    fresh = _fresh(interp)
+    q, w = ref.points, ref.volume_weights
+    diff = case.u(q) - fresh.eval_many(q)
+    l2_sq = float(np.sum(diff * diff * w))
+    gdiff = case.grad_u(q) - fresh.value_and_grad_many(q)[1]
+    grad_sq = float(np.sum(np.einsum("qd,qd->q", gdiff, gdiff) * w))
+    bdiff = case.u(ref.boundary_points) - fresh.eval_many(ref.boundary_points)
+    assert row.l2_error == math.sqrt(l2_sq)
+    assert row.h1_error == math.sqrt(l2_sq + grad_sq)
+    assert row.boundary_l2_error == \
+        math.sqrt(float(np.sum(bdiff * bdiff * ref.area_weights)))
 
 
-def test_sweep_level_makes_one_reconstruction_pass(monkeypatch):
-    # every norm of a level, the boundary one included, comes from one
-    # value-and-gradient pass over the reference cloud
+def _fresh(interp):
+    """An interpolant with ``interp``'s data and no pass kept yet."""
+    return Interpolant(cloud=interp.cloud, params=interp.params,
+                       profile=interp.profile, beta=interp.beta,
+                       u=interp.u, f=interp.f, b=interp.b)
+
+
+def _count_passes(monkeypatch):
+    """Record the name of every eval_many / value_and_grad_many call."""
     calls = []
     for name in ("value_and_grad_many", "eval_many"):
         real = getattr(Interpolant, name)
@@ -287,6 +309,83 @@ def test_sweep_level_makes_one_reconstruction_pass(monkeypatch):
             return _real(self, X, *rest)
 
         monkeypatch.setattr(Interpolant, name, counted)
+    return calls
+
+
+NORMS = {
+    "l2": lambda interp, case, ref: l2_error(interp, case, ref),
+    "h1": lambda interp, case, ref: h1_error(interp, case, ref),
+    "boundary": lambda interp, case, ref: boundary_l2_error(interp, case, ref),
+    "lemma": lambda interp, case, ref: lemma_norm_check(interp, ref),
+}
+
+
+@pytest.fixture(scope="module")
+def disk_level():
+    case = get_case("disk_paraboloid")
+    cloud = generate(case.spec.with_resolution(200), seed=1, jitter=0.2)
+    ref = generate(case.spec.with_resolution(400), seed=1)
+    interp, _ = solve_case_on_cloud(case, cloud, t=0.03, beta=0.15)
+    return case, interp, ref
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(NORMS)),
+                         ids=lambda order: "-".join(order))
+def test_norms_share_one_pass_in_any_order(monkeypatch, disk_level, order):
+    case, interp, ref = disk_level
+    want = {name: NORMS[name](_fresh(interp), case, ref) for name in order}
+    calls = _count_passes(monkeypatch)
+    interp = _fresh(interp)
+    got = {name: NORMS[name](interp, case, ref) for name in order}
+    assert calls == ["value_and_grad_many"]
+    assert got == want
+
+
+def test_equal_cloud_object_makes_a_new_pass(monkeypatch, disk_level):
+    # the memo is keyed by the cloud object, not by its content, and holds
+    # only the last cloud
+    case, interp, ref = disk_level
+    twin = generate(case.spec.with_resolution(400), seed=1)
+    assert twin is not ref and np.array_equal(twin.points, ref.points)
+    interp = _fresh(interp)
+    calls = _count_passes(monkeypatch)
+    first = h1_error(interp, case, ref)
+    assert h1_error(interp, case, twin) == first
+    assert h1_error(interp, case, ref) == first
+    assert calls == ["value_and_grad_many"] * 3
+
+
+def test_memo_arrays_are_read_only(disk_level):
+    _, interp, ref = disk_level
+    vals, grads = _fresh(interp).on_cloud(ref)
+    assert not vals.flags.writeable and not grads.flags.writeable
+    with pytest.raises(ValueError):
+        vals[0] = 0.0
+    with pytest.raises(ValueError):
+        grads[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("profile_name", ["cubic", "truncated_gaussian"])
+@pytest.mark.parametrize("case_name", CASE_NAMES)
+def test_boundary_error_equals_a_separate_boundary_pass(case_name, profile_name):
+    # the boundary rows of the reference pass equal a pass over the
+    # boundary points alone, bit for bit
+    case = get_case(case_name)
+    n = 101 if case_name == "interval_sine" else 300
+    cloud = generate(case.spec.with_resolution(n), seed=2, jitter=0.2)
+    ref = generate(case.spec.with_resolution(2 * n), seed=2)
+    t = Coupling().t_of(cloud.metadata["h"])
+    interp, _ = solve_case_on_cloud(case, cloud, t, Coupling().beta_of(t),
+                                    profile=get_profile(profile_name))
+    bdiff = case.u(ref.boundary_points) - _fresh(interp).eval_many(ref.boundary_points)
+    assert boundary_l2_error(interp, case, ref) == \
+        math.sqrt(float(np.sum(bdiff * bdiff * ref.area_weights)))
+
+
+def test_sweep_level_makes_one_reconstruction_pass(monkeypatch):
+    # every norm of a level, the boundary one included, comes from one
+    # value-and-gradient pass over the reference cloud
+    calls = _count_passes(monkeypatch)
     case = get_case("disk_paraboloid")
     cloud = generate(case.spec.with_resolution(200), seed=1, jitter=0.2)
     ref = generate(case.spec.with_resolution(400), seed=1)

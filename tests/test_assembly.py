@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -335,6 +336,10 @@ def test_rejects_bad_inputs(interval_cloud):
     with pytest.raises(ValueError):
         assemble(interval_cloud, params, cubic_profile, -0.5,
                  np.zeros(n), np.zeros(m))
+    for beta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"got {beta}"):
+            assemble(interval_cloud, params, cubic_profile, beta,
+                     np.zeros(n), np.zeros(m))
     with pytest.raises(ValueError):
         assemble(interval_cloud, params, cubic_profile, 0.1,
                  np.zeros(n - 1), np.zeros(m))

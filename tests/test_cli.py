@@ -416,6 +416,43 @@ def test_solve_rejects_nonfinite_boundary_data(tmp_path, interval_csv, capsys):
     assert not out.exists()
 
 
+NONFINITE = [
+    # (command, config line, extra flags, pieces the error must name)
+    ("solve", None, ["--tol", "nan", "--dense-cutoff", "1"], ("tol", "nan")),
+    ("solve", None, ["--t", "nan", "--beta", "0.1"], ("t=nan",)),
+    ("solve", None, ["--t", "0.01", "--beta", "nan"], ("beta=nan",)),
+    ("solve", None, ["--t", "inf", "--beta", "0.1"], ("t=inf",)),
+    ("solve", "coupling.c_beta = nan", [], ("c_beta=nan",)),
+    ("sweep", "coupling.c_t = nan", [], ("c_t=nan",)),
+    ("sweep", None, ["--c-t", "nan"], ("c_t=nan",)),
+    ("sweep", None, ["--c-beta", "nan"], ("c_beta=nan",)),
+]
+
+
+@pytest.mark.parametrize("command,line,flags,named", NONFINITE,
+                         ids=[" ".join(c[2]) or c[1] for c in NONFINITE])
+def test_nonfinite_numeric_input_exits_2(tmp_path, capsys, interval_csv,
+                                         command, line, flags, named):
+    # each once ran GMRES to its cap, failed inside assembly with a NumPy
+    # message naming no input, or exited 1 as a solver failure
+    argv = []
+    if line is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        argv = ["--config", str(cfg)]
+    if command == "solve":
+        argv += ["solve", "--cloud", interval_csv, "--f-const", "1"]
+    else:
+        argv += ["sweep", "--case", "interval_sine", "--levels", "101"]
+    out = tmp_path / "x.csv"
+    rc = main(argv + flags + ["--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "pim: error:" in err and "Traceback" not in err
+    assert all(piece in err for piece in named), err
+    assert not out.exists()
+
+
 def test_solve_case_dimension_mismatch(tmp_path, capsys):
     # a 3-d case on a 2-d cloud once died with an IndexError traceback
     cloud = tmp_path / "disk.csv"

@@ -197,6 +197,9 @@ def test_constructor_validation(interval_cloud):
         Interpolant(beta=0.1, **{**good, "f": np.zeros(n + 1)})
     with pytest.raises(ValueError, match="b length"):
         Interpolant(beta=0.1, **{**good, "b": np.zeros(m + 1)})
+    for beta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"got {beta}"):
+            Interpolant(beta=beta, **good)
 
 
 # ---------------------------------------------------------------------------

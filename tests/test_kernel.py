@@ -135,6 +135,9 @@ def test_params_validation():
         KernelParams(t=-1.0, k=2)
     with pytest.raises(ValueError):
         KernelParams(t=0.1, k=0)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"got {t}"):
+            KernelParams(t=t, k=1)
 
 
 def test_eval_Rt_hand_values():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -128,6 +129,9 @@ def test_options_validation():
     for restart in (0, -1):
         with pytest.raises(ValueError, match="restart"):
             SolveOptions(restart=restart)
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol}"):
+            SolveOptions(tol=tol)
 
 
 def test_deterministic(interval_cloud):
