@@ -186,11 +186,12 @@ def cmd_solve(args, cfg: dict) -> int:
     try:
         profile = get_profile(cfg["kernel.profile"])
         options = _solver_options(cfg)
+        guardrails = _guardrails(cfg)
     except ValueError as exc:
         _err(str(exc))
         return 2
     params = KernelParams(t=t, k=cloud.intrinsic_dim)
-    flags = _guardrails(cfg).check(t, beta, h, warn=False)
+    flags = guardrails.check(t, beta, h, warn=False)
     for flag in flags:
         print(f"warning: stability guardrail exceeded: {flag}", file=sys.stderr)
 

@@ -15,10 +15,15 @@ never measure a pair twice.  ``query_brute``, a direct scan of one query,
 is the oracle for every batch query.
 
 Assembly takes every pair of the cloud at once from ``self_join``: one tree
-self-join, mirrored into int64 keys ``i * n + j`` in the tree's own pair
-buffer, sorted once and turned into a candidate graph in compressed-sparse-
-row form, ``(cand_ptr, cols)``, with the self pairs inserted; the keys die
-there.  Assembly applies its own exact cut (the open kernel support) to the
+self-join, mirrored into keys ``i * n + j``, sorted once and turned into a
+candidate graph in compressed-sparse-row form, ``(cand_ptr, cols)``: row
+starts from a search for ``i * n``, columns as the keys modulo ``n``.  Up to
+n = 46 340 points, where ``n * n`` fits int32, the keys are int32 (half the
+bytes to sort), the self keys ``i * (n + 1)`` are sorted in with them, and
+the keys are reduced in place, so the key array becomes the column array.
+Past that the keys are int64, formed in the tree's own pair buffer and
+reduced into a new array, and the self pairs are inserted after the sort.
+Assembly applies its own exact cut (the open kernel support) to the
 candidates and sums in index order, so it is bit-identical to a masked full
 scan.  ``query_self`` applies the radius cut to the same graph.
 """
@@ -89,10 +94,34 @@ class NeighborIndex:
         orders of every pair within ``radius`` and each point itself; the
         tree's padded radius may add pairs just beyond ``radius``, so callers
         apply their own exact cut.  ``cols`` is int32 when the candidate
-        count fits, int64 otherwise, and ``cand_ptr`` is int64.
+        count fits, int64 otherwise, and ``cand_ptr`` is int64.  Up to
+        n = 46 340 the keys are int32 and the self keys are sorted in with
+        the pairs, so nothing is inserted afterwards.
         """
         n = self.points.shape[0]
         keys = self._tree.query_pairs(self.radius * (1.0 + _PAD), output_type="ndarray")
+        if n * n <= np.iinfo(np.int32).max:     # n <= 46 340: every key fits int32
+            # Narrow the pairs and free the tree's buffer before allocating the
+            # array that is returned: allocated while that buffer lived, it
+            # left the heap about 37 MB larger between solve-cap ops.
+            p = keys.shape[0]
+            ij = np.empty(2 * p, dtype=np.int32)
+            i, j = ij[:p], ij[p:]
+            i[...] = keys[:, 0]
+            j[...] = keys[:, 1]
+            del keys
+            # keys i*n + j, j*n + i and the self keys i*(n + 1), sorted once
+            cols = np.empty(2 * p + n, dtype=np.int32)
+            np.multiply(i, n, out=cols[:p])
+            cols[:p] += j
+            np.multiply(j, n, out=cols[p:2 * p])
+            cols[p:2 * p] += i
+            np.multiply(np.arange(n, dtype=np.int32), n + 1, out=cols[2 * p:])
+            del ij, i, j
+            cols.sort()
+            # int32 needles: int64 ones would make searchsorted cast all of cols
+            cand_ptr = np.searchsorted(cols, np.arange(n + 1, dtype=np.int32) * np.int32(n))
+            return cand_ptr, np.remainder(cols, n, out=cols)
         # keys i*n + j and j*n + i of each intp pair i < j, written over the
         # pair array itself so that no second list of that size exists
         ij = keys[:, 0] * n + keys[:, 1]

@@ -209,6 +209,15 @@ def test_guardrails_flags_and_warnings():
         assert g.check(t=0.01, beta=0.1, h=0.001) == []
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -5.0])
+def test_guardrails_reject_bad_ceilings(bad):
+    # a NaN ceiling silently switched its guardrail off
+    with pytest.raises(ValueError, match=f"r0_penalty={bad}"):
+        Guardrails(r0_penalty=bad)
+    with pytest.raises(ValueError, match=f"r0_density={bad}"):
+        Guardrails(r0_density=bad)
+
+
 def test_default_coupling_stays_inside_guardrails():
     c, g = Coupling(), Guardrails()
     for h in (0.02, 0.01, 0.005, 0.0025):

@@ -7,8 +7,8 @@ import scipy.sparse as sp
 from scipy.io import mmread
 
 from pim.analysis import Coupling
-from pim.assembly import (ROW_BLOCK, assemble, boundary_column_vector,
-                          dump_matrixmarket)
+from pim.assembly import (ROW_BLOCK, _squared_lengths, assemble,
+                          boundary_column_vector, dump_matrixmarket)
 from pim.kernel import (KernelParams, cubic_profile, eval_Rbar_t, eval_Rt,
                         truncated_gaussian_profile)
 from pim.neighbors import NeighborIndex
@@ -26,6 +26,16 @@ def make_system(cloud, t, beta, profile=cubic_profile, **kw):
 # ---------------------------------------------------------------------------
 # the two assembly paths agree bit-for-bit
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_squared_lengths_equal_einsum_bit_for_bit(d, rng):
+    # assembly gathers one coordinate array at a time; its squared lengths
+    # must stay those of the row-wise einsum the neighbour index computes
+    diff = rng.standard_normal((20000, d)) * 10.0 ** rng.integers(-6, 6, size=(20000, 1))
+    expected = np.einsum("ij,ij->i", diff, diff)
+    got = _squared_lengths([diff[:, k].copy() for k in range(d)])
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
 
 @pytest.mark.parametrize("profile", [cubic_profile, truncated_gaussian_profile],
                          ids=lambda p: p.name)
@@ -83,6 +93,57 @@ def test_indexed_equals_brute_csr_over_row_blocks(spec, profile):
     for i in (0, ROW_BLOCK - 1, ROW_BLOCK, cloud.n - 1):
         cols = fast.matrix.indices[fast.matrix.indptr[i]:fast.matrix.indptr[i + 1]]
         assert i in cols and np.all(np.diff(cols) > 0)
+
+
+def assemble_row_by_row(cloud, params, profile, beta, f, b):
+    """Reference: each row from its own scan, summed on its own."""
+    pts, vw, aw, t = cloud.points, cloud.volume_weights, cloud.area_weights, params.t
+    bpos = np.full(cloud.n, -1)
+    bpos[cloud.boundary_indices] = np.arange(cloud.boundary_indices.size)
+    data, indices, indptr, rhs = [], [], [0], []
+    for i in range(cloud.n):
+        diff = pts - pts[i]
+        s = np.einsum("ij,ij->i", diff, diff) * (1.0 / (4.0 * t))
+        cols = np.flatnonzero(s < 1.0)
+        s = s[cols]
+        rt = params.C_t * profile.R(s)
+        rbar = params.C_t * profile.Rbar(s)
+        a = rt * vw[cols] / t
+        vals = -a
+        vals[cols == i] = np.add.reduce(a[cols != i])
+        lb = bpos[cols]
+        is_b = lb >= 0
+        lb = lb[is_b]
+        vals[is_b] += (2.0 / beta) * rbar[is_b] * aw[lb]
+        rhs.append((2.0 / beta) * np.add.reduce(rbar[is_b] * b[lb] * aw[lb])
+                   + np.add.reduce(rbar * f[cols] * vw[cols]))
+        data.append(vals)
+        indices.append(cols)
+        indptr.append(indptr[-1] + cols.size)
+    return np.concatenate(data), np.concatenate(indices), np.array(indptr), np.array(rhs)
+
+
+@pytest.mark.parametrize("profile", [cubic_profile, truncated_gaussian_profile],
+                         ids=lambda p: p.name)
+@pytest.mark.parametrize("spec", [ManifoldSpec.interval(0.0, 1.0, 301),
+                                  ManifoldSpec.disk(1000),
+                                  ManifoldSpec.spherical_cap(0.5, 1000)],
+                         ids=["interval", "disk", "cap"])
+def test_blocks_equal_rows_summed_on_their_own(spec, profile):
+    # the block routine's vectorized distances and per-row sums give the
+    # bits of a plain loop over rows
+    cloud = generate(spec, seed=5, jitter=0.25)
+    t = Coupling().t_of(cloud.metadata["h"])
+    params = KernelParams(t=t, k=cloud.intrinsic_dim)
+    f = np.cos(cloud.points[:, 0]) - 0.5
+    b = np.sin(cloud.boundary_points[:, 0]) + 0.5
+    beta = Coupling().beta_of(t)
+    system = assemble(cloud, params, profile, beta, f, b, dense=False)
+    data, indices, indptr, rhs = assemble_row_by_row(cloud, params, profile, beta, f, b)
+    assert system.matrix.data.tobytes() == data.tobytes()
+    assert np.array_equal(system.matrix.indices, indices)
+    assert np.array_equal(system.matrix.indptr, indptr)
+    assert system.rhs.tobytes() == rhs.tobytes()
 
 
 # ---------------------------------------------------------------------------

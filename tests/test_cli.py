@@ -453,6 +453,28 @@ def test_nonfinite_numeric_input_exits_2(tmp_path, capsys, interval_csv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("key", ["r0_penalty", "r0_density"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
+def test_bad_guardrail_ceiling_exits_2(tmp_path, capsys, interval_csv, command, key, value):
+    # a NaN ceiling once switched its guardrail off without a word, and a
+    # negative one flagged every run
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"guardrails.{key} = {value}\n")
+    if command == "solve":
+        argv = ["solve", "--cloud", interval_csv, "--case", "interval_sine",
+                "--t", "0.0001", "--beta", "0.1"]
+    else:
+        argv = ["sweep", "--case", "interval_sine", "--levels", "101"]
+    out = tmp_path / "x.csv"
+    rc = main(["--config", str(cfg)] + argv + ["--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "pim: error:" in err and "Traceback" not in err and "warning" not in err
+    assert f"{key}={float(value)}" in err, err
+    assert not out.exists()
+
+
 def test_solve_case_dimension_mismatch(tmp_path, capsys):
     # a 3-d case on a 2-d cloud once died with an IndexError traceback
     cloud = tmp_path / "disk.csv"

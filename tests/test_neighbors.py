@@ -170,6 +170,24 @@ def test_self_join_candidate_graph(rng):
     assert np.max(dist) <= radius * (1.0 + 1e-8)
 
 
+@pytest.mark.parametrize("n", [46340, 46341])
+def test_self_join_either_side_of_the_int32_key_limit(n, rng):
+    # n * n fits int32 up to n = 46 340: the int32 key path there, the int64
+    # one past it, with the same graph and dtypes from both
+    pts = np.linspace(0.0, 1.0, n)[:, None]
+    idx = NeighborIndex(pts, radius=1.5 / (n - 1))
+    cand_ptr, cols = idx.self_join()
+    assert cand_ptr.dtype == np.int64 and cols.dtype == np.int32
+    counts = np.full(n, 3)
+    counts[[0, -1]] = 2
+    assert np.array_equal(cand_ptr, np.concatenate(([0], np.cumsum(counts))))
+    rows = np.repeat(np.arange(n), counts)
+    assert np.all((np.diff(cols) > 0) | (np.diff(rows) > 0))  # ascending in each row
+    assert np.array_equal(rows[rows == cols], np.arange(n))  # every self pair
+    for i in np.concatenate(([0, n - 1], rng.choice(n, size=40, replace=False))):
+        assert np.array_equal(cols[cand_ptr[i]:cand_ptr[i + 1]], idx.query_brute(pts[i]))
+
+
 def test_query_self_matches_brute_on_a_large_cloud_with_shells(rng):
     # a jittered cloud plus, around a few of its points, points at exactly
     # the radius and one ulp either side of it
