@@ -10,13 +10,16 @@ The convergence sweep couples the kernel bandwidth and penalty weight to
 the realized fill distance as t = c_t * h^gamma (gamma < 2/3, so the
 consistency ratio h/t^(3/2) vanishes under refinement) and
 beta = c_beta * sqrt(t), which lets all error contributions decay
-together.  Results are recorded as CSV rows; runs are deterministic apart
-from the wall-time column.
+together.  The error-floor study freezes t and beta while h shrinks, and
+the Robin-gap study shrinks beta on one cloud.  All three run one level
+loop and differ only in how level k gets its cloud size and its (t, beta,
+guardrail flags).  Results are recorded as CSV rows; runs are
+deterministic apart from the wall-time column.
 
 The error norms and the norm-comparison record read the interpolant's
 values and gradients from :meth:`Interpolant.on_cloud`, so any caller that
 takes several of them on one reference cloud, in any order, pays for one
-value-and-gradient pass.
+value-and-gradient pass; every sweep row holds all of them.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .assembly import assemble
+from .assembly import DENSE_CUTOFF, assemble
 from .interpolate import Interpolant
 from .kernel import KernelParams, KernelProfile, cubic_profile
 from .pointcloud import ManifoldSpec, PointCloud, fill_distance, generate
@@ -361,6 +364,7 @@ class Guardrails:
 # sweeps
 # ---------------------------------------------------------------------------
 
+REFERENCE_FACTOR = 4  # reference resolution over the level's; config-overridable
 SWEEP_HEADER = "level,n,h,t,beta,l2_error,h1_error,boundary_l2_error,residual,wall_time_s"
 
 
@@ -377,6 +381,7 @@ class SweepRow:
     residual: float
     wall_time_s: float
     flags: list[str] = field(default_factory=list)
+    lemma: dict = field(default_factory=dict)    # lemma_norm_check on the reference
 
     def csv_cells(self) -> list[str]:
         def g(x):
@@ -414,7 +419,7 @@ class SweepAborted(RuntimeError):
 def solve_case_on_cloud(case: ManufacturedCase, cloud: PointCloud, t: float,
                         beta: float, profile: Optional[KernelProfile] = None,
                         solver_options: Optional[SolveOptions] = None,
-                        dense_cutoff: int = 512):
+                        dense_cutoff: int = DENSE_CUTOFF):
     """Assemble + solve one manufactured case; returns (interp, report)."""
     profile = profile or cubic_profile
     params = KernelParams(t=t, k=cloud.intrinsic_dim)
@@ -428,37 +433,42 @@ def solve_case_on_cloud(case: ManufacturedCase, cloud: PointCloud, t: float,
     return interp, report
 
 
-def _measure_level(result: SweepResult, level: int, case: ManufacturedCase,
-                   cloud: PointCloud, ref: PointCloud, t: float, beta: float,
-                   flags: list[str], start: float,
-                   profile: Optional[KernelProfile],
-                   solver_options: Optional[SolveOptions],
-                   dense_cutoff: int, collect_lemma: bool = False):
-    """Solve one sweep level, measure its errors on ``ref``, append the row.
-
-    ``start`` is the level's perf_counter start, for the wall-time column.
-    With ``collect_lemma`` the row gets the :func:`lemma_norm_check` record
-    as ``lemma``.  Returns (interp, row); raises :class:`SweepAborted`
-    carrying the rows so far on solver failure.
+def _sweep(case: ManufacturedCase, sizes: Sequence[int],
+           settings: Callable[[int, float], tuple[float, float, list[str]]],
+           profile: Optional[KernelProfile], solver_options: Optional[SolveOptions],
+           reference_factor: int, dense_cutoff: int, seed: int) -> SweepResult:
+    """The studies' level loop: level k solves on a cloud of resolution
+    ``sizes[k]`` with ``(t, beta, flags) = settings(k, h)``, h the cloud's
+    fill distance, and measures its norms and lemma record on a cloud
+    ``reference_factor`` times finer.  Both clouds are generated again only
+    when the size changes.  Raises :class:`SweepAborted`, carrying the rows
+    so far, on solver failure.
     """
-    try:
-        interp, report = solve_case_on_cloud(
-            case, cloud, t, beta, profile, solver_options, dense_cutoff)
-    except SolverError as exc:
-        raise SweepAborted(result, exc) from exc
-    row = SweepRow(
-        level=level, n=cloud.n, h=cloud.metadata["h"], t=t, beta=beta,
-        l2_error=l2_error(interp, case, ref),
-        h1_error=h1_error(interp, case, ref),
-        boundary_l2_error=boundary_l2_error(interp, case, ref),
-        residual=report.residual_norm,
-        wall_time_s=time.perf_counter() - start,
-        flags=flags,
-    )
-    if collect_lemma:
-        row.lemma = lemma_norm_check(interp, ref)
-    result.rows.append(row)
-    return interp, row
+    result = SweepResult(case_name=case.name, rows=[])
+    size = None
+    for level, n in enumerate(sizes):
+        start = time.perf_counter()
+        if n != size:
+            size = n
+            cloud = generate(case.spec.with_resolution(int(n)), seed=seed)
+            ref = generate(case.spec.with_resolution(int(n) * reference_factor),
+                           seed=seed)
+        h = cloud.metadata["h"]
+        t, beta, flags = settings(level, h)
+        try:
+            interp, report = solve_case_on_cloud(
+                case, cloud, t, beta, profile, solver_options, dense_cutoff)
+        except SolverError as exc:
+            raise SweepAborted(result, exc) from exc
+        result.rows.append(SweepRow(
+            level=level, n=cloud.n, h=h, t=t, beta=beta,
+            l2_error=l2_error(interp, case, ref),
+            h1_error=h1_error(interp, case, ref),
+            boundary_l2_error=boundary_l2_error(interp, case, ref),
+            residual=report.residual_norm,
+            wall_time_s=time.perf_counter() - start,
+            flags=flags, lemma=lemma_norm_check(interp, ref)))
+    return result
 
 
 def convergence_sweep(case: ManufacturedCase, levels: Sequence[int],
@@ -466,31 +476,23 @@ def convergence_sweep(case: ManufacturedCase, levels: Sequence[int],
                       profile: Optional[KernelProfile] = None,
                       solver_options: Optional[SolveOptions] = None,
                       guardrails: Optional[Guardrails] = None,
-                      reference_factor: int = 4,
-                      dense_cutoff: int = 512,
-                      seed: int = 0,
-                      collect_lemma: bool = False) -> SweepResult:
+                      reference_factor: int = REFERENCE_FACTOR,
+                      dense_cutoff: int = DENSE_CUTOFF,
+                      seed: int = 0) -> SweepResult:
     """Solve the case across resolutions with h-coupled t and beta.
 
     Raises :class:`SweepAborted` (partial rows attached) on solver failure.
-    With ``collect_lemma`` each row also gets a ``lemma`` attribute holding
-    the norm-comparison record.
     """
     coupling = coupling or Coupling()
     guardrails = guardrails or Guardrails()
-    result = SweepResult(case_name=case.name, rows=[])
-    for level, n in enumerate(levels):
-        start = time.perf_counter()
-        cloud = generate(case.spec.with_resolution(int(n)), seed=seed)
-        ref = generate(case.spec.with_resolution(int(n) * reference_factor),
-                       seed=seed)
-        h = cloud.metadata["h"]
+
+    def settings(level, h):
         t = coupling.t_of(h)
         beta = coupling.beta_of(t)
-        _measure_level(result, level, case, cloud, ref, t, beta,
-                       guardrails.check(t, beta, h), start, profile,
-                       solver_options, dense_cutoff, collect_lemma)
-    return result
+        return t, beta, guardrails.check(t, beta, h)
+
+    return _sweep(case, levels, settings, profile, solver_options,
+                  reference_factor, dense_cutoff, seed)
 
 
 def robin_gap_study(case: ManufacturedCase, t: float, n: int,
@@ -498,8 +500,8 @@ def robin_gap_study(case: ManufacturedCase, t: float, n: int,
                     profile: Optional[KernelProfile] = None,
                     solver_options: Optional[SolveOptions] = None,
                     guardrails: Optional[Guardrails] = None,
-                    reference_factor: int = 4,
-                    dense_cutoff: int = 512,
+                    reference_factor: int = REFERENCE_FACTOR,
+                    dense_cutoff: int = DENSE_CUTOFF,
                     seed: int = 0) -> SweepResult:
     """Fix t and the cloud, vary the penalty weight beta (decreasing).
 
@@ -510,24 +512,20 @@ def robin_gap_study(case: ManufacturedCase, t: float, n: int,
     if any(b2 >= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("beta sequence must be strictly decreasing")
     guardrails = guardrails or Guardrails()
-    cloud = generate(case.spec.with_resolution(n), seed=seed)
-    ref = generate(case.spec.with_resolution(n * reference_factor), seed=seed)
-    h = cloud.metadata["h"]
-    result = SweepResult(case_name=case.name, rows=[])
-    for level, beta in enumerate(betas):
-        start = time.perf_counter()
-        _measure_level(result, level, case, cloud, ref, t, beta,
-                       guardrails.check(t, beta, h), start, profile,
-                       solver_options, dense_cutoff)
-    return result
+
+    def settings(level, h):
+        return t, betas[level], guardrails.check(t, betas[level], h)
+
+    return _sweep(case, [n] * len(betas), settings, profile, solver_options,
+                  reference_factor, dense_cutoff, seed)
 
 
 def error_floor_study(case: ManufacturedCase, t: float, beta: float,
                       levels: Sequence[int],
                       profile: Optional[KernelProfile] = None,
                       solver_options: Optional[SolveOptions] = None,
-                      reference_factor: int = 4,
-                      dense_cutoff: int = 512,
+                      reference_factor: int = REFERENCE_FACTOR,
+                      dense_cutoff: int = DENSE_CUTOFF,
                       seed: int = 0) -> SweepResult:
     """Refine h with t and beta frozen: the error should flatten, not vanish.
 
@@ -535,12 +533,5 @@ def error_floor_study(case: ManufacturedCase, t: float, beta: float,
     the h term is subdominant the L2 error stalls at a floor.  The study
     leaves the coupling rule on purpose, so no guardrail is checked.
     """
-    result = SweepResult(case_name=case.name, rows=[])
-    for level, n in enumerate(levels):
-        start = time.perf_counter()
-        cloud = generate(case.spec.with_resolution(int(n)), seed=seed)
-        ref = generate(case.spec.with_resolution(int(n) * reference_factor),
-                       seed=seed)
-        _measure_level(result, level, case, cloud, ref, t, beta, [], start,
-                       profile, solver_options, dense_cutoff)
-    return result
+    return _sweep(case, levels, lambda level, h: (t, beta, []), profile,
+                  solver_options, reference_factor, dense_cutoff, seed)

@@ -44,7 +44,7 @@ boundary-free system, which is singular because L annihilates constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -110,15 +110,14 @@ def boundary_column_vector(cloud: PointCloud, params: KernelParams,
 def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
              beta: float, f, b, *,
              use_index: bool = True,
-             dense: Optional[bool] = None,
              dense_cutoff: int = DENSE_CUTOFF) -> LinearSystem:
     """Build the linear system for source f (per point) and boundary data b.
 
     ``use_index``: take the candidate pairs from a k-d-tree self-join;
     ``False`` takes every pair instead, the direct-scan test oracle, which
     costs O(n^2) time and memory and yields bit-identical output.
-    ``dense``: force storage; default is dense for n <= dense_cutoff,
-    compressed sparse rows beyond.  Raises
+    ``dense_cutoff``: dense storage for n <= dense_cutoff, compressed sparse
+    rows beyond.  Raises
     ``ValueError`` on non-finite ``f`` or ``b``, and on a point with no
     other point within the support radius.
     """
@@ -134,8 +133,6 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
         raise ValueError(f"b length {b.shape[0]} != boundary size {m}")
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(b))):
         raise ValueError("source f and boundary data b must be finite")
-    if dense is None:
-        dense = n <= dense_cutoff
 
     points = cloud.points
     coords = np.ascontiguousarray(points.T)     # one row per coordinate
@@ -237,6 +234,7 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
     # entries: a view, or a copy when most is slack, as for the direct scan.
     nnz = int(indptr[n])
     mat = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    dense = n <= dense_cutoff
     if dense:
         mat = mat.toarray()
 

@@ -17,13 +17,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Optional
+import warnings
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import analysis, assembly, interpolate, pointcloud
-from .config import DEFAULTS, ConfigError, merged
-from .kernel import PROFILE_NAMES, KernelParams, get_profile
+from .config import merged
+from .kernel import PROFILE_NAMES, KernelParams, KernelProfile, get_profile
 from .solve import SolveOptions, SolverError, solve as run_solve
 
 __all__ = ["main"]
@@ -43,28 +44,18 @@ def _err(msg: str) -> None:
     print(f"pim: error: {msg}", file=sys.stderr)
 
 
-def _solver_options(cfg: dict) -> SolveOptions:
-    return SolveOptions(
-        method=cfg["solver.method"],
-        tol=cfg["solver.tol"],
-        max_iter_factor=cfg["solver.max_iter_factor"],
-        restart=cfg["solver.restart"],
-    )
+def _section(cfg: dict, name: str) -> dict:
+    """The ``name.*`` keys of ``cfg``, as the keyword arguments they set."""
+    return {k.partition(".")[2]: v for k, v in cfg.items() if k.startswith(name + ".")}
 
 
-def _guardrails(cfg: dict) -> analysis.Guardrails:
-    return analysis.Guardrails(
-        r0_penalty=cfg["guardrails.r0_penalty"],
-        r0_density=cfg["guardrails.r0_density"],
-    )
+class Settings(NamedTuple):
+    """Built from the merged config, once, in ``main``; named as the studies' keywords."""
 
-
-def _coupling(cfg: dict) -> analysis.Coupling:
-    return analysis.Coupling(
-        c_t=cfg["coupling.c_t"],
-        gamma_t=cfg["coupling.gamma_t"],
-        c_beta=cfg["coupling.c_beta"],
-    )
+    profile: KernelProfile
+    solver_options: SolveOptions
+    coupling: analysis.Coupling
+    guardrails: analysis.Guardrails
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +72,7 @@ def _spec_from_args(args) -> pointcloud.ManifoldSpec:
     return pointcloud.ManifoldSpec.spherical_cap(args.z0, args.n)
 
 
-def cmd_generate(args, cfg: dict) -> int:
+def cmd_generate(args, cfg: dict, settings: Settings) -> int:
     try:
         spec = _spec_from_args(args)
         cloud = pointcloud.generate(spec, seed=args.seed, jitter=args.jitter)
@@ -121,7 +112,7 @@ def _read_values(path, expected: int, what: str) -> np.ndarray:
     return arr
 
 
-def cmd_solve(args, cfg: dict) -> int:
+def cmd_solve(args, cfg: dict, settings: Settings) -> int:
     try:
         cloud = pointcloud.load(args.cloud)
     except (OSError, pointcloud.CloudFormatError) as exc:
@@ -172,31 +163,19 @@ def cmd_solve(args, cfg: dict) -> int:
     if args.t is not None:
         t, beta = args.t, args.beta
     else:
-        try:
-            coupling = _coupling(cfg)
-        except ValueError as exc:
-            _err(str(exc))
-            return 2
-        t = coupling.t_of(h)
-        beta = coupling.beta_of(t)
+        t = settings.coupling.t_of(h)
+        beta = settings.coupling.beta_of(t)
     if not (0.0 < t < math.inf and 0.0 < beta < math.inf):
         _err(f"t and beta must be positive and finite, got t={t}, beta={beta}")
         return 2
 
-    try:
-        profile = get_profile(cfg["kernel.profile"])
-        options = _solver_options(cfg)
-        guardrails = _guardrails(cfg)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
     params = KernelParams(t=t, k=cloud.intrinsic_dim)
-    flags = guardrails.check(t, beta, h, warn=False)
+    flags = settings.guardrails.check(t, beta, h, warn=False)
     for flag in flags:
         print(f"warning: stability guardrail exceeded: {flag}", file=sys.stderr)
 
     try:
-        system = assembly.assemble(cloud, params, profile, beta, fvals, bvals,
+        system = assembly.assemble(cloud, params, settings.profile, beta, fvals, bvals,
                                    dense_cutoff=cfg["assembly.dense_cutoff"])
     except ValueError as exc:
         _err(str(exc))
@@ -204,7 +183,7 @@ def cmd_solve(args, cfg: dict) -> int:
     if args.matrix_out:
         assembly.dump_matrixmarket(system, args.matrix_out)
     try:
-        report = run_solve(system, options)
+        report = run_solve(system, settings.solver_options)
     except ValueError as exc:
         _err(str(exc))
         return 2
@@ -225,7 +204,7 @@ def cmd_solve(args, cfg: dict) -> int:
     lines = {
         "command": "solve", "cloud": args.cloud, "n": cloud.n,
         "case": args.case or "(explicit data)",
-        "profile": profile.name, "h": _fmt(h), "t": _fmt(t), "beta": _fmt(beta),
+        "profile": settings.profile.name, "h": _fmt(h), "t": _fmt(t), "beta": _fmt(beta),
         "method": report.method, "iterations": report.iterations,
         "residual": _fmt(report.residual_norm),
         "guardrail_flags": "; ".join(flags) if flags else "none",
@@ -251,7 +230,7 @@ def cmd_solve(args, cfg: dict) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def cmd_sweep(args, cfg: dict) -> int:
+def cmd_sweep(args, cfg: dict, settings: Settings) -> int:
     try:
         case = analysis.get_case(args.case)
         levels = [int(tok) for tok in args.levels.split(",") if tok.strip()]
@@ -260,22 +239,19 @@ def cmd_sweep(args, cfg: dict) -> int:
     except ValueError as exc:
         _err(str(exc))
         return 2
-    try:
-        coupling = _coupling(cfg)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
 
     try:
-        result = analysis.convergence_sweep(
-            case, levels, coupling=coupling,
-            profile=get_profile(cfg["kernel.profile"]),
-            solver_options=_solver_options(cfg),
-            guardrails=_guardrails(cfg),
-            reference_factor=cfg["reference.factor"],
-            dense_cutoff=cfg["assembly.dense_cutoff"],
-            seed=args.seed,
-        )
+        with warnings.catch_warnings():
+            # each level's guardrail warnings as they come, in pim solve's format
+            warnings.filterwarnings("always", "stability guardrail")
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                             file=sys.stderr)
+            result = analysis.convergence_sweep(
+                case, levels, **settings._asdict(),
+                reference_factor=cfg["reference.factor"],
+                dense_cutoff=cfg["assembly.dense_cutoff"],
+                seed=args.seed,
+            )
     except analysis.SweepAborted as exc:
         exc.partial.to_csv(args.out)
         _err(f"{exc}; partial results -> {args.out}")
@@ -284,9 +260,7 @@ def cmd_sweep(args, cfg: dict) -> int:
         _err(str(exc))
         return 2
     result.to_csv(args.out)
-    print(analysis.SWEEP_HEADER)
-    for row in result.rows:
-        print(",".join(row.csv_cells()))
+    print(result.csv_text(), end="")
     print(f"sweep complete: {len(result.rows)} level(s) -> {args.out}")
     return 0
 
@@ -295,10 +269,8 @@ def cmd_sweep(args, cfg: dict) -> int:
 # oracle-check
 # ---------------------------------------------------------------------------
 
-def _oracle_checks(cfg: dict) -> list[tuple[str, bool, str]]:
-    from .operators import (apply_Lth, apply_Lth_all, energy_identity,
-                            oracle_Lt, oracle_v)
-    profile = get_profile(cfg["kernel.profile"])
+def _oracle_checks(cfg: dict, profile: KernelProfile) -> list[tuple[str, bool, str]]:
+    from .operators import apply_Lth, energy_identity, oracle_Lt, oracle_v
     fineness = cfg["oracle.fineness"]
     if fineness < 1:
         raise ValueError(f"oracle.fineness must be at least 1, got {fineness}")
@@ -385,9 +357,9 @@ def _oracle_checks(cfg: dict) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def cmd_oracle_check(args, cfg: dict) -> int:
+def cmd_oracle_check(args, cfg: dict, settings: Settings) -> int:
     try:
-        checks = _oracle_checks(cfg)
+        checks = _oracle_checks(cfg, settings.profile)
     except ValueError as exc:
         _err(str(exc))
         return 2
@@ -452,27 +424,19 @@ def _build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle-check", help="run oracle comparisons")
     o.set_defaults(func=cmd_oracle_check)
 
+    # a flag's dest is the config key it overrides
     for p in (s, w, o):
-        p.add_argument("--profile", choices=PROFILE_NAMES,
+        p.add_argument("--profile", dest="kernel.profile", choices=PROFILE_NAMES,
                        help="kernel profile (config: kernel.profile)")
     for p in (s, w):
-        p.add_argument("--tol", type=float, help="solver tolerance (config: solver.tol)")
-        p.add_argument("--dense-cutoff", type=int,
+        p.add_argument("--tol", dest="solver.tol", type=float,
+                       help="solver tolerance (config: solver.tol)")
+        p.add_argument("--dense-cutoff", dest="assembly.dense_cutoff", type=int,
                        help="dense/sparse switch (config: assembly.dense_cutoff)")
-        for key in ("c-t", "c-beta", "gamma-t"):
-            p.add_argument(f"--{key}", type=float,
-                           help=f"coupling constant (config: coupling.{key.replace('-', '_')})")
+        for key in ("c_t", "c_beta", "gamma_t"):
+            p.add_argument(f"--{key.replace('_', '-')}", dest=f"coupling.{key}",
+                           type=float, help=f"coupling constant (config: coupling.{key})")
     return parser
-
-
-_FLAG_TO_KEY = {
-    "profile": "kernel.profile",
-    "tol": "solver.tol",
-    "dense_cutoff": "assembly.dense_cutoff",
-    "c_t": "coupling.c_t",
-    "c_beta": "coupling.c_beta",
-    "gamma_t": "coupling.gamma_t",
-}
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -481,17 +445,17 @@ def main(argv: Optional[list] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    overrides = {}
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
+    overrides = {key: value for key, value in vars(args).items() if "." in key}
     try:
         cfg = merged(args.config, overrides)
-    except (OSError, ConfigError) as exc:
+        settings = Settings(get_profile(cfg["kernel.profile"]),
+                            SolveOptions(**_section(cfg, "solver")),
+                            analysis.Coupling(**_section(cfg, "coupling")),
+                            analysis.Guardrails(**_section(cfg, "guardrails")))
+    except (OSError, ValueError) as exc:    # ConfigError is a ValueError
         _err(str(exc))
         return 2
-    return args.func(args, cfg)
+    return args.func(args, cfg, settings)
 
 
 if __name__ == "__main__":

@@ -4,12 +4,19 @@ One option per line, ``section.key = value``; blank lines and ``#``
 comments ignored.  Values are typed by trial: int, then float, else
 string, and must then have the type of the key's default (a float key also
 takes an integer).  Unknown keys and mistyped values are rejected so typos
-fail loudly instead of silently falling back to defaults.
+fail loudly instead of silently falling back to defaults.  The defaults are
+the field defaults of the objects each section configures, written once.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Optional
+
+from .analysis import REFERENCE_FACTOR, Coupling, Guardrails
+from .assembly import DENSE_CUTOFF
+from .kernel import cubic_profile
+from .solve import SolveOptions
 
 __all__ = ["ConfigError", "DEFAULTS", "parse_value", "load_config", "merged"]
 
@@ -18,20 +25,19 @@ class ConfigError(ValueError):
     """Malformed config file or unknown key."""
 
 
+def _defaults(name: str, cls) -> dict:
+    """``name.field`` -> default for every field of the dataclass ``cls``."""
+    return {f"{name}.{f.name}": f.default for f in fields(cls)}
+
+
 DEFAULTS: dict = {
-    "kernel.profile": "cubic",
-    "solver.method": "auto",
-    "solver.tol": 1e-10,
-    "solver.max_iter_factor": 10,
-    "solver.restart": 100,
-    "assembly.dense_cutoff": 512,
-    "coupling.c_t": 0.1,
-    "coupling.gamma_t": 4.0 / 7.0,
-    "coupling.c_beta": 0.5,
-    "guardrails.r0_penalty": 2.0,
-    "guardrails.r0_density": 20.0,
+    "kernel.profile": cubic_profile.name,
+    **_defaults("solver", SolveOptions),
+    "assembly.dense_cutoff": DENSE_CUTOFF,
+    **_defaults("coupling", Coupling),
+    **_defaults("guardrails", Guardrails),
     "oracle.fineness": 8,
-    "reference.factor": 4,
+    "reference.factor": REFERENCE_FACTOR,
 }
 
 

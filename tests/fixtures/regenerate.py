@@ -29,8 +29,7 @@ def write(name, payload):
 
 def interval_sweep_fixture():
     case = analysis.get_case("interval_sine")
-    sweep = analysis.convergence_sweep(case, levels=(101, 201, 401, 801),
-                                       collect_lemma=True)
+    sweep = analysis.convergence_sweep(case, levels=(101, 201, 401, 801))
     rows = []
     for r in sweep.rows:
         rows.append({

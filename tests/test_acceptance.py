@@ -63,7 +63,7 @@ def case_parameters(cloud):
 def interval_sweep_result():
     case = get_case("interval_sine")
     start = time.perf_counter()
-    sweep = convergence_sweep(case, (101, 201, 401, 801), collect_lemma=True)
+    sweep = convergence_sweep(case, (101, 201, 401, 801))
     return sweep, time.perf_counter() - start
 
 
@@ -86,7 +86,7 @@ def test_criterion_1_structural_identities(capsys):
 
         # (a) zero source + constant boundary data returns the constant
         system = assemble(cloud, params, cubic_profile, beta,
-                          np.zeros(cloud.n), np.full(m, const), dense=True)
+                          np.zeros(cloud.n), np.full(m, const), dense_cutoff=cloud.n)
         report = solve(system)
         worst_const = max(worst_const,
                           float(np.max(np.abs(report.solution - const))))
@@ -105,7 +105,7 @@ def test_criterion_1_structural_identities(capsys):
         # (c) row sums equal the boundary-column vector up to rounding
         case_system = assemble(cloud, params, cubic_profile, beta,
                                case.f(cloud.points),
-                               case.b(cloud.boundary_points), dense=True)
+                               case.b(cloud.boundary_points), dense_cutoff=cloud.n)
         g = boundary_column_vector(cloud, params, cubic_profile, beta)
         defect = np.abs(case_system.matrix @ np.ones(cloud.n) - g)
         scale = np.sum(np.abs(case_system.matrix), axis=1)
@@ -152,9 +152,9 @@ def test_criterion_2_implementation_oracles(capsys):
         b = np.ones(cloud.boundary_indices.size)
         for profile in (cubic_profile, truncated_gaussian_profile):
             fast = assemble(cloud, params, profile, beta, f, b,
-                            use_index=True, dense=True)
+                            use_index=True, dense_cutoff=cloud.n)
             slow = assemble(cloud, params, profile, beta, f, b,
-                            use_index=False, dense=True)
+                            use_index=False, dense_cutoff=cloud.n)
             exact &= bool(np.array_equal(fast.matrix, slow.matrix))
             exact &= bool(np.array_equal(fast.rhs, slow.rhs))
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+import pim.analysis as analysis
 from pim.analysis import (Coupling, Guardrails, SWEEP_HEADER, SweepAborted,
-                          SweepResult, _measure_level, boundary_l2_error,
-                          builtin_cases, convergence_sweep, error_floor_study,
+                          boundary_l2_error, builtin_cases, convergence_sweep, error_floor_study,
                           fd_laplacian_check, get_case, h1_error, l2_error,
                           l2_norm, lemma_norm_check, robin_gap_study,
                           solve_case_on_cloud)
@@ -232,8 +232,7 @@ def test_default_coupling_stays_inside_guardrails():
 @pytest.fixture(scope="module")
 def small_sweep():
     case = get_case("interval_sine")
-    return convergence_sweep(case, [51, 101], reference_factor=2,
-                             collect_lemma=True)
+    return convergence_sweep(case, [51, 101], reference_factor=2)
 
 
 def test_convergence_sweep_rows(small_sweep):
@@ -274,20 +273,48 @@ def test_sweep_determinism_excluding_wall_time(small_sweep):
         assert r1.csv_cells()[:9] == r2.csv_cells()[:9]
 
 
+# Each study on clouds of resolution sizes[k]: the Robin gap study keeps
+# sizes[0] and takes one decreasing beta per level.
+STUDIES = {
+    "convergence_sweep": lambda case, sizes, **kw: convergence_sweep(case, sizes, **kw),
+    "error_floor_study": lambda case, sizes, **kw: error_floor_study(
+        case, t=0.03, beta=0.15, levels=sizes, **kw),
+    "robin_gap_study": lambda case, sizes, **kw: robin_gap_study(
+        case, t=0.03, n=sizes[0], betas=[0.3 / (k + 1) for k in range(len(sizes))],
+        **kw),
+}
+
+
+def _resolutions(study, sizes):
+    return [sizes[0]] * len(sizes) if study == "robin_gap_study" else list(sizes)
+
+
+def _record_interpolants(monkeypatch):
+    """Record the interpolant every study level solves for, in level order."""
+    real = analysis.solve_case_on_cloud
+    interps = []
+
+    def recorded(*args, **kwargs):
+        interp, report = real(*args, **kwargs)
+        interps.append(interp)
+        return interp, report
+
+    monkeypatch.setattr(analysis, "solve_case_on_cloud", recorded)
+    return interps
+
+
+@pytest.mark.filterwarnings("ignore:stability guardrail")
+@pytest.mark.parametrize("study", list(STUDIES))
 @pytest.mark.parametrize("case_name", ["disk_paraboloid", "cap_linear"])
-def test_measure_level_norms_equal_the_public_norms(case_name):
-    # a sweep level takes its norms from one value-and-gradient pass; they
+def test_study_norms_equal_fresh_separate_passes(monkeypatch, case_name, study):
+    # a study level takes its norms from one value-and-gradient pass; they
     # must equal norms computed from a fresh interpolant's separate passes
     # (values, boundary values, values and gradients) bit for bit
     case = get_case(case_name)
-    cloud = generate(case.spec.with_resolution(300), seed=1, jitter=0.2)
+    interps = _record_interpolants(monkeypatch)
+    [row] = STUDIES[study](case, [300], reference_factor=2, seed=1).rows
     ref = generate(case.spec.with_resolution(600), seed=1)
-    result = SweepResult(case_name=case.name, rows=[])
-    interp, row = _measure_level(result, 0, case, cloud, ref, t=0.03, beta=0.15,
-                                 flags=[], start=0.0, profile=None,
-                                 solver_options=None, dense_cutoff=512)
-    assert result.rows == [row]
-    fresh = _fresh(interp)
+    fresh = _fresh(interps[0])
     q, w = ref.points, ref.volume_weights
     diff = case.u(q) - fresh.eval_many(q)
     l2_sq = float(np.sum(diff * diff * w))
@@ -391,44 +418,63 @@ def test_boundary_error_equals_a_separate_boundary_pass(case_name, profile_name)
         math.sqrt(float(np.sum(bdiff * bdiff * ref.area_weights)))
 
 
+@pytest.mark.filterwarnings("ignore:stability guardrail")
 def test_sweep_level_makes_one_reconstruction_pass(monkeypatch):
-    # every norm of a level, the boundary one included, comes from one
-    # value-and-gradient pass over the reference cloud
+    # every norm of a level, the boundary one and the lemma record included,
+    # comes from one value-and-gradient pass over the reference cloud, in
+    # every study
     calls = _count_passes(monkeypatch)
     case = get_case("disk_paraboloid")
-    cloud = generate(case.spec.with_resolution(200), seed=1, jitter=0.2)
-    ref = generate(case.spec.with_resolution(400), seed=1)
-    _measure_level(SweepResult(case_name=case.name, rows=[]), 0, case, cloud,
-                   ref, t=0.03, beta=0.15, flags=[], start=0.0, profile=None,
-                   solver_options=None, dense_cutoff=512)
-    assert calls == ["value_and_grad_many"]
+    for study, run in STUDIES.items():
+        calls.clear()
+        run(case, [200, 300], reference_factor=2, seed=1)
+        assert calls == ["value_and_grad_many"] * 2, study
 
 
+@pytest.mark.filterwarnings("ignore:stability guardrail")
 def test_sweep_lemma_record_shares_the_level_pass(monkeypatch):
-    # collect_lemma takes the lemma record from the level's one
+    # every row of every study carries the lemma record of the level's one
     # value-and-gradient pass; it must equal lemma_norm_check's own pass
     case = get_case("interval_sine")
     real = Interpolant.value_and_grad_many
-    passes = []
+    sizes = [51, 101]
+    for study, run in STUDIES.items():
+        passes = []
 
-    def counted(self, X, project="auto"):
-        passes.append((self, np.array(X)))
-        return real(self, X, project)
+        def counted(self, X, project="auto"):
+            passes.append((self, np.array(X)))
+            return real(self, X, project)
 
-    monkeypatch.setattr(Interpolant, "value_and_grad_many", counted)
-    levels = [51, 101]
-    sweep = convergence_sweep(case, levels, reference_factor=2,
-                              collect_lemma=True)
-    monkeypatch.undo()
-    assert len(passes) == len(levels)
-    for n, row, (interp, X) in zip(levels, sweep.rows, passes):
-        ref = generate(case.spec.with_resolution(2 * n), seed=0)
-        assert np.array_equal(X, ref.points)
-        assert row.lemma == lemma_norm_check(interp, ref)
+        monkeypatch.setattr(Interpolant, "value_and_grad_many", counted)
+        result = run(case, sizes, reference_factor=2)
+        monkeypatch.undo()
+        assert len(passes) == len(result.rows) == len(sizes), study
+        for n, row, (interp, X) in zip(_resolutions(study, sizes), result.rows, passes):
+            ref = generate(case.spec.with_resolution(2 * n), seed=0)
+            assert np.array_equal(X, ref.points), study
+            assert row.lemma == lemma_norm_check(interp, ref), study
 
 
-def test_sweep_abort_preserves_partial(monkeypatch):
-    import pim.analysis as analysis
+@pytest.mark.filterwarnings("ignore:stability guardrail")
+@pytest.mark.parametrize("study", list(STUDIES))
+def test_studies_generate_clouds_only_when_the_size_changes(monkeypatch, study):
+    real = analysis.generate
+    made = []
+
+    def counted(spec, *args, **kwargs):
+        made.append(spec.resolution)
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "generate", counted)
+    sizes = [51, 51, 101]
+    STUDIES[study](get_case("interval_sine"), sizes, reference_factor=2)
+    levels = sorted(set(_resolutions(study, sizes)))
+    assert made == [n for m in levels for n in (m, 2 * m)]
+
+
+@pytest.mark.filterwarnings("ignore:stability guardrail")
+@pytest.mark.parametrize("study", list(STUDIES))
+def test_sweep_abort_preserves_partial(monkeypatch, study):
     real = analysis.solve_case_on_cloud
     calls = {"n": 0}
 
@@ -441,7 +487,7 @@ def test_sweep_abort_preserves_partial(monkeypatch):
     monkeypatch.setattr(analysis, "solve_case_on_cloud", flaky)
     case = get_case("interval_sine")
     with pytest.raises(SweepAborted) as exc:
-        convergence_sweep(case, [51, 101, 201], reference_factor=2)
+        STUDIES[study](case, [51, 101, 201], reference_factor=2)
     partial = exc.value.partial
     assert len(partial.rows) == 1
     assert partial.rows[0].n == 51

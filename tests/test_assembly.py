@@ -50,9 +50,9 @@ def test_indexed_equals_brute(spec, t, profile):
     f = cloud.points[:, 0] ** 2
     b = np.ones(len(cloud.boundary_indices))
     fast = assemble(cloud, params, profile, 0.1, f, b,
-                    use_index=True, dense=True)
+                    use_index=True, dense_cutoff=cloud.n)
     slow = assemble(cloud, params, profile, 0.1, f, b,
-                    use_index=False, dense=True)
+                    use_index=False, dense_cutoff=cloud.n)
     assert np.array_equal(fast.matrix, slow.matrix)
     assert np.array_equal(fast.rhs, slow.rhs)
 
@@ -82,8 +82,8 @@ def test_indexed_equals_brute_csr_over_row_blocks(spec, profile):
     params = KernelParams(t=t, k=cloud.intrinsic_dim)
     f = np.cos(cloud.points[:, 0]) + cloud.points[:, 1]
     b = np.sin(cloud.boundary_points[:, 1]) + 0.5
-    fast = assemble(cloud, params, profile, 0.3, f, b, use_index=True, dense=False)
-    slow = assemble(cloud, params, profile, 0.3, f, b, use_index=False, dense=False)
+    fast = assemble(cloud, params, profile, 0.3, f, b, use_index=True, dense_cutoff=0)
+    slow = assemble(cloud, params, profile, 0.3, f, b, use_index=False, dense_cutoff=0)
     assert not fast.is_dense and not slow.is_dense
     for name in ("data", "indices", "indptr"):
         a, c = getattr(fast.matrix, name), getattr(slow.matrix, name)
@@ -138,7 +138,7 @@ def test_blocks_equal_rows_summed_on_their_own(spec, profile):
     f = np.cos(cloud.points[:, 0]) - 0.5
     b = np.sin(cloud.boundary_points[:, 0]) + 0.5
     beta = Coupling().beta_of(t)
-    system = assemble(cloud, params, profile, beta, f, b, dense=False)
+    system = assemble(cloud, params, profile, beta, f, b, dense_cutoff=0)
     data, indices, indptr, rhs = assemble_row_by_row(cloud, params, profile, beta, f, b)
     assert system.matrix.data.tobytes() == data.tobytes()
     assert np.array_equal(system.matrix.indices, indices)
@@ -168,7 +168,7 @@ def coupled_assembly(cloud):
     f = np.cos(cloud.points[:, 0]) + cloud.points[:, 1]
     b = np.sin(cloud.boundary_points[:, 1]) + 0.5
     return params, lambda **kw: assemble(cloud, params, cubic_profile, 0.3, f, b,
-                                         dense=False, **kw)
+                                         dense_cutoff=0, **kw)
 
 
 def with_shells(cloud, rng, centres=6):
@@ -242,8 +242,8 @@ def test_exact_cut_drops_candidates_in_place(rng):
 
 
 def test_dense_and_sparse_store_identical_values(interval_cloud):
-    sys_d, _ = make_system(interval_cloud, 0.01, 0.2, dense=True)
-    sys_s, _ = make_system(interval_cloud, 0.01, 0.2, dense=False)
+    sys_d, _ = make_system(interval_cloud, 0.01, 0.2, dense_cutoff=interval_cloud.n)
+    sys_s, _ = make_system(interval_cloud, 0.01, 0.2, dense_cutoff=0)
     assert sys_d.is_dense and not sys_s.is_dense
     assert isinstance(sys_s.matrix, sp.csr_matrix)
     assert np.array_equal(sys_s.matrix.toarray(), sys_d.matrix)
@@ -264,7 +264,7 @@ def test_dense_cutoff_switch():
 
 def test_entries_match_hand_loop(interval_cloud):
     t, beta = 0.01, 0.3
-    system, params = make_system(interval_cloud, t, beta, dense=True)
+    system, params = make_system(interval_cloud, t, beta, dense_cutoff=interval_cloud.n)
     pts = interval_cloud.points
     vw = interval_cloud.volume_weights
     bidx = list(interval_cloud.boundary_indices)
@@ -289,7 +289,7 @@ def test_entries_match_hand_loop(interval_cloud):
 
 
 def test_far_entries_exactly_zero(interval_cloud):
-    system, params = make_system(interval_cloud, 0.004, 0.1, dense=True)
+    system, params = make_system(interval_cloud, 0.004, 0.1, dense_cutoff=interval_cloud.n)
     pts = interval_cloud.points[:, 0]
     sep = np.abs(pts[:, None] - pts[None, :])
     outside = sep > params.support_radius
@@ -303,7 +303,7 @@ def test_row_sum_equals_boundary_column(all_clouds):
         params = KernelParams(t=t, k=cloud.intrinsic_dim)
         f = np.zeros(cloud.n)
         b = np.zeros(len(cloud.boundary_indices))
-        system = assemble(cloud, params, cubic_profile, beta, f, b, dense=True)
+        system = assemble(cloud, params, cubic_profile, beta, f, b, dense_cutoff=cloud.n)
         g = boundary_column_vector(cloud, params, cubic_profile, beta)
         row_sums = system.matrix @ np.ones(cloud.n)
         # rounding-scale agreement: the L-part cancels exactly in exact
@@ -329,7 +329,7 @@ def test_constant_data_residual_is_rounding_level(all_clouds):
         system = assemble(cloud, params, cubic_profile, 0.15,
                           np.zeros(cloud.n),
                           np.full(len(cloud.boundary_indices), c),
-                          dense=True)
+                          dense_cutoff=cloud.n)
         defect = system.matrix @ np.full(cloud.n, c) - system.rhs
         scale = np.sum(np.abs(system.matrix), axis=1) * abs(c)
         eps = np.finfo(float).eps
@@ -373,7 +373,7 @@ def test_graph_laplacian_crosscheck():
     t = 0.01
     params = KernelParams(t=t, k=1)
     system = assemble(cloud, params, cubic_profile, 1.0, np.zeros(n),
-                      np.array([]), dense=True)
+                      np.array([]), dense_cutoff=n)
     W = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
@@ -446,7 +446,7 @@ def test_residual_norm_definition(interval_cloud):
 
 
 def test_matrixmarket_dump(tmp_path, interval_cloud):
-    system, _ = make_system(interval_cloud, 0.01, 0.25, dense=False)
+    system, _ = make_system(interval_cloud, 0.01, 0.25, dense_cutoff=0)
     path = tmp_path / "system.mtx"
     dump_matrixmarket(system, path)
     back = mmread(path)

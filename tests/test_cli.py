@@ -4,6 +4,7 @@ from scipy.io import mmread
 
 from pim import pointcloud
 from pim.cli import _csv_rows, main
+from pim.solve import SolverError
 
 
 @pytest.fixture()
@@ -342,6 +343,59 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, interval_csv, command, 
     err = capsys.readouterr().err
     assert "pim: error:" in err and line.split()[0] in err and "Traceback" not in err
     assert not out.exists()
+
+
+OUT_OF_RANGE = [("generate", "solver.restart = 0"), ("generate", "coupling.gamma_t = 0.9"),
+                ("generate", "guardrails.r0_density = 0"), ("generate", "kernel.profile = bogus"),
+                ("solve", "coupling.gamma_t = 0.9"), ("solve", "coupling.c_beta = -1")]
+
+
+@pytest.mark.parametrize("command,line", OUT_OF_RANGE)
+def test_out_of_range_config_value_exits_2_on_every_command(tmp_path, capsys, interval_csv,
+                                                          command, line):
+    # the merged config is checked once, before any command runs: a solve
+    # with explicit --t/--beta never uses the coupling, generate no setting
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "x.csv"
+    if command == "solve":
+        argv = ["solve", "--cloud", interval_csv, "--case", "interval_sine",
+                "--t", "0.001", "--beta", "0.05"]
+    else:
+        argv = ["generate", "--shape", "interval", "--n", "11"]
+    rc = main(["--config", str(cfg)] + argv + ["--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    field = line.split()[0].partition(".")[2]
+    assert "pim: error:" in err and field in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("aborts", [False, True])
+def test_sweep_prints_guardrail_flags_as_warning_lines(tmp_path, capsys, monkeypatch,
+                                                      aborts):
+    # the format pim solve uses, with no Python warning source line, for
+    # every level that checked its guardrails, the one that failed included
+    import pim.analysis as analysis
+    if aborts:
+        real = analysis.solve_case_on_cloud
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise SolverError("synthetic failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "solve_case_on_cloud", flaky)
+    rc = main(["sweep", "--case", "disk_paraboloid", "--levels", "200,400",
+               "--out", str(tmp_path / "s.csv")])
+    assert rc == (1 if aborts else 0)
+    err = capsys.readouterr().err.splitlines()
+    assert err[:2] == ["warning: stability guardrail exceeded: h/t^1.5=23.5>20",
+                       "warning: stability guardrail exceeded: h/t^1.5=22.5>20"]
+    assert len(err) == (3 if aborts else 2)
+    assert not aborts or err[2].startswith("pim: error: sweep aborted after 1 level(s)")
 
 
 # ---------------------------------------------------------------------------

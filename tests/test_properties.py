@@ -70,9 +70,9 @@ def test_matrix_times_ones_is_boundary_column(p):
 def test_indexed_and_brute_assembly_bit_identical(p):
     f, b = data(p)
     fast = assemble(p.cloud, p.params, p.profile, p.beta, f, b,
-                    use_index=True, dense=False)
+                    use_index=True, dense_cutoff=0)
     slow = assemble(p.cloud, p.params, p.profile, p.beta, f, b,
-                    use_index=False, dense=False)
+                    use_index=False, dense_cutoff=0)
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(fast.matrix, name), getattr(slow.matrix, name))
     assert np.array_equal(fast.rhs, slow.rhs)
@@ -97,7 +97,7 @@ def test_kernel_laplacian_quadratic_form_nonnegative(p):
     cloud = dataclasses.replace(p.cloud, boundary_indices=np.array([], dtype=int),
                                 area_weights=np.array([]))
     L = assemble(cloud, p.params, p.profile, p.beta, np.zeros(cloud.n),
-                 np.array([]), dense=True).matrix
+                 np.array([]), dense_cutoff=cloud.n).matrix
     vw = cloud.volume_weights
     for _ in range(4):
         u = p.rng.standard_normal(cloud.n)

@@ -12,11 +12,11 @@ from pim.solve import (NoConvergence, SingularMatrix, SolveOptions,
                        SolverError, _true_residual, solve)
 
 
-def assembled(cloud, t=0.01, beta=0.2, dense=True):
+def assembled(cloud, t=0.01, beta=0.2, *, dense_cutoff):
     params = KernelParams(t=t, k=cloud.intrinsic_dim)
     f = np.zeros(cloud.n)
     b = np.sin(cloud.boundary_points[:, 0]) + 1.5
-    return assemble(cloud, params, cubic_profile, beta, f, b, dense=dense)
+    return assemble(cloud, params, cubic_profile, beta, f, b, dense_cutoff=dense_cutoff)
 
 
 def test_constant_data_recovers_constant(all_clouds):
@@ -27,7 +27,7 @@ def test_constant_data_recovers_constant(all_clouds):
         system = assemble(cloud, params, cubic_profile, 0.2,
                           np.zeros(cloud.n),
                           np.full(len(cloud.boundary_indices), c),
-                          dense=True)
+                          dense_cutoff=cloud.n)
         report = solve(system)
         assert np.max(np.abs(report.solution - c)) < 1e-10, name
 
@@ -35,19 +35,19 @@ def test_constant_data_recovers_constant(all_clouds):
 def test_zero_rhs_gives_zero_solution(interval_cloud):
     params = KernelParams(t=0.01, k=1)
     m = len(interval_cloud.boundary_indices)
-    for dense in (True, False):
+    for cutoff in (interval_cloud.n, 0):
         system = assemble(interval_cloud, params, cubic_profile, 0.2,
                           np.zeros(interval_cloud.n), np.zeros(m),
-                          dense=dense)
+                          dense_cutoff=cutoff)
         report = solve(system)
         assert np.all(report.solution == 0.0)
         assert report.residual_norm == 0.0
 
 
 def test_dense_and_iterative_agree(interval_cloud):
-    system = assembled(interval_cloud, dense=True)
+    system = assembled(interval_cloud, dense_cutoff=interval_cloud.n)
     direct = solve(system, SolveOptions(method="dense-lu"))
-    sparse_system = assembled(interval_cloud, dense=False)
+    sparse_system = assembled(interval_cloud, dense_cutoff=0)
     iterative = solve(sparse_system, SolveOptions(method="iterative"))
     assert direct.method == "dense-lu"
     assert iterative.method == "iterative"
@@ -57,23 +57,23 @@ def test_dense_and_iterative_agree(interval_cloud):
 
 
 def test_auto_dispatch(interval_cloud):
-    dense_report = solve(assembled(interval_cloud, dense=True))
-    sparse_report = solve(assembled(interval_cloud, dense=False))
+    dense_report = solve(assembled(interval_cloud, dense_cutoff=interval_cloud.n))
+    sparse_report = solve(assembled(interval_cloud, dense_cutoff=0))
     assert dense_report.method == "dense-lu"
     assert sparse_report.method == "iterative"
 
 
 def test_iterative_on_dense_storage(interval_cloud):
     # method is an explicit override, not tied to the storage format
-    system = assembled(interval_cloud, dense=True)
+    system = assembled(interval_cloud, dense_cutoff=interval_cloud.n)
     report = solve(system, SolveOptions(method="iterative"))
     assert report.method == "iterative"
     assert report.residual_norm <= 1e-10
 
 
 def test_reported_residual_is_recomputed(interval_cloud):
-    for dense in (True, False):
-        system = assembled(interval_cloud, dense=dense)
+    for cutoff in (interval_cloud.n, 0):
+        system = assembled(interval_cloud, dense_cutoff=cutoff)
         report = solve(system)
         again = _true_residual(system, report.solution)
         assert report.residual_norm == pytest.approx(again, rel=1e-12)
@@ -95,12 +95,12 @@ def test_singular_matrix_raises():
 
 
 def test_unreachable_tolerance_raises(interval_cloud):
-    system = assembled(interval_cloud, dense=True)
+    system = assembled(interval_cloud, dense_cutoff=interval_cloud.n)
     with pytest.raises(NoConvergence) as exc:
         solve(system, SolveOptions(tol=1e-30))
     assert exc.value.diagnostics["residual"] > 1e-30
 
-    sparse_system = assembled(interval_cloud, dense=False)
+    sparse_system = assembled(interval_cloud, dense_cutoff=0)
     with pytest.raises(NoConvergence):
         solve(sparse_system, SolveOptions(method="iterative", tol=1e-30))
 
@@ -136,10 +136,10 @@ def test_options_validation():
 
 def test_deterministic(interval_cloud):
     for method in ("dense-lu", "iterative"):
-        dense = method == "dense-lu"
-        a = solve(assembled(interval_cloud, dense=dense),
+        cutoff = interval_cloud.n if method == "dense-lu" else 0
+        a = solve(assembled(interval_cloud, dense_cutoff=cutoff),
                   SolveOptions(method=method))
-        b = solve(assembled(interval_cloud, dense=dense),
+        b = solve(assembled(interval_cloud, dense_cutoff=cutoff),
                   SolveOptions(method=method))
         assert np.array_equal(a.solution, b.solution)
 
