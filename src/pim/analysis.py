@@ -2,9 +2,7 @@
 
 Each manufactured case pairs a closed-form u with its negative intrinsic
 Laplacian f and boundary trace b, so solving with (f, b) and comparing the
-reconstruction against u measures the full discretization error.  The
-hand-derived f are guarded by :func:`fd_laplacian_check`, which re-derives
-the Laplacian by central differences in local coordinates at random points.
+reconstruction against u measures the full discretization error.
 
 The convergence sweep couples the kernel bandwidth and penalty weight to
 the realized fill distance as t = c_t * h^gamma (gamma < 2/3, so the
@@ -42,7 +40,6 @@ __all__ = [
     "ManufacturedCase",
     "builtin_cases",
     "get_case",
-    "fd_laplacian_check",
     "l2_error",
     "h1_error",
     "boundary_l2_error",
@@ -139,84 +136,6 @@ def get_case(name: str) -> ManufacturedCase:
             return case
     names = [c.name for c in builtin_cases()]
     raise ValueError(f"unknown case {name!r}; available: {names}")
-
-
-# ---------------------------------------------------------------------------
-# finite-difference guard on the hand-derived f
-# ---------------------------------------------------------------------------
-
-def _random_interior_points(case: ManufacturedCase, count: int, rng) -> np.ndarray:
-    """Random manifold points at least 5% of the domain scale from the boundary."""
-    spec = case.spec
-    if spec.shape == "interval":
-        margin = 0.05 * (spec.b - spec.a)
-        x = rng.uniform(spec.a + margin, spec.b - margin, size=count)
-        return x[:, None]
-    if spec.shape == "rectangle":
-        wx, wy = spec.widths
-        x = rng.uniform(0.05 * wx, 0.95 * wx, size=count)
-        y = rng.uniform(0.05 * wy, 0.95 * wy, size=count)
-        return np.column_stack([x, y])
-    if spec.shape == "disk":
-        r = np.sqrt(rng.uniform(0.0, 0.95 ** 2, size=count))
-        th = rng.uniform(0.0, 2.0 * math.pi, size=count)
-        return np.column_stack([r * np.cos(th), r * np.sin(th)])
-    # spherical cap: z above the rim by 5% of the cap height
-    z = rng.uniform(spec.z0 + 0.05 * (1.0 - spec.z0), 1.0, size=count)
-    th = rng.uniform(0.0, 2.0 * math.pi, size=count)
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack([r * np.cos(th), r * np.sin(th), z])
-
-
-def _fd_laplacian_flat(u_fn, X: np.ndarray, step: float) -> np.ndarray:
-    lap = np.zeros(X.shape[0])
-    u0 = u_fn(X)
-    for axis in range(X.shape[1]):
-        e = np.zeros(X.shape[1])
-        e[axis] = step
-        lap += (u_fn(X + e) - 2.0 * u0 + u_fn(X - e)) / (step * step)
-    return lap
-
-
-def _tangent_basis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.array([0.0, 0.0, 1.0]) if abs(x[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(x, a)
-    e1 /= np.linalg.norm(e1)
-    return e1, np.cross(x, e1)
-
-
-def _fd_laplacian_sphere(u_fn, X: np.ndarray, step: float) -> np.ndarray:
-    # Chart y(s) = (x + s1 e1 + s2 e2)/|x + ...| has identity metric and
-    # vanishing Christoffel symbols at s = 0, so the intrinsic Laplacian is
-    # the plain sum of second differences of the pullback.
-    lap = np.empty(X.shape[0])
-    for i, x in enumerate(X):
-        e1, e2 = _tangent_basis(x)
-        acc = -4.0 * float(u_fn(x[None, :])[0])
-        for e in (e1, e2):
-            for sgn in (1.0, -1.0):
-                y = x + sgn * step * e
-                y /= np.linalg.norm(y)
-                acc += float(u_fn(y[None, :])[0])
-        lap[i] = acc / (step * step)
-    return lap
-
-
-def fd_laplacian_check(case: ManufacturedCase, n_points: int = 100,
-                       seed: int = 0, step: float = 1e-4) -> float:
-    """Max relative mismatch between -FD-Laplacian(u) and f at random points.
-
-    Guards the hand-derived source terms; relative to max(1, |f|).
-    """
-    rng = np.random.default_rng(seed)
-    X = _random_interior_points(case, n_points, rng)
-    if case.spec.shape == "spherical_cap":
-        lap = _fd_laplacian_sphere(case.u, X, step)
-    else:
-        lap = _fd_laplacian_flat(case.u, X, step)
-    fx = case.f(X)
-    rel = np.abs(-lap - fx) / np.maximum(1.0, np.abs(fx))
-    return float(rel.max())
 
 
 # ---------------------------------------------------------------------------

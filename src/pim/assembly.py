@@ -53,7 +53,7 @@ from .kernel import KernelParams, KernelProfile
 from .neighbors import NeighborIndex
 from .pointcloud import PointCloud
 
-__all__ = ["LinearSystem", "assemble", "boundary_column_vector", "dump_matrixmarket"]
+__all__ = ["LinearSystem", "assemble", "dump_matrixmarket"]
 
 DENSE_CUTOFF = 512  # default storage switch; config-overridable
 ROW_BLOCK = 128  # matrix rows per vectorized block; bounds the block temporaries
@@ -93,18 +93,6 @@ class LinearSystem:
     @property
     def is_dense(self) -> bool:
         return isinstance(self.matrix, np.ndarray)
-
-
-def boundary_column_vector(cloud: PointCloud, params: KernelParams,
-                           profile: KernelProfile, beta: float) -> np.ndarray:
-    """g_i = (2/beta) sum_l Rbar_t(p_i, s_l) A_l; equals matrix @ 1."""
-    from .kernel import eval_Rbar_t
-    sb = cloud.points[cloud.boundary_indices]
-    g = np.empty(cloud.n)
-    for i in range(cloud.n):
-        rbar = eval_Rbar_t(cloud.points[i], sb, params, profile)
-        g[i] = (2.0 / beta) * np.sum(rbar * cloud.area_weights)
-    return g
 
 
 def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,

@@ -34,12 +34,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _csv_rows(table: np.ndarray) -> str:
-    """The rows of ``table`` as CSV lines of ``_fmt`` cells, in one %-format."""
-    n, c = table.shape
-    return (",".join(["%.17g"] * c) + "\n") * n % tuple(table.ravel().tolist())
-
-
 def _err(msg: str) -> None:
     print(f"pim: error: {msg}", file=sys.stderr)
 
@@ -196,7 +190,7 @@ def cmd_solve(args, cfg: dict, settings: Settings) -> int:
     try:
         with open(args.out, "w") as fh:
             fh.write(",".join([f"x{i + 1}" for i in range(d)] + ["u"]) + "\n")
-            fh.write(_csv_rows(np.column_stack([cloud.points, u])))
+            fh.write(pointcloud._csv_rows(np.column_stack([cloud.points, u])))
     except OSError as exc:
         _err(f"cannot write {args.out}: {exc}")
         return 2
@@ -272,8 +266,6 @@ def cmd_sweep(args, cfg: dict, settings: Settings) -> int:
 def _oracle_checks(cfg: dict, profile: KernelProfile) -> list[tuple[str, bool, str]]:
     from .operators import apply_Lth, energy_identity, oracle_Lt, oracle_v
     fineness = cfg["oracle.fineness"]
-    if fineness < 1:
-        raise ValueError(f"oracle.fineness must be at least 1, got {fineness}")
     checks: list[tuple[str, bool, str]] = []
     rng = np.random.default_rng(7)
 
@@ -358,11 +350,7 @@ def _oracle_checks(cfg: dict, profile: KernelProfile) -> list[tuple[str, bool, s
 
 
 def cmd_oracle_check(args, cfg: dict, settings: Settings) -> int:
-    try:
-        checks = _oracle_checks(cfg, settings.profile)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    checks = _oracle_checks(cfg, settings.profile)
     width = max(len(name) for name, _, _ in checks)
     failures = 0
     for name, ok, detail in checks:
@@ -452,6 +440,11 @@ def main(argv: Optional[list] = None) -> int:
                             SolveOptions(**_section(cfg, "solver")),
                             analysis.Coupling(**_section(cfg, "coupling")),
                             analysis.Guardrails(**_section(cfg, "guardrails")))
+        # the keys no settings object checks
+        for key, low in (("assembly.dense_cutoff", 0), ("oracle.fineness", 1),
+                         ("reference.factor", 1)):
+            if cfg[key] < low:
+                raise ValueError(f"{key} must be at least {low}, got {cfg[key]}")
     except (OSError, ValueError) as exc:    # ConfigError is a ValueError
         _err(str(exc))
         return 2

@@ -152,14 +152,6 @@ class Interpolant:
 
     # -- public API -----------------------------------------------------------
 
-    def weight(self, X) -> np.ndarray:
-        """Denominator w(x) = sum_j R_t(x, p_j) V_j for each query point."""
-        X = self._queries(X)
-        out = np.empty(X.shape[0])
-        for lo in range(0, X.shape[0], CHUNK):
-            out[lo:lo + CHUNK] = self._chunk(X[lo:lo + CHUNK], False)[0]
-        return out
-
     def eval_many(self, X) -> np.ndarray:
         vals, _ = self._run(self._queries(X), want_grad=False)
         return vals

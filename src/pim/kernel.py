@@ -38,8 +38,6 @@ __all__ = [
     "PROFILE_NAMES",
     "eval_Rt",
     "eval_Rbar_t",
-    "grad_Rt_x",
-    "grad_Rbar_t_x",
 ]
 
 
@@ -175,21 +173,3 @@ def eval_Rbar_t(x, y, params: KernelParams, profile: KernelProfile = cubic_profi
     """C_t * Rbar(|x - y|^2 / 4t).  Exactly zero beyond the support radius."""
     _, s = _diff_and_arg(x, y, params.t)
     return params.C_t * profile.Rbar(s)
-
-
-def grad_Rt_x(x, y, params: KernelParams, profile: KernelProfile = cubic_profile):
-    """Gradient of R_t(x, y) with respect to x: C_t R'(s) (x - y) / (2t)."""
-    diff, s = _diff_and_arg(x, y, params.t)
-    coeff = params.C_t * profile.Rprime(s) / (2.0 * params.t)
-    return np.expand_dims(coeff, -1) * diff
-
-
-def grad_Rbar_t_x(x, y, params: KernelParams, profile: KernelProfile = cubic_profile):
-    """Gradient of Rbar_t with respect to x.
-
-    Since Rbar' = -R this is -C_t R(s) (x - y) / (2t); evaluated directly
-    from R so the pairing with eval_Rt stays exact.
-    """
-    diff, s = _diff_and_arg(x, y, params.t)
-    coeff = -params.C_t * profile.R(s) / (2.0 * params.t)
-    return np.expand_dims(coeff, -1) * diff

@@ -1,14 +1,10 @@
 """Pointwise discrete operators and quadrature oracles.
 
-Two discrete operators act on a vector of sample values u:
-
-* ``apply_Lth``: the integral-kernel Laplacian
+The discrete operator ``apply_Lth`` acts on a vector of sample values u:
+the integral-kernel Laplacian
   L u(p_i) = (1/t) sum_j R_t(p_i, p_j) (u_i - u_j) V_j,
-  which annihilates constants and has a nonnegative V-weighted quadratic
-  form (see :func:`energy_identity`);
-* ``apply_Kth``: L plus the boundary penalty
-  (2/beta) sum_l Rbar_t(p_i, s_l) u_l A_l,
-  the operator actually inverted by the solver.
+which annihilates constants and has a nonnegative V-weighted quadratic
+form (see :func:`energy_identity`).
 
 The oracles evaluate the integral Laplacian on a much finer cloud
 (``oracle_Lt``) or form the kernel-smoothed average (``oracle_v``).  They exist to test the discrete operators against an
@@ -21,13 +17,12 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import KernelParams, KernelProfile, eval_Rbar_t, eval_Rt
+from .kernel import KernelParams, KernelProfile, eval_Rt
 from .pointcloud import PointCloud
 
 __all__ = [
     "apply_Lth",
     "apply_Lth_all",
-    "apply_Kth",
     "oracle_Lt",
     "oracle_v",
     "energy_identity",
@@ -61,24 +56,6 @@ def apply_Lth_all(cloud: PointCloud, params: KernelParams,
                  params, profile)                     # (n, n)
     du = u[:, None] - u[None, :]
     return (rt * du * cloud.volume_weights[None, :]).sum(axis=1) / params.t
-
-
-def _boundary_sum(cloud: PointCloud, params: KernelParams,
-                  profile: KernelProfile, beta: float,
-                  values_on_S: np.ndarray, i: int) -> float:
-    sb = cloud.points[cloud.boundary_indices]
-    rbar = eval_Rbar_t(cloud.points[i], sb, params, profile)
-    return float((2.0 / beta) * np.sum(rbar * values_on_S * cloud.area_weights))
-
-
-def apply_Kth(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
-              beta: float, u, i: int) -> float:
-    """apply_Lth plus the (2/beta)-weighted boundary penalty at point i."""
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    u = _as_field(u, cloud.n)
-    return apply_Lth(cloud, params, profile, u, i) + _boundary_sum(
-        cloud, params, profile, beta, u[cloud.boundary_indices], i)
 
 
 def oracle_Lt(u_fn: Callable[[np.ndarray], np.ndarray], x, fine_cloud: PointCloud,

@@ -23,7 +23,6 @@ estimates weights from raw coordinates.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -184,40 +183,23 @@ def generate(spec: ManifoldSpec, seed: int = 0, jitter: float = 0.0) -> PointClo
     """
     if not 0.0 <= jitter < 0.5:
         raise ValueError(f"jitter must be in [0, 0.5), got {jitter!r}")
-    if spec.shape == "interval":
-        cloud = _generate_interval(spec)
-    elif spec.shape == "rectangle":
-        cloud = _generate_rectangle(spec)
-    elif spec.shape == "disk":
-        cloud = _generate_disk(spec)
-    else:
-        cloud = _generate_cap(spec)
-
+    cloud = {"interval": _generate_interval, "rectangle": _generate_rectangle,
+             "disk": _generate_disk, "spherical_cap": _generate_cap}[spec.shape](spec)
     if jitter > 0.0:
         cloud = _apply_jitter(cloud, spec, seed, jitter)
-
-    h = fill_distance(cloud)
-    cloud.metadata["h"] = h
+    cloud.metadata["h"] = fill_distance(cloud)
     return cloud
-
-
-def _too_coarse(msg: str):
-    raise ValueError(f"resolution too small: {msg}")
 
 
 def _generate_interval(spec: ManifoldSpec) -> PointCloud:
     n = spec.resolution
     if n < 3:
-        _too_coarse("interval needs at least 3 points (one interior)")
-    pts = np.linspace(spec.a, spec.b, n)
-    step = (spec.b - spec.a) / (n - 1)
-    vw = np.full(n, step)
-    vw[0] = vw[-1] = 0.5 * step
+        raise ValueError("resolution too small: interval needs at least 3 points (one interior)")
     return PointCloud(
-        points=pts[:, None],
+        points=np.linspace(spec.a, spec.b, n)[:, None],
         intrinsic_dim=1,
         boundary_indices=np.array([0, n - 1]),
-        volume_weights=vw,
+        volume_weights=_trapezoid_weights(spec.b - spec.a, n),
         area_weights=np.array([1.0, 1.0]),  # counting measure for k = 1
         metadata={"shape": "interval", "spec": spec},
     )
@@ -235,74 +217,69 @@ def _generate_rectangle(spec: ManifoldSpec) -> PointCloud:
     n_target = spec.resolution
     nx = max(3, int(round(math.sqrt(n_target * wx / wy))))
     ny = max(3, int(round(math.sqrt(n_target * wy / wx))))
-    xs = np.linspace(0.0, wx, nx)
-    ys = np.linspace(0.0, wy, ny)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel()])
+    X, Y = np.meshgrid(np.linspace(0.0, wx, nx), np.linspace(0.0, wy, ny), indexing="ij")
     vw = np.outer(_trapezoid_weights(wx, nx), _trapezoid_weights(wy, ny)).ravel()
-
+    # point i * ny + j is on an x-edge when i is 0 or nx - 1, on a y-edge likewise
+    i, j = np.indices((nx, ny))
+    on_x, on_y = i % (nx - 1) == 0, j % (ny - 1) == 0
+    bidx = np.flatnonzero(on_x | on_y)
     dx = wx / (nx - 1)
     dy = wy / (ny - 1)
-    bidx = []
-    aw = []
-    for i in range(nx):
-        for j in range(ny):
-            on_x = i == 0 or i == nx - 1
-            on_y = j == 0 or j == ny - 1
-            if not (on_x or on_y):
-                continue
-            bidx.append(i * ny + j)
-            if on_x and on_y:
-                a = 0.5 * (dx + dy)  # corner: half cell from each edge
-            elif on_x:
-                a = dy
-            else:
-                a = dx
-            aw.append(a)
+    # an edge point owns its edge's spacing; a corner half a cell from each edge
+    aw = np.where(on_x & on_y, 0.5 * (dx + dy), np.where(on_x, dy, dx)).ravel()[bidx]
     return PointCloud(
-        points=pts,
+        points=np.column_stack([X.ravel(), Y.ravel()]),
         intrinsic_dim=2,
-        boundary_indices=np.array(bidx),
+        boundary_indices=bidx,
         volume_weights=vw,
-        area_weights=np.array(aw),
+        area_weights=aw,
         metadata={"shape": "rectangle", "spec": spec},
+    )
+
+
+def _rings(spec: ManifoldSpec, radius, area, count, height=None) -> PointCloud:
+    """A pole, staggered rings and a boundary rim, from one entry per ring.
+
+    Ring j, from the pole (j = 0, one point) to the rim (the last ring),
+    puts ``count[j]`` points at radius ``radius[j]`` (and height
+    ``height[j]`` when given) at angles offset by half a step on odd j,
+    and splits its cell area ``area[j]`` evenly among them.  The rim's
+    points are the boundary, each owning an equal arc of it.
+    """
+    count = np.asarray(count)
+    ring = np.repeat(np.arange(count.size), count)
+    k = np.arange(ring.size) - np.repeat(np.cumsum(count) - count, count)
+    m = count[ring]
+    theta = (ring % 2) * math.pi / m + 2.0 * math.pi * k / m
+    r = np.asarray(radius)[ring]
+    cols = [r * np.cos(theta), r * np.sin(theta)]
+    if height is not None:
+        cols.append(np.asarray(height)[ring])
+    m_b = int(count[-1])
+    return PointCloud(
+        points=np.column_stack(cols),
+        intrinsic_dim=2,
+        boundary_indices=np.arange(ring.size - m_b, ring.size),
+        volume_weights=np.repeat(np.asarray(area) / count, count),
+        area_weights=np.full(m_b, 2.0 * math.pi * radius[-1] / m_b),
+        metadata={"shape": spec.shape, "spec": spec},
     )
 
 
 def _generate_disk(spec: ManifoldSpec) -> PointCloud:
     # Node-centered rings: ring j sits at radius j*dr and owns the annulus
     # [(j-1/2) dr, (j+1/2) dr] (clamped), so ring areas partition the disk
-    # exactly.  The outermost ring sits exactly on the unit circle.
+    # exactly.  The rim, ring n_rho, sits exactly on the unit circle.  The
+    # areas are Python floats: x ** 2 there is pow, not numpy's x * x.
     n_rho = max(2, int(round(math.sqrt(spec.resolution / math.pi))))
     dr = 1.0 / n_rho
-    pts = [(0.0, 0.0)]
-    vw = [math.pi * (0.5 * dr) ** 2]
-    for j in range(1, n_rho):
-        rho = j * dr
-        m = max(6, int(round(2.0 * math.pi * j)))
-        area = math.pi * ((rho + 0.5 * dr) ** 2 - (rho - 0.5 * dr) ** 2)
-        offset = (j % 2) * math.pi / m  # stagger alternate rings
-        ang = offset + 2.0 * math.pi * np.arange(m) / m
-        for th in ang:
-            pts.append((rho * math.cos(th), rho * math.sin(th)))
-            vw.append(area / m)
-    m_b = max(6, int(round(2.0 * math.pi * n_rho)))
-    rim_area = math.pi * (1.0 - (1.0 - 0.5 * dr) ** 2)
-    ang = (n_rho % 2) * math.pi / m_b + 2.0 * math.pi * np.arange(m_b) / m_b
-    first_b = len(pts)
-    for th in ang:
-        pts.append((math.cos(th), math.sin(th)))
-        vw.append(rim_area / m_b)
-    bidx = np.arange(first_b, len(pts))
-    aw = np.full(m_b, 2.0 * math.pi / m_b)
-    return PointCloud(
-        points=np.array(pts),
-        intrinsic_dim=2,
-        boundary_indices=bidx,
-        volume_weights=np.array(vw),
-        area_weights=aw,
-        metadata={"shape": "disk", "spec": spec},
-    )
+    radius = [j * dr for j in range(n_rho)] + [1.0]
+    area = ([math.pi * (0.5 * dr) ** 2]
+            + [math.pi * ((rho + 0.5 * dr) ** 2 - (rho - 0.5 * dr) ** 2)
+               for rho in radius[1:-1]]
+            + [math.pi * (1.0 - (1.0 - 0.5 * dr) ** 2)])
+    count = [1] + [max(6, int(round(2.0 * math.pi * j))) for j in range(1, n_rho + 1)]
+    return _rings(spec, radius, area, count)
 
 
 def _generate_cap(spec: ManifoldSpec) -> PointCloud:
@@ -311,40 +288,18 @@ def _generate_cap(spec: ManifoldSpec) -> PointCloud:
     # has area 2 pi (z_hi - z_lo).
     z0 = spec.z0
     phi_max = math.acos(z0)
-    area = 2.0 * math.pi * (1.0 - z0)
-    dphi_target = math.sqrt(area / spec.resolution)
+    dphi_target = math.sqrt(2.0 * math.pi * (1.0 - z0) / spec.resolution)
     n_phi = max(2, int(round(phi_max / dphi_target)))
     dphi = phi_max / n_phi
-
-    pts = [(0.0, 0.0, 1.0)]
-    vw = [2.0 * math.pi * (1.0 - math.cos(0.5 * dphi))]
-    for j in range(1, n_phi):
-        phi = j * dphi
-        m = max(6, int(round(2.0 * math.pi * math.sin(phi) / dphi)))
-        band = 2.0 * math.pi * (math.cos(phi - 0.5 * dphi) - math.cos(phi + 0.5 * dphi))
-        r, z = math.sin(phi), math.cos(phi)
-        ang = (j % 2) * math.pi / m + 2.0 * math.pi * np.arange(m) / m
-        for th in ang:
-            pts.append((r * math.cos(th), r * math.sin(th), z))
-            vw.append(band / m)
-    r_b = math.sin(phi_max)
-    m_b = max(6, int(round(2.0 * math.pi * r_b / dphi)))
-    band = 2.0 * math.pi * (math.cos(phi_max - 0.5 * dphi) - z0)
-    ang = (n_phi % 2) * math.pi / m_b + 2.0 * math.pi * np.arange(m_b) / m_b
-    first_b = len(pts)
-    for th in ang:
-        pts.append((r_b * math.cos(th), r_b * math.sin(th), z0))
-        vw.append(band / m_b)
-    bidx = np.arange(first_b, len(pts))
-    aw = np.full(m_b, 2.0 * math.pi * r_b / m_b)
-    return PointCloud(
-        points=np.array(pts),
-        intrinsic_dim=2,
-        boundary_indices=bidx,
-        volume_weights=np.array(vw),
-        area_weights=aw,
-        metadata={"shape": "spherical_cap", "spec": spec},
-    )
+    phi = [j * dphi for j in range(1, n_phi)]
+    radius = [0.0] + [math.sin(p) for p in phi] + [math.sin(phi_max)]
+    height = [1.0] + [math.cos(p) for p in phi] + [z0]
+    area = ([2.0 * math.pi * (1.0 - math.cos(0.5 * dphi))]
+            + [2.0 * math.pi * (math.cos(p - 0.5 * dphi) - math.cos(p + 0.5 * dphi))
+               for p in phi]
+            + [2.0 * math.pi * (math.cos(phi_max - 0.5 * dphi) - z0)])
+    count = [1] + [max(6, int(round(2.0 * math.pi * r / dphi))) for r in radius[1:]]
+    return _rings(spec, radius, area, count, height)
 
 
 def _apply_jitter(cloud: PointCloud, spec: ManifoldSpec, seed: int, jitter: float) -> PointCloud:
@@ -363,16 +318,7 @@ def _apply_jitter(cloud: PointCloud, spec: ManifoldSpec, seed: int, jitter: floa
         pts[interior] /= np.linalg.norm(pts[interior], axis=1, keepdims=True)
     else:
         pts[interior] += disp[interior]
-    meta = dict(cloud.metadata)
-    meta["jitter"] = jitter
-    return PointCloud(
-        points=pts,
-        intrinsic_dim=cloud.intrinsic_dim,
-        boundary_indices=cloud.boundary_indices,
-        volume_weights=cloud.volume_weights,
-        area_weights=cloud.area_weights,
-        metadata=meta,
-    )
+    return replace(cloud, points=pts, metadata={**cloud.metadata, "jitter": jitter})
 
 
 # ---------------------------------------------------------------------------
@@ -382,28 +328,24 @@ def _apply_jitter(cloud: PointCloud, spec: ManifoldSpec, seed: int, jitter: floa
 # save/load round trip is bit exact.
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _csv_rows(table: np.ndarray) -> str:
+    """The rows of ``table`` as CSV lines of ``%.17g`` cells, in one %-format."""
+    n, c = table.shape
+    return (",".join(["%.17g"] * c) + "\n") * n % tuple(table.ravel().tolist())
 
 
 def save(cloud: PointCloud, path) -> None:
-    d = cloud.ambient_dim
-    pos_in_S = {int(i): l for l, i in enumerate(cloud.boundary_indices)}
-    buf = io.StringIO()
-    buf.write(f"# intrinsic_dim={cloud.intrinsic_dim}\n")
-    cols = [f"x{i + 1}" for i in range(d)]
-    buf.write(",".join(cols + ["volume_weight", "boundary_flag", "area_weight"]) + "\n")
-    for i in range(cloud.n):
-        row = [_fmt(c) for c in cloud.points[i]]
-        row.append(_fmt(cloud.volume_weights[i]))
-        l = pos_in_S.get(i)
-        if l is None:
-            row.extend(["0", ""])
-        else:
-            row.extend(["1", _fmt(cloud.area_weights[l])])
-        buf.write(",".join(row) + "\n")
+    flag = np.zeros(cloud.n)
+    flag[cloud.boundary_indices] = 1.0
+    area = np.full(cloud.n, np.nan)
+    area[cloud.boundary_indices] = cloud.area_weights
+    cols = [f"x{i + 1}" for i in range(cloud.ambient_dim)]
+    text = _csv_rows(np.column_stack([cloud.points, cloud.volume_weights, flag, area]))
     with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+        fh.write(f"# intrinsic_dim={cloud.intrinsic_dim}\n")
+        fh.write(",".join(cols + ["volume_weight", "boundary_flag", "area_weight"]) + "\n")
+        # a cloud's values are finite, so "nan" marks exactly the empty interior cells
+        fh.write(text.replace(",nan\n", ",\n"))
 
 
 def load(path) -> PointCloud:

@@ -1,0 +1,155 @@
+"""Brute-force references the tests check the library against.
+
+Each routine here is a direct, loop-level evaluation of a quantity the
+library computes another way: the finite-difference Laplacian that guards
+the hand-derived source terms of the manufactured cases, the kernel
+gradients of the dense reconstruction oracle, the penalized pointwise
+operator K, and the boundary column g = K 1.  None of them is part of a
+solve, so they live beside the tests rather than in ``pim``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from pim.analysis import ManufacturedCase
+from pim.kernel import (KernelParams, KernelProfile, _diff_and_arg, cubic_profile,
+                        eval_Rbar_t)
+from pim.operators import _as_field, apply_Lth
+from pim.pointcloud import PointCloud
+
+# ---------------------------------------------------------------------------
+# finite-difference guard on the hand-derived f
+# ---------------------------------------------------------------------------
+
+
+def _random_interior_points(case: ManufacturedCase, count: int, rng) -> np.ndarray:
+    """Random manifold points at least 5% of the domain scale from the boundary."""
+    spec = case.spec
+    if spec.shape == "interval":
+        margin = 0.05 * (spec.b - spec.a)
+        x = rng.uniform(spec.a + margin, spec.b - margin, size=count)
+        return x[:, None]
+    if spec.shape == "rectangle":
+        wx, wy = spec.widths
+        x = rng.uniform(0.05 * wx, 0.95 * wx, size=count)
+        y = rng.uniform(0.05 * wy, 0.95 * wy, size=count)
+        return np.column_stack([x, y])
+    if spec.shape == "disk":
+        r = np.sqrt(rng.uniform(0.0, 0.95 ** 2, size=count))
+        th = rng.uniform(0.0, 2.0 * math.pi, size=count)
+        return np.column_stack([r * np.cos(th), r * np.sin(th)])
+    # spherical cap: z above the rim by 5% of the cap height
+    z = rng.uniform(spec.z0 + 0.05 * (1.0 - spec.z0), 1.0, size=count)
+    th = rng.uniform(0.0, 2.0 * math.pi, size=count)
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.column_stack([r * np.cos(th), r * np.sin(th), z])
+
+
+def _fd_laplacian_flat(u_fn, X: np.ndarray, step: float) -> np.ndarray:
+    lap = np.zeros(X.shape[0])
+    u0 = u_fn(X)
+    for axis in range(X.shape[1]):
+        e = np.zeros(X.shape[1])
+        e[axis] = step
+        lap += (u_fn(X + e) - 2.0 * u0 + u_fn(X - e)) / (step * step)
+    return lap
+
+
+def _tangent_basis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    a = np.array([0.0, 0.0, 1.0]) if abs(x[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    e1 = np.cross(x, a)
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(x, e1)
+
+
+def _fd_laplacian_sphere(u_fn, X: np.ndarray, step: float) -> np.ndarray:
+    # Chart y(s) = (x + s1 e1 + s2 e2)/|x + ...| has identity metric and
+    # vanishing Christoffel symbols at s = 0, so the intrinsic Laplacian is
+    # the plain sum of second differences of the pullback.
+    lap = np.empty(X.shape[0])
+    for i, x in enumerate(X):
+        e1, e2 = _tangent_basis(x)
+        acc = -4.0 * float(u_fn(x[None, :])[0])
+        for e in (e1, e2):
+            for sgn in (1.0, -1.0):
+                y = x + sgn * step * e
+                y /= np.linalg.norm(y)
+                acc += float(u_fn(y[None, :])[0])
+        lap[i] = acc / (step * step)
+    return lap
+
+
+def fd_laplacian_check(case: ManufacturedCase, n_points: int = 100,
+                       seed: int = 0, step: float = 1e-4) -> float:
+    """Max relative mismatch between -FD-Laplacian(u) and f at random points.
+
+    Guards the hand-derived source terms; relative to max(1, |f|).
+    """
+    rng = np.random.default_rng(seed)
+    X = _random_interior_points(case, n_points, rng)
+    if case.spec.shape == "spherical_cap":
+        lap = _fd_laplacian_sphere(case.u, X, step)
+    else:
+        lap = _fd_laplacian_flat(case.u, X, step)
+    fx = case.f(X)
+    rel = np.abs(-lap - fx) / np.maximum(1.0, np.abs(fx))
+    return float(rel.max())
+
+
+# ---------------------------------------------------------------------------
+# kernel gradients
+# ---------------------------------------------------------------------------
+
+def grad_Rt_x(x, y, params: KernelParams, profile: KernelProfile = cubic_profile):
+    """Gradient of R_t(x, y) with respect to x: C_t R'(s) (x - y) / (2t)."""
+    diff, s = _diff_and_arg(x, y, params.t)
+    coeff = params.C_t * profile.Rprime(s) / (2.0 * params.t)
+    return np.expand_dims(coeff, -1) * diff
+
+
+def grad_Rbar_t_x(x, y, params: KernelParams, profile: KernelProfile = cubic_profile):
+    """Gradient of Rbar_t with respect to x.
+
+    Since Rbar' = -R this is -C_t R(s) (x - y) / (2t); evaluated directly
+    from R so the pairing with eval_Rt stays exact.
+    """
+    diff, s = _diff_and_arg(x, y, params.t)
+    coeff = -params.C_t * profile.R(s) / (2.0 * params.t)
+    return np.expand_dims(coeff, -1) * diff
+
+
+# ---------------------------------------------------------------------------
+# the penalized operator K = L + boundary penalty, one point at a time
+# ---------------------------------------------------------------------------
+
+def _boundary_sum(cloud: PointCloud, params: KernelParams,
+                  profile: KernelProfile, beta: float,
+                  values_on_S: np.ndarray, i: int) -> float:
+    sb = cloud.points[cloud.boundary_indices]
+    rbar = eval_Rbar_t(cloud.points[i], sb, params, profile)
+    return float((2.0 / beta) * np.sum(rbar * values_on_S * cloud.area_weights))
+
+
+def apply_Kth(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
+              beta: float, u, i: int) -> float:
+    """apply_Lth plus the (2/beta)-weighted boundary penalty at point i:
+    (2/beta) sum_l Rbar_t(p_i, s_l) u_l A_l, the operator the solver inverts."""
+    if beta <= 0.0:
+        raise ValueError("beta must be positive")
+    u = _as_field(u, cloud.n)
+    return apply_Lth(cloud, params, profile, u, i) + _boundary_sum(
+        cloud, params, profile, beta, u[cloud.boundary_indices], i)
+
+
+def boundary_column_vector(cloud: PointCloud, params: KernelParams,
+                           profile: KernelProfile, beta: float) -> np.ndarray:
+    """g_i = (2/beta) sum_l Rbar_t(p_i, s_l) A_l; equals matrix @ 1."""
+    sb = cloud.points[cloud.boundary_indices]
+    g = np.empty(cloud.n)
+    for i in range(cloud.n):
+        rbar = eval_Rbar_t(cloud.points[i], sb, params, profile)
+        g[i] = (2.0 / beta) * np.sum(rbar * cloud.area_weights)
+    return g

@@ -25,10 +25,11 @@ from pim import analysis, pointcloud
 from pim.analysis import (Coupling, convergence_sweep, error_floor_study,
                           get_case, l2_error, robin_gap_study,
                           solve_case_on_cloud)
-from pim.assembly import assemble, boundary_column_vector
+from oracles import boundary_column_vector, grad_Rbar_t_x, grad_Rt_x
+from pim.assembly import assemble
 from pim.interpolate import Interpolant
-from pim.kernel import (KernelParams, cubic_profile, eval_Rt, grad_Rbar_t_x,
-                        grad_Rt_x, truncated_gaussian_profile)
+from pim.kernel import (KernelParams, cubic_profile, eval_Rt,
+                        truncated_gaussian_profile)
 from pim.operators import energy_identity
 from pim.solve import solve
 

@@ -7,9 +7,10 @@ import pytest
 from scipy.integrate import simpson
 
 import pim.analysis as analysis
+from oracles import fd_laplacian_check
 from pim.analysis import (Coupling, Guardrails, SWEEP_HEADER, SweepAborted,
                           boundary_l2_error, builtin_cases, convergence_sweep, error_floor_study,
-                          fd_laplacian_check, get_case, h1_error, l2_error,
+                          get_case, h1_error, l2_error,
                           l2_norm, lemma_norm_check, robin_gap_study,
                           solve_case_on_cloud)
 from pim.interpolate import Interpolant

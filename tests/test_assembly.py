@@ -7,8 +7,9 @@ import scipy.sparse as sp
 from scipy.io import mmread
 
 from pim.analysis import Coupling
+from oracles import boundary_column_vector
 from pim.assembly import (ROW_BLOCK, _squared_lengths, assemble,
-                          boundary_column_vector, dump_matrixmarket)
+                          dump_matrixmarket)
 from pim.kernel import (KernelParams, cubic_profile, eval_Rbar_t, eval_Rt,
                         truncated_gaussian_profile)
 from pim.neighbors import NeighborIndex

@@ -3,7 +3,8 @@ import pytest
 from scipy.io import mmread
 
 from pim import pointcloud
-from pim.cli import _csv_rows, main
+from pim.cli import main
+from pim.pointcloud import _csv_rows
 from pim.solve import SolverError
 
 
@@ -348,6 +349,10 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, interval_csv, command, 
 OUT_OF_RANGE = [("generate", "solver.restart = 0"), ("generate", "coupling.gamma_t = 0.9"),
                 ("generate", "guardrails.r0_density = 0"), ("generate", "kernel.profile = bogus"),
                 ("solve", "coupling.gamma_t = 0.9"), ("solve", "coupling.c_beta = -1")]
+# keys that no settings object checks, range-checked in main beside them
+OUT_OF_RANGE += [(command, line) for command in ("generate", "solve", "sweep", "oracle-check")
+                 for line in ("assembly.dense_cutoff = -5", "oracle.fineness = 0",
+                              "reference.factor = 0")]
 
 
 @pytest.mark.parametrize("command,line", OUT_OF_RANGE)
@@ -358,12 +363,12 @@ def test_out_of_range_config_value_exits_2_on_every_command(tmp_path, capsys, in
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
     out = tmp_path / "x.csv"
-    if command == "solve":
-        argv = ["solve", "--cloud", interval_csv, "--case", "interval_sine",
-                "--t", "0.001", "--beta", "0.05"]
-    else:
-        argv = ["generate", "--shape", "interval", "--n", "11"]
-    rc = main(["--config", str(cfg)] + argv + ["--out", str(out)])
+    argv = {"generate": ["generate", "--shape", "interval", "--n", "11", "--out", str(out)],
+            "solve": ["solve", "--cloud", interval_csv, "--case", "interval_sine",
+                      "--t", "0.001", "--beta", "0.05", "--out", str(out)],
+            "sweep": ["sweep", "--case", "interval_sine", "--levels", "51", "--out", str(out)],
+            "oracle-check": ["oracle-check"]}[command]
+    rc = main(["--config", str(cfg)] + argv)
     assert rc == 2
     err = capsys.readouterr().err
     field = line.split()[0].partition(".")[2]

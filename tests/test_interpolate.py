@@ -6,8 +6,8 @@ import pytest
 from pim.analysis import (get_case, h1_error, lemma_norm_check,
                           solve_case_on_cloud)
 from pim.interpolate import CHUNK, Interpolant, OutOfSupport
-from pim.kernel import (KernelParams, cubic_profile, eval_Rbar_t, eval_Rt,
-                        grad_Rbar_t_x, grad_Rt_x)
+from oracles import grad_Rbar_t_x, grad_Rt_x
+from pim.kernel import KernelParams, cubic_profile, eval_Rbar_t, eval_Rt
 from pim.pointcloud import PointCloud
 
 
@@ -162,9 +162,10 @@ def test_out_of_support_raises(solved_interval):
 
 
 def test_weight_positive_and_explicit(solved_interval):
+    # the denominator w(x) = sum_j R_t(x, p_j) V_j covers the whole interval
     cl, params = solved_interval.cloud, solved_interval.params
     xs = np.linspace(0.0, 1.0, 17)[:, None]
-    w = solved_interval.weight(xs)
+    w = eval_Rt(xs[:, None, :], cl.points[None, :, :], params) @ cl.volume_weights
     assert np.all(w > 0.0)
     x0 = xs[5]
     expected = sum(eval_Rt(x0, cl.points[j], params) * cl.volume_weights[j]
@@ -178,9 +179,11 @@ def test_query_dimension_checked(solved_disk):
 
 
 @pytest.mark.parametrize("width", [1, 3])
-def test_weight_query_dimension_checked(solved_disk, width):
+def test_query_dimension_message(solved_disk, width):
     with pytest.raises(ValueError, match=f"query dimension {width} != ambient 2"):
-        solved_disk.weight(np.zeros((3, width)))
+        solved_disk.eval_many(np.zeros((3, width)))
+    with pytest.raises(ValueError, match=f"query dimension {width} != ambient 2"):
+        solved_disk.grad_many(np.zeros((3, width)))
 
 
 def test_constructor_validation(interval_cloud):

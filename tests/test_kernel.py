@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import grad_Rbar_t_x, grad_Rt_x
 from pim.kernel import (KernelParams, PROFILE_NAMES, cubic_profile,
-                        eval_Rbar_t, eval_Rt, get_profile, grad_Rbar_t_x,
-                        grad_Rt_x, truncated_gaussian_profile)
+                        eval_Rbar_t, eval_Rt, get_profile,
+                        truncated_gaussian_profile)
 
 PROFILES = [cubic_profile, truncated_gaussian_profile]
 

@@ -5,7 +5,8 @@ import pytest
 
 from pim.kernel import (KernelParams, cubic_profile, eval_Rbar_t,
                         truncated_gaussian_profile)
-from pim.operators import (apply_Kth, apply_Lth, apply_Lth_all,
+from oracles import apply_Kth
+from pim.operators import (apply_Lth, apply_Lth_all,
                            energy_identity, oracle_Lt, oracle_v)
 from pim.pointcloud import ManifoldSpec, PointCloud, generate
 

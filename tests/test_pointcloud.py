@@ -91,6 +91,44 @@ def test_generate_deterministic(shape, make):
     assert not np.array_equal(a.points, c.points)
 
 
+def on_rim(cloud, spec):
+    """Mask of the points on the manifold's edge, found from their coordinates."""
+    P = cloud.points
+    if spec.shape == "interval":
+        return (P[:, 0] == spec.a) | (P[:, 0] == spec.b)
+    if spec.shape == "rectangle":
+        return ((P[:, 0] == 0.0) | (P[:, 0] == spec.widths[0])
+                | (P[:, 1] == 0.0) | (P[:, 1] == spec.widths[1]))
+    if spec.shape == "disk":
+        return np.abs(np.hypot(P[:, 0], P[:, 1]) - 1.0) <= 1e-15
+    return P[:, 2] == spec.z0
+
+
+# the clouds the benchmark, the fixtures and CI solve on: (spec, n, rim points)
+LAYOUTS = [
+    (ManifoldSpec.disk(2000), 2044, 157),
+    (ManifoldSpec.disk(8000), 8012, 314),
+    (ManifoldSpec.spherical_cap(0.5, 2000), 2004, 135),
+    (ManifoldSpec.spherical_cap(0.5, 8000), 8188, 275),
+    (ManifoldSpec.spherical_cap(0.5, 8188), 8188, 275),
+    (ManifoldSpec.spherical_cap(0.5, 32468), 32468, 551),
+    (ManifoldSpec.interval(0.0, 1.0, 501), 501, 2),
+    (ManifoldSpec.rectangle(1.0, 1.0, 400), 400, 76),
+]
+
+
+@pytest.mark.parametrize("spec,n,rim", LAYOUTS,
+                         ids=lambda v: f"{v.shape}-{v.resolution}" if isinstance(v, ManifoldSpec)
+                         else str(v))
+@pytest.mark.parametrize("jitter", [0.0, 0.25])
+def test_generator_layouts_are_pinned(spec, n, rim, jitter):
+    cloud = generate(spec, seed=0, jitter=jitter)
+    assert cloud.n == n
+    assert cloud.boundary_indices.size == rim
+    # the boundary is exactly the rim, listed in point order
+    assert np.array_equal(cloud.boundary_indices, np.flatnonzero(on_rim(cloud, spec)))
+
+
 def test_jitter_keeps_cap_on_sphere():
     cloud = generate(ManifoldSpec.spherical_cap(0.2, 600), seed=3, jitter=0.3)
     assert np.max(np.abs(np.linalg.norm(cloud.points, axis=1) - 1.0)) <= 1e-12

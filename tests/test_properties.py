@@ -7,7 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pim.analysis import Coupling
-from pim.assembly import assemble, boundary_column_vector
+from oracles import boundary_column_vector
+from pim.assembly import assemble
 from pim.interpolate import Interpolant
 from pim.kernel import (KernelParams, KernelProfile, cubic_profile,
                         truncated_gaussian_profile)
