@@ -264,7 +264,7 @@ class Guardrails:
             raise ValueError(f"guardrail ceilings must be positive and finite, got "
                              f"r0_penalty={self.r0_penalty}, r0_density={self.r0_density}")
 
-    def check(self, t: float, beta: float, h: float, warn: bool = True) -> list[str]:
+    def check(self, t: float, beta: float, h: float) -> list[str]:
         flags = []
         ratio_tb = math.sqrt(t) / beta
         if ratio_tb > self.r0_penalty:
@@ -272,10 +272,9 @@ class Guardrails:
         ratio_ht = h / t ** 1.5
         if ratio_ht > self.r0_density:
             flags.append(f"h/t^1.5={ratio_ht:.3g}>{self.r0_density:.3g}")
-        if warn:
-            for msg in flags:
-                warnings.warn(f"stability guardrail exceeded: {msg}",
-                              RuntimeWarning, stacklevel=2)
+        for msg in flags:
+            warnings.warn(f"stability guardrail exceeded: {msg}",
+                          RuntimeWarning, stacklevel=2)
         return flags
 
 

@@ -243,4 +243,7 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
 def dump_matrixmarket(system: LinearSystem, path) -> None:
     """Write the matrix in MatrixMarket coordinate format."""
     from scipy.io import mmwrite
-    mmwrite(str(path), sp.coo_matrix(system.matrix))
+    # scipy 1.17's mmwrite, given a path in a missing directory, writes nothing
+    # and raises nothing; opening the file here raises the OSError
+    with open(path, "wb") as fh:
+        mmwrite(fh, sp.coo_matrix(system.matrix))

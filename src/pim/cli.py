@@ -8,8 +8,11 @@ sweep         multi-level convergence study for a built-in case, write CSV
 oracle-check  run the operator/kernel oracle comparisons, print a table
 
 Exit codes: 0 success, 1 solver or oracle failure, 2 configuration, parse
-or validation errors.  Options come from defaults, then an optional
-``--config`` file (flat ``key = value`` lines), then explicit flags.
+or validation errors.  The commands raise; ``main`` alone maps a
+``SolverError`` to 1 and an ``OSError`` or ``ValueError`` to 2, and prints
+every guardrail warning as one ``warning: …`` line.  Options come from
+defaults, then an optional ``--config`` file (flat ``key = value`` lines),
+then explicit flags.
 """
 
 from __future__ import annotations
@@ -67,17 +70,8 @@ def _spec_from_args(args) -> pointcloud.ManifoldSpec:
 
 
 def cmd_generate(args, cfg: dict, settings: Settings) -> int:
-    try:
-        spec = _spec_from_args(args)
-        cloud = pointcloud.generate(spec, seed=args.seed, jitter=args.jitter)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
-    try:
-        pointcloud.save(cloud, args.out)
-    except OSError as exc:
-        _err(f"cannot write {args.out}: {exc}")
-        return 2
+    cloud = pointcloud.generate(_spec_from_args(args), seed=args.seed, jitter=args.jitter)
+    pointcloud.save(cloud, args.out)
     print(f"wrote {cloud.n} points ({cloud.boundary_indices.size} boundary) "
           f"to {args.out}; h={cloud.metadata['h']:.6g}, "
           f"sum(V)={cloud.volume_weights.sum():.6g}")
@@ -110,90 +104,58 @@ def cmd_solve(args, cfg: dict, settings: Settings) -> int:
     try:
         cloud = pointcloud.load(args.cloud)
     except (OSError, pointcloud.CloudFormatError) as exc:
-        _err(f"cannot read cloud: {exc}")
-        return 2
+        raise ValueError(f"cannot read cloud: {exc}") from None
 
     case = None
     if args.case is not None:
         if args.f_file or args.b_file or args.f_const is not None or args.b_const is not None:
-            _err("give either --case or explicit f/b data, not both")
-            return 2
-        try:
-            case = analysis.get_case(args.case)
-        except ValueError as exc:
-            _err(str(exc))
-            return 2
+            raise ValueError("give either --case or explicit f/b data, not both")
+        case = analysis.get_case(args.case)
         if case.spec.ambient_dim != cloud.ambient_dim:
-            _err(f"case {case.name} lives in {case.spec.ambient_dim}-d space, "
-                 f"but the cloud's points are {cloud.ambient_dim}-d")
-            return 2
+            raise ValueError(f"case {case.name} lives in {case.spec.ambient_dim}-d space, "
+                             f"but the cloud's points are {cloud.ambient_dim}-d")
         fvals = case.f(cloud.points)
         bvals = case.b(cloud.boundary_points)
     else:
-        try:
-            if args.f_file:
-                fvals = _read_values(args.f_file, cloud.n, "source")
-            elif args.f_const is not None:
-                fvals = np.full(cloud.n, args.f_const)
-            else:
-                _err("need --case, --f-file or --f-const")
-                return 2
-            m = cloud.boundary_indices.size
-            if args.b_file:
-                bvals = _read_values(args.b_file, m, "boundary")
-            elif args.b_const is not None:
-                bvals = np.full(m, args.b_const)
-            else:
-                bvals = np.zeros(m)
-        except (OSError, ValueError) as exc:
-            _err(str(exc))
-            return 2
+        if args.f_file:
+            fvals = _read_values(args.f_file, cloud.n, "source")
+        elif args.f_const is not None:
+            fvals = np.full(cloud.n, args.f_const)
+        else:
+            raise ValueError("need --case, --f-file or --f-const")
+        m = cloud.boundary_indices.size
+        if args.b_file:
+            bvals = _read_values(args.b_file, m, "boundary")
+        elif args.b_const is not None:
+            bvals = np.full(m, args.b_const)
+        else:
+            bvals = np.zeros(m)
 
     h = cloud.metadata.get("h") or pointcloud.fill_distance(cloud)
     if (args.t is None) != (args.beta is None):
-        _err("--t and --beta must be given together (or both omitted "
-             "to derive them from the coupling rule)")
-        return 2
+        raise ValueError("--t and --beta must be given together (or both omitted "
+                         "to derive them from the coupling rule)")
     if args.t is not None:
         t, beta = args.t, args.beta
     else:
         t = settings.coupling.t_of(h)
         beta = settings.coupling.beta_of(t)
     if not (0.0 < t < math.inf and 0.0 < beta < math.inf):
-        _err(f"t and beta must be positive and finite, got t={t}, beta={beta}")
-        return 2
+        raise ValueError(f"t and beta must be positive and finite, got t={t}, beta={beta}")
 
     params = KernelParams(t=t, k=cloud.intrinsic_dim)
-    flags = settings.guardrails.check(t, beta, h, warn=False)
-    for flag in flags:
-        print(f"warning: stability guardrail exceeded: {flag}", file=sys.stderr)
-
-    try:
-        system = assembly.assemble(cloud, params, settings.profile, beta, fvals, bvals,
-                                   dense_cutoff=cfg["assembly.dense_cutoff"])
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    flags = settings.guardrails.check(t, beta, h)
+    system = assembly.assemble(cloud, params, settings.profile, beta, fvals, bvals,
+                               dense_cutoff=cfg["assembly.dense_cutoff"])
     if args.matrix_out:
         assembly.dump_matrixmarket(system, args.matrix_out)
-    try:
-        report = run_solve(system, settings.solver_options)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
-    except SolverError as exc:
-        _err(f"solver failed: {exc}")
-        return 1
+    report = run_solve(system, settings.solver_options)
 
     u = report.solution
     d = cloud.ambient_dim
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(",".join([f"x{i + 1}" for i in range(d)] + ["u"]) + "\n")
-            fh.write(pointcloud._csv_rows(np.column_stack([cloud.points, u])))
-    except OSError as exc:
-        _err(f"cannot write {args.out}: {exc}")
-        return 2
+    with open(args.out, "w") as fh:
+        fh.write(",".join([f"x{i + 1}" for i in range(d)] + ["u"]) + "\n")
+        fh.write(pointcloud._csv_rows(np.column_stack([cloud.points, u])))
 
     lines = {
         "command": "solve", "cloud": args.cloud, "n": cloud.n,
@@ -207,13 +169,9 @@ def cmd_solve(args, cfg: dict, settings: Settings) -> int:
         exact = case.u(cloud.points)
         lines["max_abs_error_vs_exact"] = _fmt(float(np.max(np.abs(u - exact))))
     report_path = args.report or (args.out + ".report.txt")
-    try:
-        with open(report_path, "w") as fh:
-            for key, value in lines.items():
-                fh.write(f"{key} = {value}\n")
-    except OSError as exc:
-        _err(f"cannot write {report_path}: {exc}")
-        return 2
+    with open(report_path, "w") as fh:
+        for key, value in lines.items():
+            fh.write(f"{key} = {value}\n")
     print(f"solved n={cloud.n} ({report.method}, {report.iterations} iterations), "
           f"residual={report.residual_norm:.3g}; solution -> {args.out}, "
           f"report -> {report_path}")
@@ -225,34 +183,21 @@ def cmd_solve(args, cfg: dict, settings: Settings) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args, cfg: dict, settings: Settings) -> int:
+    case = analysis.get_case(args.case)
+    levels = [int(tok) for tok in args.levels.split(",") if tok.strip()]
+    if not levels:
+        raise ValueError("empty level list")
     try:
-        case = analysis.get_case(args.case)
-        levels = [int(tok) for tok in args.levels.split(",") if tok.strip()]
-        if not levels:
-            raise ValueError("empty level list")
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
-
-    try:
-        with warnings.catch_warnings():
-            # each level's guardrail warnings as they come, in pim solve's format
-            warnings.filterwarnings("always", "stability guardrail")
-            warnings.showwarning = lambda message, *_: print(f"warning: {message}",
-                                                             file=sys.stderr)
-            result = analysis.convergence_sweep(
-                case, levels, **settings._asdict(),
-                reference_factor=cfg["reference.factor"],
-                dense_cutoff=cfg["assembly.dense_cutoff"],
-                seed=args.seed,
-            )
+        result = analysis.convergence_sweep(
+            case, levels, **settings._asdict(),
+            reference_factor=cfg["reference.factor"],
+            dense_cutoff=cfg["assembly.dense_cutoff"],
+            seed=args.seed,
+        )
     except analysis.SweepAborted as exc:
         exc.partial.to_csv(args.out)
         _err(f"{exc}; partial results -> {args.out}")
         return 1
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
     result.to_csv(args.out)
     print(result.csv_text(), end="")
     print(f"sweep complete: {len(result.rows)} level(s) -> {args.out}")
@@ -434,21 +379,29 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     overrides = {key: value for key, value in vars(args).items() if "." in key}
-    try:
-        cfg = merged(args.config, overrides)
-        settings = Settings(get_profile(cfg["kernel.profile"]),
-                            SolveOptions(**_section(cfg, "solver")),
-                            analysis.Coupling(**_section(cfg, "coupling")),
-                            analysis.Guardrails(**_section(cfg, "guardrails")))
-        # the keys no settings object checks
-        for key, low in (("assembly.dense_cutoff", 0), ("oracle.fineness", 1),
-                         ("reference.factor", 1)):
-            if cfg[key] < low:
-                raise ValueError(f"{key} must be at least {low}, got {cfg[key]}")
-    except (OSError, ValueError) as exc:    # ConfigError is a ValueError
-        _err(str(exc))
-        return 2
-    return args.func(args, cfg, settings)
+    with warnings.catch_warnings():
+        # every guardrail flag, each time it trips, as one line on stderr
+        warnings.filterwarnings("always", "stability guardrail")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                         file=sys.stderr)
+        try:
+            cfg = merged(args.config, overrides)
+            settings = Settings(get_profile(cfg["kernel.profile"]),
+                                SolveOptions(**_section(cfg, "solver")),
+                                analysis.Coupling(**_section(cfg, "coupling")),
+                                analysis.Guardrails(**_section(cfg, "guardrails")))
+            # the keys no settings object checks
+            for key, low in (("assembly.dense_cutoff", 0), ("oracle.fineness", 1),
+                             ("reference.factor", 1)):
+                if cfg[key] < low:
+                    raise ValueError(f"{key} must be at least {low}, got {cfg[key]}")
+            return args.func(args, cfg, settings)
+        except SolverError as exc:
+            _err(f"solver failed: {exc}")
+            return 1
+        except (OSError, ValueError) as exc:    # ConfigError, CloudFormatError are ValueErrors
+            _err(str(exc))
+            return 2
 
 
 if __name__ == "__main__":

@@ -132,6 +132,8 @@ class PointCloud:
             )
         if vw.shape != (n,):
             raise CloudFormatError("volume_weights length must match point count")
+        if not np.all(np.isfinite(pts)):
+            raise CloudFormatError("point coordinates must be finite")
         if np.any(vw <= 0.0) or not np.all(np.isfinite(vw)):
             raise CloudFormatError("volume weights must be positive and finite")
         if aw.shape != bidx.shape:
@@ -363,23 +365,24 @@ def load(path) -> PointCloud:
                 try:
                     k = int(body.split("=", 1)[1])
                 except (IndexError, ValueError):
-                    raise CloudFormatError(f"bad intrinsic_dim comment: {ln!r}")
+                    raise CloudFormatError(f"{path}:{idx + 1}: bad intrinsic_dim comment: {ln!r}")
             continue
         header_at = idx
         break
     if k is None:
-        raise CloudFormatError("missing '# intrinsic_dim=k' comment line")
+        raise CloudFormatError(f"{path}: missing '# intrinsic_dim=k' comment line")
     if header_at is None:
-        raise CloudFormatError("missing header row")
+        raise CloudFormatError(f"{path}: missing header row")
     header = [c.strip() for c in lines[header_at].split(",")]
     expected_tail = ["volume_weight", "boundary_flag", "area_weight"]
     if len(header) < 4 or header[-3:] != expected_tail:
-        raise CloudFormatError(f"bad header {header!r}")
+        raise CloudFormatError(f"{path}:{header_at + 1}: bad header {header!r}")
     d = len(header) - 3
     if any(header[i] != f"x{i + 1}" for i in range(d)):
-        raise CloudFormatError(f"bad coordinate columns in header {header!r}")
-    if k > d:
-        raise CloudFormatError(f"intrinsic_dim {k} exceeds ambient dimension {d}")
+        raise CloudFormatError(f"{path}:{header_at + 1}: bad coordinate columns {header!r}")
+    if not 1 <= k <= d:
+        raise CloudFormatError(f"{path}: intrinsic_dim must satisfy 1 <= k <= d, "
+                               f"got k={k}, d={d}")
 
     points, vw, bidx, aw = [], [], [], []
     for lineno, ln in enumerate(lines[header_at + 1:], start=header_at + 2):
@@ -387,34 +390,34 @@ def load(path) -> PointCloud:
             continue
         parts = [c.strip() for c in ln.split(",")]
         if len(parts) != d + 3:
-            raise CloudFormatError(f"line {lineno}: expected {d + 3} fields, got {len(parts)}")
+            raise CloudFormatError(f"{path}:{lineno}: expected {d + 3} fields, got {len(parts)}")
         try:
             coords = [float(c) for c in parts[:d]]
             v = float(parts[d])
             flag = int(parts[d + 1])
         except ValueError as exc:
-            raise CloudFormatError(f"line {lineno}: {exc}") from None
+            raise CloudFormatError(f"{path}:{lineno}: {exc}") from None
         if not all(math.isfinite(c) for c in coords) or not math.isfinite(v):
-            raise CloudFormatError(f"line {lineno}: non-finite value")
+            raise CloudFormatError(f"{path}:{lineno}: non-finite value")
         if v <= 0.0:
-            raise CloudFormatError(f"line {lineno}: non-positive volume weight {v}")
+            raise CloudFormatError(f"{path}:{lineno}: non-positive volume weight {v}")
         if flag not in (0, 1):
-            raise CloudFormatError(f"line {lineno}: boundary_flag must be 0 or 1")
+            raise CloudFormatError(f"{path}:{lineno}: boundary_flag must be 0 or 1")
         if flag:
             if parts[d + 2] == "":
-                raise CloudFormatError(f"line {lineno}: boundary point lacks area weight")
+                raise CloudFormatError(f"{path}:{lineno}: boundary point lacks area weight")
             try:
                 a = float(parts[d + 2])
             except ValueError as exc:
-                raise CloudFormatError(f"line {lineno}: {exc}") from None
+                raise CloudFormatError(f"{path}:{lineno}: {exc}") from None
             if not math.isfinite(a) or a <= 0.0:
-                raise CloudFormatError(f"line {lineno}: non-positive area weight {a}")
+                raise CloudFormatError(f"{path}:{lineno}: non-positive area weight {a}")
             bidx.append(len(points))
             aw.append(a)
         points.append(coords)
         vw.append(v)
     if not points:
-        raise CloudFormatError("no data rows")
+        raise CloudFormatError(f"{path}: no data rows")
     return PointCloud(
         points=np.array(points),
         intrinsic_dim=k,

@@ -197,15 +197,17 @@ def test_coupling_rejects_nonvanishing_density_ratio():
 
 def test_guardrails_flags_and_warnings():
     g = Guardrails()
-    with pytest.warns(RuntimeWarning, match="guardrail"):
+    with pytest.warns(RuntimeWarning, match="guardrail") as record:
         flags = g.check(t=0.09, beta=0.01, h=1.0)
     assert len(flags) == 2
     assert any("sqrt(t)/beta" in f for f in flags)
     assert any("h/t^1.5" in f for f in flags)
+    # one warning per flag, in the text pim's commands print after "warning: "
+    assert [str(w.message) for w in record] == [
+        f"stability guardrail exceeded: {f}" for f in flags]
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert g.check(t=0.09, beta=0.01, h=1.0, warn=False) == flags
         # healthy parameters are silent
         assert g.check(t=0.01, beta=0.1, h=0.001) == []
 
@@ -221,9 +223,11 @@ def test_guardrails_reject_bad_ceilings(bad):
 
 def test_default_coupling_stays_inside_guardrails():
     c, g = Coupling(), Guardrails()
-    for h in (0.02, 0.01, 0.005, 0.0025):
-        t = c.t_of(h)
-        assert g.check(t, c.beta_of(t), h, warn=False) == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h in (0.02, 0.01, 0.005, 0.0025):
+            t = c.t_of(h)
+            assert g.check(t, c.beta_of(t), h) == []
 
 
 # ---------------------------------------------------------------------------

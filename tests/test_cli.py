@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.io import mmread
@@ -130,7 +132,8 @@ def test_solve_corrupt_cloud(tmp_path, capsys):
     rc = main(["solve", "--cloud", str(bad), "--f-const", "0",
                "--out", str(tmp_path / "x.csv")])
     assert rc == 2
-    assert "cannot read cloud" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cannot read cloud" in err and str(bad) in err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -176,6 +179,37 @@ def test_solve_guardrail_warning_on_stderr(tmp_path, interval_csv, capsys):
     assert "guardrail_flags = " in text
     assert "none" not in [ln.split(" = ")[1] for ln in text.strip().splitlines()
                           if ln.startswith("guardrail_flags")]
+
+
+@pytest.mark.parametrize("action", ["error", "ignore", "default"])
+def test_solve_prints_guardrail_lines_under_any_warning_filter(tmp_path, interval_csv,
+                                                               capsys, action):
+    # main installs the line format and the "always" filter, then restores
+    # the caller's filters and showwarning
+    argv = ["solve", "--cloud", interval_csv, "--f-const", "0", "--t", "1e-4",
+            "--beta", "0.5", "--out", str(tmp_path / "u.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        before = (list(warnings.filters), warnings.showwarning)
+        assert main(argv) == 0 and main(argv) == 0
+        assert (warnings.filters, warnings.showwarning) == before
+    assert capsys.readouterr().err.splitlines() == \
+        ["warning: stability guardrail exceeded: h/t^1.5=1e+04>20"] * 2
+
+
+def test_solve_solver_failure_exits_1(tmp_path, interval_csv, capsys, monkeypatch):
+    import pim.cli as cli
+
+    def failing(*args, **kwargs):
+        raise SolverError("synthetic failure")
+
+    monkeypatch.setattr(cli, "run_solve", failing)
+    out = tmp_path / "u.csv"
+    rc = main(["solve", "--cloud", interval_csv, "--case", "interval_sine",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "pim: error: solver failed: synthetic failure\n"
+    assert not out.exists()
 
 
 def test_solve_matrix_dump(tmp_path, interval_csv):
@@ -401,6 +435,45 @@ def test_sweep_prints_guardrail_flags_as_warning_lines(tmp_path, capsys, monkeyp
                        "warning: stability guardrail exceeded: h/t^1.5=22.5>20"]
     assert len(err) == (3 if aborts else 2)
     assert not aborts or err[2].startswith("pim: error: sweep aborted after 1 level(s)")
+
+
+# ---------------------------------------------------------------------------
+# one error path: every bad input exits 2 with one message
+# ---------------------------------------------------------------------------
+
+BAD_INPUT = {
+    # case: (argv after the paths are filled in, a piece the message must name)
+    "generate --out": (["generate", "--shape", "interval", "--n", "11",
+                        "--out", "{missing}/c.csv"], "{missing}"),
+    "solve --out": (["solve", "--cloud", "{cloud}", "--case", "interval_sine",
+                     "--out", "{missing}/u.csv"], "{missing}"),
+    "solve --report": (["solve", "--cloud", "{cloud}", "--case", "interval_sine",
+                        "--out", "{tmp}/u.csv", "--report", "{missing}/r.txt"], "{missing}"),
+    "solve --matrix-out": (["solve", "--cloud", "{cloud}", "--case", "interval_sine",
+                            "--out", "{tmp}/u.csv", "--matrix-out", "{missing}/m.mtx"],
+                           "{missing}"),
+    "sweep --out": (["sweep", "--case", "interval_sine", "--levels", "51",
+                     "--out", "{missing}/s.csv"], "{missing}"),
+    "one-point cloud": (["solve", "--cloud", "{tmp}/one.csv", "--f-const", "0",
+                         "--out", "{tmp}/u.csv"], "2 points"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUT))
+def test_bad_input_exits_2_with_one_message(tmp_path, capsys, interval_csv, case):
+    # once: the sweep ran to its end and then raised, the matrix dump wrote
+    # nothing and exited 0, and the one-point cloud raised from fill_distance
+    pointcloud.save(pointcloud.PointCloud(
+        points=np.array([[0.5]]), intrinsic_dim=1, boundary_indices=np.array([0]),
+        volume_weights=np.array([1.0]), area_weights=np.array([1.0])), tmp_path / "one.csv")
+    paths = {"cloud": interval_csv, "tmp": str(tmp_path), "missing": str(tmp_path / "no_dir")}
+    argv, named = BAD_INPUT[case]
+    rc = main([arg.format(**paths) for arg in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("pim: error:") == 1 and "Traceback" not in err
+    assert named.format(**paths) in err, err
+    assert not (tmp_path / "no_dir").exists()
 
 
 # ---------------------------------------------------------------------------

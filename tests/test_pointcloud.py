@@ -237,6 +237,17 @@ def test_rejects_bad_intrinsic_dim():
                    area_weights=np.array([]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rejects_nonfinite_coordinates(bad):
+    # a NaN coordinate once surfaced only as scipy's "data must be finite"
+    # inside fill_distance or assemble
+    with pytest.raises(CloudFormatError, match="coordinates must be finite"):
+        PointCloud(points=np.array([[0.0], [bad], [1.0]]), intrinsic_dim=1,
+                   boundary_indices=np.array([0, 2]),
+                   volume_weights=np.array([0.25, 0.5, 0.25]),
+                   area_weights=np.array([1.0, 1.0]))
+
+
 def test_immutable_arrays(interval_cloud):
     with pytest.raises(ValueError):
         interval_cloud.points[0, 0] = 99.0
@@ -318,3 +329,20 @@ def test_load_rejects_k_above_d(tmp_path):
         "1,1,0.5,0,\n")
     with pytest.raises(CloudFormatError):
         load(path)
+
+
+HEADER_1D = "x1,volume_weight,boundary_flag,area_weight\n"
+
+
+@pytest.mark.parametrize("text,where", [
+    ("# intrinsic_dim=1\n" + HEADER_1D + "0,0.5,0\n", ":3: expected 4 fields"),
+    ("# intrinsic_dim=1\n" + HEADER_1D + "0,0.5,1,1\n\nnan,0.5,1,1\n", ":5: non-finite"),
+    ("# intrinsic_dim=0\n" + HEADER_1D + "0,0.5,1,1\n", ": intrinsic_dim must satisfy"),
+    (HEADER_1D + "0,0.5,1,1\n", ": missing '# intrinsic_dim=k'"),
+], ids=["short row", "nan coordinate", "k = 0", "no dim comment"])
+def test_load_errors_name_the_file_and_line(tmp_path, text, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(CloudFormatError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}{where}"), str(info.value)
