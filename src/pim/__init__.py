@@ -34,6 +34,7 @@ __all__ = [
     "SolverError", "solve",
     "Interpolant", "OutOfSupport",
     "Coupling", "Guardrails", "ManufacturedCase", "SweepAborted",
-    "SweepResult", "builtin_cases", "convergence_sweep", "robin_gap_study",
+    "SweepResult", "builtin_cases", "convergence_sweep", "get_case",
+    "robin_gap_study",
     "__version__",
 ]

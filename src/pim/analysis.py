@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -75,21 +75,17 @@ class ManufacturedCase:
     description: str = ""
 
 
-def _interval_case() -> ManufacturedCase:
-    pi = math.pi
-    return ManufacturedCase(
+_CASES = {case.name: case for case in (
+    ManufacturedCase(
         name="interval_sine",
         spec=ManifoldSpec.interval(0.0, 1.0, 101),
-        u=lambda X: np.sin(pi * X[:, 0]),
-        grad_u=lambda X: pi * np.cos(pi * X[:, 0])[:, None],
-        f=lambda X: pi * pi * np.sin(pi * X[:, 0]),
+        u=lambda X: np.sin(math.pi * X[:, 0]),
+        grad_u=lambda X: math.pi * np.cos(math.pi * X[:, 0])[:, None],
+        f=lambda X: math.pi * math.pi * np.sin(math.pi * X[:, 0]),
         b=lambda X: np.zeros(X.shape[0]),
         description="u = sin(pi x) on [0,1], homogeneous boundary",
-    )
-
-
-def _disk_case() -> ManufacturedCase:
-    return ManufacturedCase(
+    ),
+    ManufacturedCase(
         name="disk_paraboloid",
         spec=ManifoldSpec.disk(500),
         u=lambda X: 1.0 - X[:, 0] ** 2 - X[:, 1] ** 2,
@@ -97,11 +93,8 @@ def _disk_case() -> ManufacturedCase:
         f=lambda X: np.full(X.shape[0], 4.0),
         b=lambda X: np.zeros(X.shape[0]),
         description="u = 1 - x^2 - y^2 on the unit disk, homogeneous boundary",
-    )
-
-
-def _rectangle_case() -> ManufacturedCase:
-    return ManufacturedCase(
+    ),
+    ManufacturedCase(
         name="rectangle_quadratic",
         spec=ManifoldSpec.rectangle(1.0, 1.0, 400),
         u=lambda X: X[:, 0] ** 2 + X[:, 1] ** 2,
@@ -109,13 +102,10 @@ def _rectangle_case() -> ManufacturedCase:
         f=lambda X: np.full(X.shape[0], -4.0),
         b=lambda X: X[:, 0] ** 2 + X[:, 1] ** 2,
         description="u = x^2 + y^2 on the unit square, non-homogeneous boundary",
-    )
-
-
-def _cap_case(z0: float = 0.5) -> ManufacturedCase:
-    return ManufacturedCase(
+    ),
+    ManufacturedCase(
         name="cap_linear",
-        spec=ManifoldSpec.spherical_cap(z0, 500),
+        spec=ManifoldSpec.spherical_cap(0.5, 500),
         u=lambda X: X[:, 2].copy(),
         # tangential part of the constant ambient field e_z on the unit sphere
         grad_u=lambda X: (np.array([0.0, 0.0, 1.0])[None, :]
@@ -123,19 +113,18 @@ def _cap_case(z0: float = 0.5) -> ManufacturedCase:
         f=lambda X: 2.0 * X[:, 2],
         b=lambda X: X[:, 2].copy(),
         description="u = z (degree-1 spherical harmonic) on the cap z >= z0",
-    )
+    ),
+)}
 
 
 def builtin_cases() -> list[ManufacturedCase]:
-    return [_interval_case(), _disk_case(), _rectangle_case(), _cap_case()]
+    return list(_CASES.values())
 
 
 def get_case(name: str) -> ManufacturedCase:
-    for case in builtin_cases():
-        if case.name == name:
-            return case
-    names = [c.name for c in builtin_cases()]
-    raise ValueError(f"unknown case {name!r}; available: {names}")
+    if name not in _CASES:
+        raise ValueError(f"unknown case {name!r}; available: {list(_CASES)}")
+    return _CASES[name]
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +272,14 @@ class Guardrails:
 # ---------------------------------------------------------------------------
 
 REFERENCE_FACTOR = 4  # reference resolution over the level's; config-overridable
-SWEEP_HEADER = "level,n,h,t,beta,l2_error,h1_error,boundary_l2_error,residual,wall_time_s"
 
 
 @dataclass
 class SweepRow:
+    """One level of a study.  The CSV columns are its fields in order,
+    except ``flags`` and ``lemma``, each to 17 significant digits (so the
+    int fields print as integers)."""
+
     level: int
     n: int
     h: float
@@ -302,11 +294,11 @@ class SweepRow:
     lemma: dict = field(default_factory=dict)    # lemma_norm_check on the reference
 
     def csv_cells(self) -> list[str]:
-        def g(x):
-            return format(float(x), ".17g")
-        return [str(self.level), str(self.n), g(self.h), g(self.t), g(self.beta),
-                g(self.l2_error), g(self.h1_error), g(self.boundary_l2_error),
-                g(self.residual), g(self.wall_time_s)]
+        return [format(float(getattr(self, f.name)), ".17g") for f in _CSV_FIELDS]
+
+
+_CSV_FIELDS = [f for f in fields(SweepRow) if f.name not in ("flags", "lemma")]
+SWEEP_HEADER = ",".join(f.name for f in _CSV_FIELDS)
 
 
 @dataclass

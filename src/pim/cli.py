@@ -10,7 +10,8 @@ oracle-check  run the operator/kernel oracle comparisons, print a table
 Exit codes: 0 success, 1 solver or oracle failure, 2 configuration, parse
 or validation errors.  The commands raise; ``main`` alone maps a
 ``SolverError`` to 1 and an ``OSError`` or ``ValueError`` to 2, and prints
-every guardrail warning as one ``warning: …`` line.  Options come from
+every guardrail warning as one ``warning: …`` line.  Each command checks its
+output directories and its arguments before any work.  Options come from
 defaults, then an optional ``--config`` file (flat ``key = value`` lines),
 then explicit flags.
 """
@@ -18,16 +19,18 @@ then explicit flags.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 import warnings
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import analysis, assembly, interpolate, pointcloud
+from . import analysis, assembly, pointcloud
 from .config import merged
-from .kernel import PROFILE_NAMES, KernelParams, KernelProfile, get_profile
+from .kernel import PROFILE_NAMES, KernelParams, KernelProfile, eval_Rbar_t, get_profile
 from .solve import SolveOptions, SolverError, solve as run_solve
 
 __all__ = ["main"]
@@ -46,6 +49,13 @@ def _section(cfg: dict, name: str) -> dict:
     return {k.partition(".")[2]: v for k, v in cfg.items() if k.startswith(name + ".")}
 
 
+def _check_out_dirs(*paths: Optional[str]) -> None:
+    """Raise ``open``'s error, before any work, for an output in a missing directory."""
+    for path in paths:
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 class Settings(NamedTuple):
     """Built from the merged config, once, in ``main``; named as the studies' keywords."""
 
@@ -60,16 +70,12 @@ class Settings(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def _spec_from_args(args) -> pointcloud.ManifoldSpec:
-    if args.shape == "interval":
-        return pointcloud.ManifoldSpec.interval(args.a, args.b, args.n)
-    if args.shape == "rectangle":
-        return pointcloud.ManifoldSpec.rectangle(args.wx, args.wy, args.n)
-    if args.shape == "disk":
-        return pointcloud.ManifoldSpec.disk(args.n)
-    return pointcloud.ManifoldSpec.spherical_cap(args.z0, args.n)
+    return pointcloud.ManifoldSpec(shape=args.shape, resolution=args.n, a=args.a, b=args.b,
+                                   widths=(args.wx, args.wy), z0=args.z0)
 
 
 def cmd_generate(args, cfg: dict, settings: Settings) -> int:
+    _check_out_dirs(args.out)
     cloud = pointcloud.generate(_spec_from_args(args), seed=args.seed, jitter=args.jitter)
     pointcloud.save(cloud, args.out)
     print(f"wrote {cloud.n} points ({cloud.boundary_indices.size} boundary) "
@@ -82,7 +88,10 @@ def cmd_generate(args, cfg: dict, settings: Settings) -> int:
 # solve
 # ---------------------------------------------------------------------------
 
-def _read_values(path, expected: int, what: str) -> np.ndarray:
+def _read_values(path, const, expected: int, what: str) -> np.ndarray:
+    """``expected`` values, one a line of file ``path``, or else all ``const`` (default 0)."""
+    if not path:
+        return np.full(expected, 0.0 if const is None else const)
     vals = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -93,43 +102,39 @@ def _read_values(path, expected: int, what: str) -> np.ndarray:
                 vals.append(float(line.split(",")[-1]))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric {what} value") from None
-    arr = np.array(vals)
-    if arr.shape[0] != expected:
-        raise ValueError(
-            f"{path}: expected {expected} {what} values, found {arr.shape[0]}")
-    return arr
+    if len(vals) != expected:
+        raise ValueError(f"{path}: expected {expected} {what} values, found {len(vals)}")
+    return np.array(vals)
 
 
 def cmd_solve(args, cfg: dict, settings: Settings) -> int:
+    report_path = args.report or (args.out + ".report.txt")
+    _check_out_dirs(args.out, report_path, args.matrix_out)
+    if args.case is not None and (args.f_file or args.b_file or args.f_const is not None
+                                  or args.b_const is not None):
+        raise ValueError("give either --case or explicit f/b data, not both")
+    if args.case is None and not args.f_file and args.f_const is None:
+        raise ValueError("need --case, --f-file or --f-const")
+    for name, path, const in (("f", args.f_file, args.f_const),
+                              ("b", args.b_file, args.b_const)):
+        if path and const is not None:
+            raise ValueError(f"give either --{name}-file or --{name}-const, not both")
+    case = None if args.case is None else analysis.get_case(args.case)
     try:
         cloud = pointcloud.load(args.cloud)
     except (OSError, pointcloud.CloudFormatError) as exc:
         raise ValueError(f"cannot read cloud: {exc}") from None
 
-    case = None
-    if args.case is not None:
-        if args.f_file or args.b_file or args.f_const is not None or args.b_const is not None:
-            raise ValueError("give either --case or explicit f/b data, not both")
-        case = analysis.get_case(args.case)
+    if case is not None:
         if case.spec.ambient_dim != cloud.ambient_dim:
             raise ValueError(f"case {case.name} lives in {case.spec.ambient_dim}-d space, "
                              f"but the cloud's points are {cloud.ambient_dim}-d")
         fvals = case.f(cloud.points)
         bvals = case.b(cloud.boundary_points)
     else:
-        if args.f_file:
-            fvals = _read_values(args.f_file, cloud.n, "source")
-        elif args.f_const is not None:
-            fvals = np.full(cloud.n, args.f_const)
-        else:
-            raise ValueError("need --case, --f-file or --f-const")
-        m = cloud.boundary_indices.size
-        if args.b_file:
-            bvals = _read_values(args.b_file, m, "boundary")
-        elif args.b_const is not None:
-            bvals = np.full(m, args.b_const)
-        else:
-            bvals = np.zeros(m)
+        fvals = _read_values(args.f_file, args.f_const, cloud.n, "source")
+        bvals = _read_values(args.b_file, args.b_const, cloud.boundary_indices.size,
+                             "boundary")
 
     h = cloud.metadata.get("h") or pointcloud.fill_distance(cloud)
     if (args.t is None) != (args.beta is None):
@@ -152,9 +157,8 @@ def cmd_solve(args, cfg: dict, settings: Settings) -> int:
     report = run_solve(system, settings.solver_options)
 
     u = report.solution
-    d = cloud.ambient_dim
     with open(args.out, "w") as fh:
-        fh.write(",".join([f"x{i + 1}" for i in range(d)] + ["u"]) + "\n")
+        fh.write(",".join([f"x{i + 1}" for i in range(cloud.ambient_dim)] + ["u"]) + "\n")
         fh.write(pointcloud._csv_rows(np.column_stack([cloud.points, u])))
 
     lines = {
@@ -168,7 +172,6 @@ def cmd_solve(args, cfg: dict, settings: Settings) -> int:
     if case is not None:
         exact = case.u(cloud.points)
         lines["max_abs_error_vs_exact"] = _fmt(float(np.max(np.abs(u - exact))))
-    report_path = args.report or (args.out + ".report.txt")
     with open(report_path, "w") as fh:
         for key, value in lines.items():
             fh.write(f"{key} = {value}\n")
@@ -183,6 +186,7 @@ def cmd_solve(args, cfg: dict, settings: Settings) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args, cfg: dict, settings: Settings) -> int:
+    _check_out_dirs(args.out)
     case = analysis.get_case(args.case)
     levels = [int(tok) for tok in args.levels.split(",") if tok.strip()]
     if not levels:
@@ -195,8 +199,12 @@ def cmd_sweep(args, cfg: dict, settings: Settings) -> int:
             seed=args.seed,
         )
     except analysis.SweepAborted as exc:
-        exc.partial.to_csv(args.out)
-        _err(f"{exc}; partial results -> {args.out}")
+        try:
+            exc.partial.to_csv(args.out)
+            saved = f"partial results -> {args.out}"
+        except OSError as write_exc:
+            saved = f"partial results not written: {write_exc}"
+        _err(f"{exc}; {saved}")
         return 1
     result.to_csv(args.out)
     print(result.csv_text(), end="")
@@ -239,7 +247,6 @@ def _oracle_checks(cfg: dict, profile: KernelProfile) -> list[tuple[str, bool, s
     params = KernelParams(t=0.004, k=1)
     x = np.array([0.5])
     lhs = oracle_Lt(lambda Y: Y[:, 0] ** 2, x, fine, params, profile)
-    from .kernel import eval_Rbar_t
     rbar = eval_Rbar_t(x, fine.points, params, profile)
     rhs = -2.0 * float(np.sum(rbar * fine.volume_weights))
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-30)
@@ -297,12 +304,9 @@ def _oracle_checks(cfg: dict, profile: KernelProfile) -> list[tuple[str, bool, s
 def cmd_oracle_check(args, cfg: dict, settings: Settings) -> int:
     checks = _oracle_checks(cfg, settings.profile)
     width = max(len(name) for name, _, _ in checks)
-    failures = 0
     for name, ok, detail in checks:
-        status = "pass" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        print(f"{name:<{width}}  {status}  {detail}")
+        print(f"{name:<{width}}  {'pass' if ok else 'FAIL'}  {detail}")
+    failures = sum(not ok for _, ok, _ in checks)
     print(f"{failures} failure(s) out of {len(checks)} checks")
     return 0 if failures == 0 else 1
 

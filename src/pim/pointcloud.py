@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -39,8 +39,6 @@ __all__ = [
     "save",
     "load",
 ]
-
-SHAPES = ("interval", "rectangle", "disk", "spherical_cap")
 
 
 class CloudFormatError(ValueError):
@@ -94,7 +92,7 @@ class ManifoldSpec:
     @property
     def ambient_dim(self) -> int:
         """Coordinates per generated point."""
-        return {"interval": 1, "rectangle": 2, "disk": 2, "spherical_cap": 3}[self.shape]
+        return _SHAPES[self.shape].ambient_dim
 
     def with_resolution(self, n: int) -> "ManifoldSpec":
         return replace(self, resolution=n)
@@ -185,8 +183,8 @@ def generate(spec: ManifoldSpec, seed: int = 0, jitter: float = 0.0) -> PointClo
     """
     if not 0.0 <= jitter < 0.5:
         raise ValueError(f"jitter must be in [0, 0.5), got {jitter!r}")
-    cloud = {"interval": _generate_interval, "rectangle": _generate_rectangle,
-             "disk": _generate_disk, "spherical_cap": _generate_cap}[spec.shape](spec)
+    cloud = _SHAPES[spec.shape].generate(spec)
+    cloud.metadata.update(shape=spec.shape, spec=spec)
     if jitter > 0.0:
         cloud = _apply_jitter(cloud, spec, seed, jitter)
     cloud.metadata["h"] = fill_distance(cloud)
@@ -203,7 +201,6 @@ def _generate_interval(spec: ManifoldSpec) -> PointCloud:
         boundary_indices=np.array([0, n - 1]),
         volume_weights=_trapezoid_weights(spec.b - spec.a, n),
         area_weights=np.array([1.0, 1.0]),  # counting measure for k = 1
-        metadata={"shape": "interval", "spec": spec},
     )
 
 
@@ -235,11 +232,10 @@ def _generate_rectangle(spec: ManifoldSpec) -> PointCloud:
         boundary_indices=bidx,
         volume_weights=vw,
         area_weights=aw,
-        metadata={"shape": "rectangle", "spec": spec},
     )
 
 
-def _rings(spec: ManifoldSpec, radius, area, count, height=None) -> PointCloud:
+def _rings(radius, area, count, height=None) -> PointCloud:
     """A pole, staggered rings and a boundary rim, from one entry per ring.
 
     Ring j, from the pole (j = 0, one point) to the rim (the last ring),
@@ -264,7 +260,6 @@ def _rings(spec: ManifoldSpec, radius, area, count, height=None) -> PointCloud:
         boundary_indices=np.arange(ring.size - m_b, ring.size),
         volume_weights=np.repeat(np.asarray(area) / count, count),
         area_weights=np.full(m_b, 2.0 * math.pi * radius[-1] / m_b),
-        metadata={"shape": spec.shape, "spec": spec},
     )
 
 
@@ -281,7 +276,7 @@ def _generate_disk(spec: ManifoldSpec) -> PointCloud:
                for rho in radius[1:-1]]
             + [math.pi * (1.0 - (1.0 - 0.5 * dr) ** 2)])
     count = [1] + [max(6, int(round(2.0 * math.pi * j))) for j in range(1, n_rho + 1)]
-    return _rings(spec, radius, area, count)
+    return _rings(radius, area, count)
 
 
 def _generate_cap(spec: ManifoldSpec) -> PointCloud:
@@ -301,7 +296,22 @@ def _generate_cap(spec: ManifoldSpec) -> PointCloud:
                for p in phi]
             + [2.0 * math.pi * (math.cos(phi_max - 0.5 * dphi) - z0)])
     count = [1] + [max(6, int(round(2.0 * math.pi * r / dphi))) for r in radius[1:]]
-    return _rings(spec, radius, area, count, height)
+    return _rings(radius, area, count, height)
+
+
+class _Shape(NamedTuple):
+    ambient_dim: int
+    generate: Callable[[ManifoldSpec], PointCloud]
+
+
+# the built-in shapes, the one list of their names
+_SHAPES = {
+    "interval": _Shape(1, _generate_interval),
+    "rectangle": _Shape(2, _generate_rectangle),
+    "disk": _Shape(2, _generate_disk),
+    "spherical_cap": _Shape(3, _generate_cap),
+}
+SHAPES = tuple(_SHAPES)
 
 
 def _apply_jitter(cloud: PointCloud, spec: ManifoldSpec, seed: int, jitter: float) -> PointCloud:

@@ -68,6 +68,23 @@ def test_generate_rejects_jitter_out_of_range(tmp_path, capsys, jitter):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, spec", [
+    (["--shape", "interval", "--a", "-1", "--b", "2"],
+     pointcloud.ManifoldSpec.interval(-1.0, 2.0, 60)),
+    (["--shape", "rectangle", "--wx", "2", "--wy", "0.5"],
+     pointcloud.ManifoldSpec.rectangle(2.0, 0.5, 60)),
+    (["--shape", "disk"], pointcloud.ManifoldSpec.disk(60)),
+    (["--shape", "spherical_cap", "--z0", "0.2"],
+     pointcloud.ManifoldSpec.spherical_cap(0.2, 60)),
+], ids=pointcloud.SHAPES)
+def test_generate_shape_flags_build_the_library_spec(tmp_path, flags, spec):
+    out, expected = tmp_path / "cli.csv", tmp_path / "lib.csv"
+    assert main(["generate", *flags, "--n", "60", "--jitter", "0.2", "--seed", "3",
+                 "--out", str(out)]) == 0
+    pointcloud.save(pointcloud.generate(spec, seed=3, jitter=0.2), expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
 def test_missing_out_is_usage_error(capsys):
     rc = main(["generate", "--shape", "disk", "--n", "10"])
     assert rc == 2
@@ -142,6 +159,22 @@ def test_solve_case_and_data_conflict(tmp_path, interval_csv, capsys):
                "--f-const", "1", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "not both" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["f", "b"])
+def test_solve_rejects_file_and_constant_together(tmp_path, interval_csv, capsys, source):
+    # the constant was once silently ignored in favour of the file
+    values = tmp_path / "values.csv"
+    values.write_text("0.0\n" * (101 if source == "f" else 2))
+    out = tmp_path / "x.csv"
+    source_flags = [] if source == "f" else ["--f-const", "0"]
+    rc = main(["solve", "--cloud", interval_csv, *source_flags,
+               f"--{source}-file", str(values), f"--{source}-const", "1",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"pim: error: give either --{source}-file or --{source}-const, not both\n"
+    assert not out.exists()
 
 
 def test_solve_t_without_beta(tmp_path, interval_csv, capsys):
@@ -282,7 +315,9 @@ def test_sweep_runs_and_writes_csv(tmp_path, capsys):
                "--out", str(out)])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("level,n,h,t,beta")
+    # the literal columns, not SWEEP_HEADER: the header is derived from SweepRow
+    assert lines[0] == ("level,n,h,t,beta,l2_error,h1_error,boundary_l2_error,"
+                        "residual,wall_time_s")
     assert len(lines) == 3
     stdout = capsys.readouterr().out
     assert "sweep complete: 2 level(s)" in stdout
@@ -460,12 +495,26 @@ BAD_INPUT = {
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUT))
-def test_bad_input_exits_2_with_one_message(tmp_path, capsys, interval_csv, case):
+def test_bad_input_exits_2_with_one_message(tmp_path, capsys, interval_csv, monkeypatch,
+                                            case):
     # once: the sweep ran to its end and then raised, the matrix dump wrote
-    # nothing and exited 0, and the one-point cloud raised from fill_distance
+    # nothing and exited 0, and the one-point cloud raised from fill_distance;
+    # later, a missing output directory stopped pim solve only after it had
+    # assembled and solved, and pim sweep only after its last level
+    import pim.analysis as analysis
+    import pim.assembly as assembly
     pointcloud.save(pointcloud.PointCloud(
         points=np.array([[0.5]]), intrinsic_dim=1, boundary_indices=np.array([0]),
         volume_weights=np.array([1.0]), area_weights=np.array([1.0])), tmp_path / "one.csv")
+    calls = []
+
+    def recorded(module, name):
+        real = getattr(module, name)
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    for module, name in ((pointcloud, "generate"), (pointcloud, "load"),
+                         (assembly, "assemble"), (analysis, "solve_case_on_cloud")):
+        monkeypatch.setattr(module, name, recorded(module, name))
     paths = {"cloud": interval_csv, "tmp": str(tmp_path), "missing": str(tmp_path / "no_dir")}
     argv, named = BAD_INPUT[case]
     rc = main([arg.format(**paths) for arg in argv])
@@ -473,7 +522,31 @@ def test_bad_input_exits_2_with_one_message(tmp_path, capsys, interval_csv, case
     err = capsys.readouterr().err
     assert err.count("pim: error:") == 1 and "Traceback" not in err
     assert named.format(**paths) in err, err
-    assert not (tmp_path / "no_dir").exists()
+    # an output check comes before any work and writes nothing
+    assert calls == (["load"] if case == "one-point cloud" else [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["interval.csv", "one.csv"]
+
+
+def test_sweep_abort_is_reported_when_the_partial_write_fails(tmp_path, capsys,
+                                                             monkeypatch):
+    # the partial write's OSError once replaced the abort message and exit 1
+    import pim.analysis as analysis
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+
+    def failing(*args, **kwargs):
+        out_dir.rmdir()
+        raise SolverError("synthetic failure")
+
+    monkeypatch.setattr(analysis, "solve_case_on_cloud", failing)
+    rc = main(["sweep", "--case", "interval_sine", "--levels", "51",
+               "--out", str(out_dir / "s.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("pim: error: sweep aborted after 0 level(s): synthetic failure; "
+                             "partial results not written: ")
+    assert str(out_dir / "s.csv") in err[0]
 
 
 # ---------------------------------------------------------------------------
