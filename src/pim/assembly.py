@@ -78,6 +78,15 @@ def _squared_lengths(parts: list) -> np.ndarray:
     return sq
 
 
+def _segment_sums(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(x[starts[i]:starts[i + 1]])`` for every i (the last to
+    the end of ``x``), bit for bit: ``reduce`` adds the pairwise sum of a slice
+    to 0.0, ``reduceat`` the pairwise sum of a segment's rest to its first
+    element, so a 0.0 put in front of every segment makes them one expression.
+    """
+    return np.add.reduceat(np.insert(x, starts, 0.0), starts + np.arange(starts.shape[0]))
+
+
 @dataclass
 class LinearSystem:
     """Assembled matrix + right-hand side, immutable once built."""
@@ -144,7 +153,6 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
     data = np.empty(indices.shape[0])
     indptr = np.zeros(n + 1, dtype=indices.dtype)
     rhs = np.empty(n)
-    add = np.add.reduce
 
     def fill(lo: int, hi: int) -> None:
         # rows lo:hi; the block's temporaries die when it returns
@@ -180,23 +188,13 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
         rbar_b = rbar[is_b]
         aw_b = np.take(aw, lb)
         pb = rbar_b * np.take(b, lb) * aw_b
-        # Per-row sums over contiguous slices with np.sum's own reduction
-        # (np.add.reduce, minus np.sum's dispatch): the same pairwise
-        # summation, hence the same bits, as summing each row on its own.
-        # bincount or reduceat would sum in another order: reduceat differed
-        # from per-slice reduce on 35 341 of 49 048 random segments (lengths
-        # 1 to 699, standard normal values).  fromiter fills arrays of known
-        # size; list comprehensions, as fast, grew lists through sizes that
-        # the allocator kept cached high in the heap, which then stayed
-        # untrimmed between solve-cap ops: peak RSS 142-147 MB against 130.
-        nb = hi - lo
-        ptr = [0] + ends.tolist()
-        optr = [0] + (ends - np.arange(1, nb + 1)).tolist()     # ptr without the self entries
-        bptr = [0] + np.cumsum(np.bincount(rows[is_b] - lo, minlength=nb)).tolist()
-        diag = np.fromiter((add(a_off[p0:p1]) for p0, p1 in zip(optr, optr[1:])), float, nb)
-        rsum = np.fromiter((add(pf[p0:p1]) for p0, p1 in zip(ptr, ptr[1:])), float, nb)
-        bsum = np.fromiter((add(pb[q0:q1]) if q1 > q0 else 0.0     # boundary rows only
-                            for q0, q1 in zip(bptr, bptr[1:])), float, nb)
+        # Per-row sums over contiguous slices, each the same pairwise
+        # summation, hence the same bits, as summing the row on its own.
+        starts = np.concatenate(([0], ends[:-1]))
+        diag = _segment_sums(a_off, starts - np.arange(hi - lo))  # without the self entries
+        rsum = _segment_sums(pf, starts)
+        bends = np.cumsum(np.bincount(rows[is_b] - lo, minlength=hi - lo))
+        bsum = _segment_sums(pb, np.concatenate(([0], bends[:-1])))     # boundary columns only
         bsum *= two_over_beta       # rhs = two_over_beta * bsum + rsum, in place
         bsum += rsum
         rhs[lo:hi] = bsum

@@ -50,10 +50,13 @@ def _section(cfg: dict, name: str) -> dict:
 
 
 def _check_out_dirs(*paths: Optional[str]) -> None:
-    """Raise ``open``'s error, before any work, for an output in a missing directory."""
-    for path in paths:
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+    """Raise ``open``'s error, before any work, for an output in a missing
+    directory or an output that is itself a directory."""
+    for path in filter(None, paths):
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 class Settings(NamedTuple):
@@ -69,9 +72,21 @@ class Settings(NamedTuple):
 # generate
 # ---------------------------------------------------------------------------
 
+# each shape flag: the one shape it applies to, its default and what it sets
+_SHAPE_FLAGS = {"a": ("interval", 0.0, "left end"), "b": ("interval", 1.0, "right end"),
+                "wx": ("rectangle", 1.0, "width"), "wy": ("rectangle", 1.0, "height"),
+                "z0": ("spherical_cap", 0.5, "rim height")}
+
+
 def _spec_from_args(args) -> pointcloud.ManifoldSpec:
-    return pointcloud.ManifoldSpec(shape=args.shape, resolution=args.n, a=args.a, b=args.b,
-                                   widths=(args.wx, args.wy), z0=args.z0)
+    v = {}
+    for flag, (shape, default, _) in _SHAPE_FLAGS.items():
+        value = getattr(args, flag)
+        if value is not None and shape != args.shape:
+            raise ValueError(f"--{flag} does not apply to --shape {args.shape}")
+        v[flag] = default if value is None else value
+    return pointcloud.ManifoldSpec(shape=args.shape, resolution=args.n, a=v["a"], b=v["b"],
+                                   widths=(v["wx"], v["wy"]), z0=v["z0"])
 
 
 def cmd_generate(args, cfg: dict, settings: Settings) -> int:
@@ -325,11 +340,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="sample a built-in manifold to CSV")
     g.add_argument("--shape", required=True, choices=pointcloud.SHAPES)
     g.add_argument("--n", required=True, type=int, help="target point count")
-    g.add_argument("--a", type=float, default=0.0, help="interval left end")
-    g.add_argument("--b", type=float, default=1.0, help="interval right end")
-    g.add_argument("--wx", type=float, default=1.0, help="rectangle width")
-    g.add_argument("--wy", type=float, default=1.0, help="rectangle height")
-    g.add_argument("--z0", type=float, default=0.5, help="cap rim height")
+    for flag, (shape, default, sets) in _SHAPE_FLAGS.items():
+        g.add_argument(f"--{flag}", type=float, help=f"{shape} {sets} (default {default:g})")
     g.add_argument("--jitter", type=float, default=0.0,
                    help="interior perturbation, fraction of spacing in [0, 0.5)")
     g.add_argument("--seed", type=int, default=0)

@@ -24,6 +24,7 @@ estimates weights from raw coordinates.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -394,8 +395,45 @@ def load(path) -> PointCloud:
         raise CloudFormatError(f"{path}: intrinsic_dim must satisfy 1 <= k <= d, "
                                f"got k={k}, d={d}")
 
-    points, vw, bidx, aw = [], [], [], []
-    for lineno, ln in enumerate(lines[header_at + 1:], start=header_at + 2):
+    rows = lines[header_at + 1:]
+    try:
+        return _cloud(_parse_bulk(rows, d), k, path)
+    except ValueError:      # the line loop alone rejects a file and words the message
+        pass
+    return _cloud(_parse_lines(path, rows, d, first_lineno=header_at + 2), k, path)
+
+
+def _cloud(table: np.ndarray, k: int, path) -> PointCloud:
+    """The cloud of a table of rows (coordinates, volume, flag, area weight)."""
+    d = table.shape[1] - 3
+    on_boundary = table[:, d + 1] == 1.0
+    return PointCloud(points=table[:, :d], intrinsic_dim=k,
+                      boundary_indices=np.flatnonzero(on_boundary), volume_weights=table[:, d],
+                      area_weights=table[on_boundary, d + 2],
+                      metadata={"shape": None, "source": str(path)})
+
+
+def _parse_bulk(rows: list, d: int) -> np.ndarray:
+    """All data rows in one ``loadtxt`` pass, an empty area cell as NaN.
+
+    Raises ``ValueError`` on any row it cannot take; ``PointCloud`` rejects
+    bad values.  As in :func:`_parse_lines`, ``int`` rejects a flag of 1.0,
+    and ``comments=None`` keeps a ``#`` inside a cell from being cut off.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # loadtxt warns on a file without rows
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, converters={
+            d + 1: int, d + 2: lambda cell: float(cell) if cell.strip() else math.nan})
+    if not (table.shape[0] and table.shape[1] == d + 3
+            and np.isin(table[:, d + 1], (0.0, 1.0)).all()):
+        raise ValueError("rows the line loop must read")
+    return table
+
+
+def _parse_lines(path, rows: list, d: int, first_lineno: int) -> np.ndarray:
+    """The table of :func:`_parse_bulk`, line by line; raises on the first bad line."""
+    table = []
+    for lineno, ln in enumerate(rows, start=first_lineno):
         if not ln.strip() or ln.strip().startswith("#"):
             continue
         parts = [c.strip() for c in ln.split(",")]
@@ -413,6 +451,7 @@ def load(path) -> PointCloud:
             raise CloudFormatError(f"{path}:{lineno}: non-positive volume weight {v}")
         if flag not in (0, 1):
             raise CloudFormatError(f"{path}:{lineno}: boundary_flag must be 0 or 1")
+        a = math.nan
         if flag:
             if parts[d + 2] == "":
                 raise CloudFormatError(f"{path}:{lineno}: boundary point lacks area weight")
@@ -422,17 +461,7 @@ def load(path) -> PointCloud:
                 raise CloudFormatError(f"{path}:{lineno}: {exc}") from None
             if not math.isfinite(a) or a <= 0.0:
                 raise CloudFormatError(f"{path}:{lineno}: non-positive area weight {a}")
-            bidx.append(len(points))
-            aw.append(a)
-        points.append(coords)
-        vw.append(v)
-    if not points:
+        table.append(coords + [v, flag, a])
+    if not table:
         raise CloudFormatError(f"{path}: no data rows")
-    return PointCloud(
-        points=np.array(points),
-        intrinsic_dim=k,
-        boundary_indices=np.array(bidx, dtype=np.intp),
-        volume_weights=np.array(vw),
-        area_weights=np.array(aw),
-        metadata={"shape": None, "source": str(path)},
-    )
+    return np.array(table)

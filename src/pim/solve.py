@@ -2,7 +2,8 @@
 
 The assembled matrix is nonsymmetric (the boundary-penalty columns break
 symmetry), so the iterative path uses restarted GMRES with diagonal
-preconditioning.  Small systems go through dense LU with partial pivoting.
+preconditioning: our own loop, bit for bit scipy 1.17's ``gmres`` without its
+per-step bookkeeping.  Small systems go through dense LU with partial pivoting.
 Either way the reported residual is recomputed from scratch after the
 solve — a solver claiming success is never taken at its word — and any
 failure raises with diagnostics rather than returning silently.
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dlartg
 
 from .assembly import LinearSystem
 
@@ -103,32 +104,103 @@ def _solve_dense(system: LinearSystem, options: SolveOptions) -> tuple[np.ndarra
     return x, 0, {"min_pivot": pmin, "max_pivot": scale}
 
 
+def _gmres(a, b: np.ndarray, dinv: np.ndarray, rtol: float, restart: int,
+           maxiter: int, history: list) -> tuple[np.ndarray, int]:
+    """Restarted GMRES from x = 0, left-preconditioned by ``dinv * y``.
+
+    Step for step the arithmetic of scipy 1.17's ``gmres(a, b, M=diags(dinv),
+    rtol=rtol, atol=0, restart=restart, maxiter=maxiter, callback_type=
+    "pr_norm")``, with the Givens updates on Python floats.  Appends each
+    preconditioned residual ratio to ``history``; returns ``(x, info)``.
+    """
+    # scipy's diagonal product turns a -0.0 of dinv * y into 0.0; that sign
+    # reaches no sum, norm or iterate, which all start from 0.0
+    n = b.shape[0]
+    x, buf = np.zeros(n), np.empty(n)
+    bnrm2 = np.linalg.norm(b)
+    atol = max(0.0, rtol * float(bnrm2))
+    if bnrm2 == 0 or bnrm2 < atol:      # scipy returns b itself when it is 0
+        return (b.copy() if bnrm2 == 0 else x), 0
+    eps = np.finfo(float).eps
+    ptol_max_factor = 1.0
+    ptol = np.linalg.norm(dinv * b) * min(ptol_max_factor, atol / bnrm2)
+    v = np.empty((restart + 1, n))
+    h = np.zeros((restart, restart + 1))    # row j holds column j of the Hessenberg matrix
+    r = b
+    for _ in range(maxiter):
+        np.multiply(dinv, r, out=v[0])
+        tmp = np.linalg.norm(v[0])
+        v[0] *= 1 / tmp
+        s_vec = [float(tmp)] + [0.0] * restart
+        givens = []
+        breakdown = False
+        for col in range(restart):
+            w = np.multiply(dinv, a.dot(v[col]), out=v[col + 1])
+            h0 = np.linalg.norm(w)
+            hcol = []       # modified Gram-Schmidt
+            for vk in v[:col + 1]:
+                hcol.append(np.dot(vk, w))
+                w -= np.multiply(vk, hcol[-1], out=buf)
+            h1 = np.linalg.norm(w)
+            hcol = [float(hk) for hk in hcol] + [float(h1)]
+            if h1 <= eps * h0:
+                hcol[col + 1] = 0.0
+                breakdown = True
+            else:
+                w *= 1 / h1
+            for k, (c, s) in enumerate(givens):
+                n0, n1 = hcol[k], hcol[k + 1]
+                hcol[k], hcol[k + 1] = c * n0 + s * n1, -s * n0 + c * n1
+            c, s, mag = dlartg(hcol[col], hcol[col + 1])
+            givens.append((c, s))
+            hcol[col], hcol[col + 1] = mag, 0.0
+            h[col, :col + 2] = hcol
+            tmp = -s * s_vec[col]
+            s_vec[col], s_vec[col + 1] = c * s_vec[col], tmp
+            presid = abs(tmp)
+            history.append(presid / bnrm2)
+            if presid <= ptol or breakdown:
+                break
+        if h[col, col] == 0:
+            s_vec[col] = 0.0
+        y = np.array(s_vec[:col + 1])
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        x += y @ v[:col + 1]
+        r = b - a.dot(x)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+    return x, 0 if rnorm <= atol else maxiter
+
+
 def _solve_iterative(system: LinearSystem,
                      options: SolveOptions) -> tuple[np.ndarray, int, dict]:
     """Restarted Jacobi-preconditioned GMRES; its claims are checked by ``solve``."""
     a = system.matrix
     n = system.n
     diag = a.diagonal() if sp.issparse(a) else np.diag(a).copy()
-    safe = np.where(diag != 0.0, diag, 1.0)
-    m = sp.diags(1.0 / safe)
-
     restart = min(options.restart, n)
     maxiter = max(1, math.ceil(options.max_iter_factor * n / restart))
     history: list[float] = []
 
-    # scipy's gmres (1.17) with M ends its inner loop on the preconditioned
-    # residual but checks the true residual b - Ax at every restart, so rtol =
-    # tol alone would already return a verified iterate.  The 20x margin costs
-    # iterations (67 against 62 on the solve-cap cloud); it stays because the
-    # pinned acceptance fixtures depend on the iterate it yields.  A right-
-    # preconditioned GMRES saved about 0.1 s per solve there but moved the
-    # solution by about 1e-10 relative.
+    # GMRES ends its inner loop on the preconditioned residual but checks the
+    # true one at every restart, so rtol = tol would return a verified iterate.
+    # The 20x margin (67 against 62 iterations on the solve-cap cloud) stays
+    # because the pinned acceptance fixtures depend on its iterate.  Right
+    # preconditioning saved 0.1 s there but moved the solution by 1e-10 relative.
     inner_rtol = max(options.tol * 0.05, 1e-15)
-    x, info = spla.gmres(
-        a, system.rhs, M=m, rtol=inner_rtol, atol=0.0,
-        restart=restart, maxiter=maxiter,
-        callback=history.append, callback_type="pr_norm",
-    )
+    dinv = 1.0 / np.where(diag != 0.0, diag, 1.0)
+    x, info = _gmres(a, system.rhs, dinv, inner_rtol, restart, maxiter, history)
     return x, len(history), {
         "claimed_residual": history[-1] if history else 0.0, "info": info,
         "restart": restart, "max_outer": maxiter,

@@ -4,11 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import mmread
 
 from pim.analysis import Coupling
 from oracles import boundary_column_vector
-from pim.assembly import (ROW_BLOCK, _squared_lengths, assemble,
+from pim.assembly import (ROW_BLOCK, _segment_sums, _squared_lengths, assemble,
                           dump_matrixmarket)
 from pim.kernel import (KernelParams, cubic_profile, eval_Rbar_t, eval_Rt,
                         truncated_gaussian_profile)
@@ -36,6 +38,27 @@ def test_squared_lengths_equal_einsum_bit_for_bit(d, rng):
     expected = np.einsum("ij,ij->i", diff, diff)
     got = _squared_lengths([diff[:, k].copy() for k in range(d)])
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(lengths=st.lists(st.integers(0, 1200) | st.sampled_from([0, 1, 2, 7, 8, 9, 127, 128, 129]),
+                        min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1), special=st.sampled_from([0.0, 0.01, 0.3, 1.0]))
+def test_segment_sums_equal_reduce_of_each_slice(lengths, seed, special):
+    # the zero-led reduceat must give the bits np.add.reduce gives each row's
+    # slice on its own, including signed zeros, infinities, NaN and subnormals
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(sum(lengths)) * 10.0 ** rng.integers(-300, 300, sum(lengths))
+    mask = rng.random(x.size) < special
+    x[mask] = rng.choice(SPECIAL, size=int(mask.sum()))
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = [np.add.reduce(x[lo:lo + k]) for lo, k in zip(starts, lengths)]
+        got = _segment_sums(x, starts)
+    assert got.tobytes() == np.array(expected).tobytes()
 
 
 @pytest.mark.parametrize("profile", [cubic_profile, truncated_gaussian_profile],

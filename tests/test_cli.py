@@ -85,6 +85,35 @@ def test_generate_shape_flags_build_the_library_spec(tmp_path, flags, spec):
     assert out.read_bytes() == expected.read_bytes()
 
 
+@pytest.mark.parametrize("flags, spec", [
+    (["--shape", "interval"], pointcloud.ManifoldSpec.interval(0.0, 1.0, 60)),
+    (["--shape", "rectangle"], pointcloud.ManifoldSpec.rectangle(1.0, 1.0, 60)),
+    (["--shape", "disk"], pointcloud.ManifoldSpec.disk(60)),
+    (["--shape", "spherical_cap"], pointcloud.ManifoldSpec.spherical_cap(0.5, 60)),
+], ids=pointcloud.SHAPES)
+def test_generate_shape_defaults(tmp_path, flags, spec):
+    out, expected = tmp_path / "cli.csv", tmp_path / "lib.csv"
+    assert main(["generate", *flags, "--n", "60", "--out", str(out)]) == 0
+    pointcloud.save(pointcloud.generate(spec), expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("shape, flags, named", [
+    ("disk", ["--a", "2", "--b", "1", "--wx", "-1", "--z0", "3"], "--a"),
+    ("interval", ["--z0", "0.5"], "--z0"),
+    ("rectangle", ["--a", "0"], "--a"),
+    ("spherical_cap", ["--wy", "1"], "--wy"),
+])
+def test_generate_rejects_flags_of_another_shape(tmp_path, capsys, shape, flags, named):
+    # these flags were once ignored: the plain shape was written, exit 0
+    out = tmp_path / "c.csv"
+    rc = main(["generate", "--shape", shape, "--n", "51", *flags, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"pim: error: {named} does not apply to --shape {shape}\n"
+    assert not out.exists()
+
+
 def test_missing_out_is_usage_error(capsys):
     rc = main(["generate", "--shape", "disk", "--n", "10"])
     assert rc == 2
@@ -491,6 +520,19 @@ BAD_INPUT = {
                      "--out", "{missing}/s.csv"], "{missing}"),
     "one-point cloud": (["solve", "--cloud", "{tmp}/one.csv", "--f-const", "0",
                          "--out", "{tmp}/u.csv"], "2 points"),
+    # an output path that is an existing directory: open's own EISDIR text
+    "generate --out dir": (["generate", "--shape", "interval", "--n", "11",
+                            "--out", "{tmp}"], "Is a directory: '{tmp}'"),
+    "solve --out dir": (["solve", "--cloud", "{cloud}", "--case", "interval_sine",
+                         "--out", "{tmp}"], "Is a directory: '{tmp}'"),
+    "solve --report dir": (["solve", "--cloud", "{cloud}", "--case", "interval_sine",
+                            "--out", "{tmp}/u.csv", "--report", "{tmp}"],
+                           "Is a directory: '{tmp}'"),
+    "solve --matrix-out dir": (["solve", "--cloud", "{cloud}", "--case", "interval_sine",
+                                "--out", "{tmp}/u.csv", "--matrix-out", "{tmp}"],
+                               "Is a directory: '{tmp}'"),
+    "sweep --out dir": (["sweep", "--case", "interval_sine", "--levels", "51",
+                         "--out", "{tmp}"], "Is a directory: '{tmp}'"),
 }
 
 

@@ -261,6 +261,7 @@ def test_immutable_arrays(interval_cloud):
     lambda: ManifoldSpec.interval(0.0, 1.0, 17),
     lambda: ManifoldSpec.disk(120),
     lambda: ManifoldSpec.spherical_cap(0.3, 150),
+    lambda: ManifoldSpec.rectangle(1.0, 0.5, 140),
 ])
 def test_save_load_roundtrip(tmp_path, make):
     cloud = generate(make(), seed=5, jitter=0.15)
@@ -268,10 +269,9 @@ def test_save_load_roundtrip(tmp_path, make):
     save(cloud, path)
     back = load(path)
     assert back.intrinsic_dim == cloud.intrinsic_dim
-    assert np.array_equal(back.points, cloud.points)
-    assert np.array_equal(back.volume_weights, cloud.volume_weights)
-    assert np.array_equal(back.boundary_indices, cloud.boundary_indices)
-    assert np.array_equal(back.area_weights, cloud.area_weights)
+    for name in ("points", "volume_weights", "boundary_indices", "area_weights"):
+        got, sent = getattr(back, name), getattr(cloud, name)
+        assert got.shape == sent.shape and got.tobytes() == sent.tobytes(), name
 
 
 def test_load_header_schema(tmp_path):
@@ -339,10 +339,28 @@ HEADER_1D = "x1,volume_weight,boundary_flag,area_weight\n"
     ("# intrinsic_dim=1\n" + HEADER_1D + "0,0.5,1,1\n\nnan,0.5,1,1\n", ":5: non-finite"),
     ("# intrinsic_dim=0\n" + HEADER_1D + "0,0.5,1,1\n", ": intrinsic_dim must satisfy"),
     (HEADER_1D + "0,0.5,1,1\n", ": missing '# intrinsic_dim=k'"),
-], ids=["short row", "nan coordinate", "k = 0", "no dim comment"])
+    ("# intrinsic_dim=1\n" + HEADER_1D + "0,0.5,1.0,1\n",
+     ":3: invalid literal for int() with base 10: '1.0'"),
+    ("# intrinsic_dim=1\n" + HEADER_1D + "0#,0.5,1,1\n",
+     ":3: could not convert string to float: '0#'"),
+    ("# intrinsic_dim=1\n" + HEADER_1D + "0,0.5,1,1\n# note\n\n   \n 0.5 , 0.25 , 0 , \n"
+     "1,0.5,1,nan\n", ":8: non-positive area weight nan"),
+], ids=["short row", "nan coordinate", "k = 0", "no dim comment", "flag 1.0", "# in a cell",
+        "after comments, blank lines and padded cells"])
 def test_load_errors_name_the_file_and_line(tmp_path, text, where):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     with pytest.raises(CloudFormatError) as info:
         load(path)
     assert str(info.value).startswith(f"{path}{where}"), str(info.value)
+
+
+def test_load_skips_comments_and_blank_lines_and_strips_cells(tmp_path):
+    clean, loose = tmp_path / "clean.csv", tmp_path / "loose.csv"
+    clean.write_text("# intrinsic_dim=1\n" + HEADER_1D + "0,0.5,1,1\n0.5,0.25,0,\n1,0.5,1,2\n")
+    loose.write_text("# intrinsic_dim=1\n" + HEADER_1D + "0,0.5,1,1\n# note\n\n   \n"
+                     " 0.5 ,\t0.25 , 0 ,  \n1,0.5, 1 ,2 \n")
+    a, b = load(clean), load(loose)
+    for name in ("points", "volume_weights", "boundary_indices", "area_weights"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert b.area_weights.tolist() == [1.0, 2.0]

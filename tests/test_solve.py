@@ -5,11 +5,14 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from pim import analysis
 from pim.assembly import LinearSystem, assemble
-from pim.kernel import KernelParams, cubic_profile
+from pim.kernel import KernelParams, cubic_profile, truncated_gaussian_profile
+from pim.pointcloud import generate
 from pim.solve import (NoConvergence, SingularMatrix, SolveOptions,
-                       SolverError, _true_residual, solve)
+                       SolverError, _solve_iterative, _true_residual, solve)
 
 
 def assembled(cloud, t=0.01, beta=0.2, *, dense_cutoff):
@@ -198,3 +201,68 @@ def test_boundary_free_cloud_rejected_before_solving(disk_cloud, method):
     assert system.meta["boundary_points"] == 0
     with pytest.raises(ValueError, match="no boundary points"):
         solve(system, SolveOptions(method=method))
+
+
+# ---------------------------------------------------------------------------
+# the own GMRES loop repeats scipy's gmres bit for bit
+# ---------------------------------------------------------------------------
+
+def scipy_gmres(system, options):
+    """scipy's ``gmres`` called as ``_solve_iterative`` sets it up: the oracle."""
+    a = system.matrix
+    diag = a.diagonal() if sp.issparse(a) else np.diag(a).copy()
+    restart = min(options.restart, system.n)
+    maxiter = max(1, math.ceil(options.max_iter_factor * system.n / restart))
+    history = []
+    x, info = spla.gmres(a, system.rhs, M=sp.diags(1.0 / np.where(diag != 0.0, diag, 1.0)),
+                         rtol=max(options.tol * 0.05, 1e-15), atol=0.0, restart=restart,
+                         maxiter=maxiter, callback=history.append, callback_type="pr_norm")
+    return x, history, info
+
+
+def case_system(name, n, profile, *, dense_cutoff=0):
+    """A built-in case on its jittered cloud under the default coupling."""
+    case = analysis.get_case(name)
+    cloud = generate(case.spec.with_resolution(n), seed=0, jitter=0.25)
+    coupling = analysis.Coupling()
+    t = coupling.t_of(cloud.metadata["h"])
+    return assemble(cloud, KernelParams(t=t, k=cloud.intrinsic_dim), profile,
+                    coupling.beta_of(t), case.f(cloud.points), case.b(cloud.boundary_points),
+                    dense_cutoff=dense_cutoff)
+
+
+GMRES_CASES = {
+    "disk 2k": ("disk_paraboloid", 2000, {}),
+    "interval 801": ("interval_sine", 801, {}),
+    "rectangle 900": ("rectangle_quadratic", 900, {}),
+    "interval 801, dense-stored": ("interval_sine", 801, {"dense_cutoff": 801}),
+    "disk 2k, restart 7": ("disk_paraboloid", 2000, {"restart": 7}),
+    "interval 801, restart 2, spent budget": ("interval_sine", 801,
+                                              {"restart": 2, "max_iter_factor": 1}),
+}
+
+
+@pytest.mark.parametrize("profile", [cubic_profile, truncated_gaussian_profile],
+                         ids=lambda p: p.name)
+@pytest.mark.parametrize("case", list(GMRES_CASES))
+def test_gmres_repeats_scipy_bit_for_bit(case, profile):
+    name, n, settings = GMRES_CASES[case]
+    settings = dict(settings)
+    system = case_system(name, n, profile, dense_cutoff=settings.pop("dense_cutoff", 0))
+    assert system.is_dense == ("dense-stored" in case)
+    options = SolveOptions(method="iterative", **settings)
+    x, iterations, diagnostics = _solve_iterative(system, options)
+    expected, history, info = scipy_gmres(system, options)
+    assert x.tobytes() == expected.tobytes()
+    assert iterations == len(history)
+    assert diagnostics["claimed_residual"] == history[-1]
+    assert diagnostics["info"] == info
+    assert bool(info) == ("spent budget" in case)
+    if "restart" in settings:   # several outer cycles
+        assert iterations > 3 * settings["restart"]
+    if info:
+        with pytest.raises(NoConvergence) as exc:
+            solve(system, options)
+        assert exc.value.diagnostics["iterations"] == len(history)
+    else:
+        assert solve(system, options).solution.tobytes() == expected.tobytes()
