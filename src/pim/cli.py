@@ -51,10 +51,12 @@ def _section(cfg: dict, name: str) -> dict:
 
 def _check_out_dirs(*paths: Optional[str]) -> None:
     """Raise ``open``'s error, before any work, for an output in a missing
-    directory or an output that is itself a directory."""
+    directory, under a regular file or that is itself a directory."""
     for path in filter(None, paths):
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        try:    # the trailing separator makes a regular file fail as open would
+            os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 

@@ -3,7 +3,9 @@
 The assembled matrix is nonsymmetric (the boundary-penalty columns break
 symmetry), so the iterative path uses restarted GMRES with diagonal
 preconditioning: our own loop, bit for bit scipy 1.17's ``gmres`` without its
-per-step bookkeeping.  Small systems go through dense LU with partial pivoting.
+per-step bookkeeping.  Small systems go through LU with partial pivoting,
+which factors only the band when the matrix's band is narrow (a 1-D cloud's
+is) and the full matrix otherwise.
 Either way the reported residual is recomputed from scratch after the
 solve — a solver claiming success is never taken at its word — and any
 failure raises with diagnostics rather than returning silently.
@@ -18,7 +20,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg.lapack import dlartg
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dlartg
 
 from .assembly import LinearSystem
 
@@ -86,22 +88,46 @@ def _true_residual(system: LinearSystem, x: np.ndarray) -> float:
     return float(np.linalg.norm(r) / denom)
 
 
+def _band_storage(a: np.ndarray, kl: int, ku: int) -> np.ndarray:
+    """``a`` in LAPACK band storage for ``dgbtrf``: ``a[i, j]`` at ``[kl + ku + i - j, j]``,
+    under ``kl`` zero rows that hold the fill-in of the row interchanges."""
+    n = a.shape[0]
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    for d in range(-kl, ku + 1):
+        ab[kl + ku - d, max(d, 0):n + min(d, 0)] = np.diagonal(a, d)
+    return ab
+
+
 def _solve_dense(system: LinearSystem, options: SolveOptions) -> tuple[np.ndarray, int, dict]:
-    """LU with partial pivoting; raises :class:`SingularMatrix` on a tiny pivot."""
+    """LU with partial pivoting; raises :class:`SingularMatrix` on a tiny pivot.
+
+    A band LU costs about ``3 kl (kl + ku)`` against ``n**2`` for the full one;
+    measured, the band is faster once ``6 kl (kl + ku) <= n**2`` (every 1-D
+    cloud, the larger rectangles) and slower on disks and caps.
+    """
     a = system.matrix
     if sp.issparse(a):
         a = a.toarray()
-    lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diag(lu))
+    kl, ku = scipy.linalg.bandwidth(a)
+    band = 6 * kl * (kl + ku) <= a.shape[0] ** 2
+    if band:
+        lu, piv, _ = dgbtrf(_band_storage(a, kl, ku), kl, ku, overwrite_ab=True)
+        pivots = np.abs(lu[kl + ku])
+    else:
+        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+        pivots = np.abs(np.diag(lu))
     scale = float(pivots.max())
     pmin = float(pivots.min())
+    diagnostics = {"min_pivot": pmin, "max_pivot": scale, "bandwidth": (kl, ku),
+                   "factorization": "band" if band else "full"}
     if pmin <= PIVOT_RTOL * scale:
-        raise SingularMatrix(
-            "dense factorization pivot below threshold",
-            {"min_pivot": pmin, "max_pivot": scale, "threshold": PIVOT_RTOL * scale},
-        )
-    x = scipy.linalg.lu_solve((lu, piv), system.rhs, check_finite=False)
-    return x, 0, {"min_pivot": pmin, "max_pivot": scale}
+        raise SingularMatrix("dense factorization pivot below threshold",
+                             {**diagnostics, "threshold": PIVOT_RTOL * scale})
+    if band:
+        x, _ = dgbtrs(lu, kl, ku, system.rhs, piv)
+    else:
+        x = scipy.linalg.lu_solve((lu, piv), system.rhs, check_finite=False)
+    return x, 0, diagnostics
 
 
 def _gmres(a, b: np.ndarray, dinv: np.ndarray, rtol: float, restart: int,

@@ -533,6 +533,13 @@ BAD_INPUT = {
                                "Is a directory: '{tmp}'"),
     "sweep --out dir": (["sweep", "--case", "interval_sine", "--levels", "51",
                          "--out", "{tmp}"], "Is a directory: '{tmp}'"),
+    # an output under a regular file: open's own ENOTDIR text
+    "generate --out under a file": (["generate", "--shape", "interval", "--n", "11",
+                                     "--out", "{cloud}/c.csv"],
+                                    "Not a directory: '{cloud}/c.csv'"),
+    "solve --report under a file": (["solve", "--cloud", "{cloud}", "--case", "interval_sine",
+                                     "--out", "{tmp}/u.csv", "--report", "{cloud}/r.txt"],
+                                    "Not a directory: '{cloud}/r.txt'"),
 }
 
 

@@ -4,15 +4,18 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf
 
 from pim import analysis
 from pim.assembly import LinearSystem, assemble
+from pim.config import DEFAULTS
 from pim.kernel import KernelParams, cubic_profile, truncated_gaussian_profile
 from pim.pointcloud import generate
 from pim.solve import (NoConvergence, SingularMatrix, SolveOptions,
-                       SolverError, _solve_iterative, _true_residual, solve)
+                       SolverError, _band_storage, _solve_iterative, _true_residual, solve)
 
 
 def assembled(cloud, t=0.01, beta=0.2, *, dense_cutoff):
@@ -86,15 +89,24 @@ def test_reported_residual_is_recomputed(interval_cloud):
         assert claimed <= 10.0 * max(report.residual_norm, 1e-15) + 1e-12
 
 
+def tridiagonal_with_equal_rows(n=40, i=20):
+    mat = 4.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    mat[i] = mat[i + 1] = 0.0
+    mat[i, i:i + 2] = mat[i + 1, i:i + 2] = [4.0, -1.0]
+    return mat
+
+
 def test_singular_matrix_raises():
-    mat = np.array([[1.0, 2.0], [2.0, 4.0]])
-    system = LinearSystem(matrix=mat, rhs=np.array([1.0, 1.0]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy warns before we can raise
-        with pytest.raises(SingularMatrix) as exc:
-            solve(system, SolveOptions(method="dense-lu"))
-    assert "min_pivot" in exc.value.diagnostics
-    assert isinstance(exc.value, SolverError)
+    for mat, factorization in ((np.array([[1.0, 2.0], [2.0, 4.0]]), "full"),
+                               (tridiagonal_with_equal_rows(), "band")):
+        system = LinearSystem(matrix=mat, rhs=np.ones(mat.shape[0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns before we can raise
+            with pytest.raises(SingularMatrix) as exc:
+                solve(system, SolveOptions(method="dense-lu"))
+        assert "min_pivot" in exc.value.diagnostics
+        assert exc.value.diagnostics["factorization"] == factorization
+        assert isinstance(exc.value, SolverError)
 
 
 def test_unreachable_tolerance_raises(interval_cloud):
@@ -266,3 +278,45 @@ def test_gmres_repeats_scipy_bit_for_bit(case, profile):
         assert exc.value.diagnostics["iterations"] == len(history)
     else:
         assert solve(system, options).solution.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# a narrow band is factored as a band, in agreement with the full LU
+# ---------------------------------------------------------------------------
+
+BAND_CASES = {**{f"interval {n}": ("interval_sine", n) for n in (101, 201, 301, 401, 501)},
+              "rectangle 400": ("rectangle_quadratic", 400),
+              "rectangle 484": ("rectangle_quadratic", 484)}
+DENSE_CUTOFF = DEFAULTS["assembly.dense_cutoff"]
+
+
+@pytest.mark.parametrize("case", list(BAND_CASES))
+def test_band_lu_agrees_with_full_lu(case):
+    system = case_system(*BAND_CASES[case], cubic_profile, dense_cutoff=DENSE_CUTOFF)
+    assert system.is_dense
+    report = solve(system)
+    assert report.method == "dense-lu"
+    assert report.diagnostics["factorization"] == "band"
+    a = system.matrix
+    kl, ku = report.diagnostics["bandwidth"]
+    assert (kl, ku) == scipy.linalg.bandwidth(a)
+    lu, piv = scipy.linalg.lu_factor(a)
+    expected = scipy.linalg.lu_solve((lu, piv), system.rhs)
+    assert np.max(np.abs(report.solution - expected)) <= 1e-12 * np.max(np.abs(expected))
+    band_lu, band_piv, info = dgbtrf(_band_storage(a, kl, ku), kl, ku)
+    assert info == 0
+    assert np.array_equal(band_piv, piv)   # the same row interchanges
+    pivots = np.abs(np.diag(lu))
+    np.testing.assert_allclose(np.abs(band_lu[kl + ku]), pivots, rtol=1e-12, atol=0)
+    assert report.diagnostics["min_pivot"] == pytest.approx(pivots.min(), rel=1e-12)
+    assert report.diagnostics["max_pivot"] == pytest.approx(pivots.max(), rel=1e-12)
+
+
+@pytest.mark.parametrize("name, n", [("disk_paraboloid", 484), ("cap_linear", 440)])
+def test_wide_band_keeps_full_lu(name, n):
+    system = case_system(name, n, cubic_profile, dense_cutoff=DENSE_CUTOFF)
+    assert system.is_dense and system.n > 400
+    report = solve(system)
+    assert report.diagnostics["factorization"] == "full"
+    kl, ku = report.diagnostics["bandwidth"]
+    assert 6 * kl * (kl + ku) > system.n ** 2
