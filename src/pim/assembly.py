@@ -32,8 +32,9 @@ column array exists.  The diagonal and the right-hand side are per-row sums
 over contiguous slices in ascending column order, the same pairwise
 summation a row summed on its own gets, so indexed and direct-scan
 assembly produce bit-identical matrices — the direct scan is the audit
-oracle for the indexed fast path.  Dense storage, for small clouds, is
-that matrix converted with ``toarray``.
+oracle for the indexed fast path.  The matrix is CSR for every n; small
+clouds are only flagged (``meta["dense"]``) for the direct solver, which
+reads its band from the CSR arrays.
 
 A point with no other point inside its support has a row that does not
 couple it to the cloud; ``assemble`` rejects such clouds.  ``meta`` records
@@ -44,7 +45,6 @@ boundary-free system, which is singular because L annihilates constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,7 +55,7 @@ from .pointcloud import PointCloud
 
 __all__ = ["LinearSystem", "assemble", "dump_matrixmarket"]
 
-DENSE_CUTOFF = 512  # default storage switch; config-overridable
+DENSE_CUTOFF = 512  # default direct-solve switch; config-overridable
 ROW_BLOCK = 128  # matrix rows per vectorized block; bounds the block temporaries
 
 
@@ -91,17 +91,13 @@ def _segment_sums(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
 class LinearSystem:
     """Assembled matrix + right-hand side, immutable once built."""
 
-    matrix: Union[np.ndarray, sp.csr_matrix]
+    matrix: sp.csr_matrix
     rhs: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
         return self.rhs.shape[0]
-
-    @property
-    def is_dense(self) -> bool:
-        return isinstance(self.matrix, np.ndarray)
 
 
 def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
@@ -113,10 +109,10 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
     ``use_index``: take the candidate pairs from a k-d-tree self-join;
     ``False`` takes every pair instead, the direct-scan test oracle, which
     costs O(n^2) time and memory and yields bit-identical output.
-    ``dense_cutoff``: dense storage for n <= dense_cutoff, compressed sparse
-    rows beyond.  Raises
-    ``ValueError`` on non-finite ``f`` or ``b``, and on a point with no
-    other point within the support radius.
+    The matrix is always CSR; ``dense_cutoff`` only sets ``meta["dense"]``
+    for n <= dense_cutoff, which sends ``solve``'s "auto" to the direct LU.
+    Raises ``ValueError`` on non-finite ``f`` or ``b``, and on a point with
+    no other point within the support radius.
     """
     if not 0.0 < beta < np.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
@@ -220,9 +216,6 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
     # entries: a view, or a copy when most is slack, as for the direct scan.
     nnz = int(indptr[n])
     mat = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    dense = n <= dense_cutoff
-    if dense:
-        mat = mat.toarray()
 
     meta = {
         "t": t,
@@ -231,7 +224,7 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
         "h": cloud.metadata.get("h"),
         "profile": profile.name,
         "support_radius": params.support_radius,
-        "dense": dense,
+        "dense": n <= dense_cutoff,
         "fill_ratio": nnz / float(n * n),
         "boundary_points": m,
     }

@@ -383,7 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", dest="solver.tol", type=float,
                        help="solver tolerance (config: solver.tol)")
         p.add_argument("--dense-cutoff", dest="assembly.dense_cutoff", type=int,
-                       help="dense/sparse switch (config: assembly.dense_cutoff)")
+                       help="direct LU up to this many points, GMRES beyond "
+                            "(config: assembly.dense_cutoff)")
         for key in ("c_t", "c_beta", "gamma_t"):
             p.add_argument(f"--{key.replace('_', '-')}", dest=f"coupling.{key}",
                            type=float, help=f"coupling constant (config: coupling.{key})")

@@ -5,7 +5,7 @@ symmetry), so the iterative path uses restarted GMRES with diagonal
 preconditioning: our own loop, bit for bit scipy 1.17's ``gmres`` without its
 per-step bookkeeping.  Small systems go through LU with partial pivoting,
 which factors only the band when the matrix's band is narrow (a 1-D cloud's
-is) and the full matrix otherwise.
+is), scattered straight from the CSR matrix, and a dense copy otherwise.
 Either way the reported residual is recomputed from scratch after the
 solve — a solver claiming success is never taken at its word — and any
 failure raises with diagnostics rather than returning silently.
@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dlartg
 
 from .assembly import LinearSystem
@@ -88,14 +87,15 @@ def _true_residual(system: LinearSystem, x: np.ndarray) -> float:
     return float(np.linalg.norm(r) / denom)
 
 
-def _band_storage(a: np.ndarray, kl: int, ku: int) -> np.ndarray:
-    """``a`` in LAPACK band storage for ``dgbtrf``: ``a[i, j]`` at ``[kl + ku + i - j, j]``,
-    under ``kl`` zero rows that hold the fill-in of the row interchanges."""
-    n = a.shape[0]
-    ab = np.zeros((2 * kl + ku + 1, n), order="F")
-    for d in range(-kl, ku + 1):
-        ab[kl + ku - d, max(d, 0):n + min(d, 0)] = np.diagonal(a, d)
-    return ab
+def _band_storage(a, d: np.ndarray, kl: int, ku: int) -> np.ndarray:
+    """CSR ``a``, whose stored entries lie ``d = j - i`` off the diagonal, in LAPACK band
+    storage for ``dgbtrf``: ``a[i, j]`` at ``[kl + ku + i - j, j]``, under ``kl`` zero rows
+    that hold the fill-in of the row interchanges.  One flat scatter fills a C-order
+    ``(n, ldab)`` array; its transpose is the F-order band."""
+    ldab = 2 * kl + ku + 1
+    ab = np.zeros((a.shape[0], ldab))
+    ab.ravel()[a.indices * ldab + (kl + ku) - d] = a.data
+    return ab.T
 
 
 def _solve_dense(system: LinearSystem, options: SolveOptions) -> tuple[np.ndarray, int, dict]:
@@ -106,15 +106,15 @@ def _solve_dense(system: LinearSystem, options: SolveOptions) -> tuple[np.ndarra
     cloud, the larger rectangles) and slower on disks and caps.
     """
     a = system.matrix
-    if sp.issparse(a):
-        a = a.toarray()
-    kl, ku = scipy.linalg.bandwidth(a)
-    band = 6 * kl * (kl + ku) <= a.shape[0] ** 2
+    a.sum_duplicates()      # the scatter keeps one of repeated entries; assembled ones are unique
+    d = a.indices - np.repeat(np.arange(system.n, dtype=a.indices.dtype), np.diff(a.indptr))
+    kl, ku = -int(d.min(initial=0)), int(d.max(initial=0))     # 0 for an empty matrix
+    band = 6 * kl * (kl + ku) <= system.n ** 2
     if band:
-        lu, piv, _ = dgbtrf(_band_storage(a, kl, ku), kl, ku, overwrite_ab=True)
+        lu, piv, _ = dgbtrf(_band_storage(a, d, kl, ku), kl, ku, overwrite_ab=True)
         pivots = np.abs(lu[kl + ku])
     else:
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+        lu, piv = scipy.linalg.lu_factor(a.toarray(), overwrite_a=True, check_finite=False)
         pivots = np.abs(np.diag(lu))
     scale = float(pivots.max())
     pmin = float(pivots.min())
@@ -214,7 +214,7 @@ def _solve_iterative(system: LinearSystem,
     """Restarted Jacobi-preconditioned GMRES; its claims are checked by ``solve``."""
     a = system.matrix
     n = system.n
-    diag = a.diagonal() if sp.issparse(a) else np.diag(a).copy()
+    diag = a.diagonal()
     restart = min(options.restart, n)
     maxiter = max(1, math.ceil(options.max_iter_factor * n / restart))
     history: list[float] = []
@@ -236,8 +236,8 @@ def _solve_iterative(system: LinearSystem,
 def solve(system: LinearSystem, options: Optional[SolveOptions] = None) -> SolveReport:
     """Solve the assembled system; the report's residual is recomputed.
 
-    Method "auto" picks dense LU for dense-stored matrices and restarted
-    GMRES (Jacobi-preconditioned) for sparse ones.  Raises
+    Method "auto" picks dense LU for systems ``assemble`` flagged ``meta["dense"]``
+    (n <= ``dense_cutoff``) and restarted Jacobi-preconditioned GMRES otherwise.  Raises
     :class:`SingularMatrix` or :class:`NoConvergence` on failure, and
     ``ValueError``, before any work, for a system assembled from a cloud
     with no boundary points.
@@ -249,7 +249,7 @@ def solve(system: LinearSystem, options: Optional[SolveOptions] = None) -> Solve
     options = options or SolveOptions()
     method = options.method
     if method == "auto":
-        method = "dense-lu" if system.is_dense else "iterative"
+        method = "dense-lu" if system.meta.get("dense") else "iterative"
     run = _solve_dense if method == "dense-lu" else _solve_iterative
     x, iterations, diagnostics = run(system, options)
     res = _true_residual(system, x)

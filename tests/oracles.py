@@ -4,7 +4,8 @@ Each routine here is a direct, loop-level evaluation of a quantity the
 library computes another way: the finite-difference Laplacian that guards
 the hand-derived source terms of the manufactured cases, the kernel
 gradients of the dense reconstruction oracle, the penalized pointwise
-operator K, and the boundary column g = K 1.  None of them is part of a
+operator K, the boundary column g = K 1, and the LAPACK band storage of
+a dense matrix copied one diagonal at a time.  None of them is part of a
 solve, so they live beside the tests rather than in ``pim``.
 """
 
@@ -153,3 +154,18 @@ def boundary_column_vector(cloud: PointCloud, params: KernelParams,
         rbar = eval_Rbar_t(cloud.points[i], sb, params, profile)
         g[i] = (2.0 / beta) * np.sum(rbar * cloud.area_weights)
     return g
+
+
+# ---------------------------------------------------------------------------
+# LAPACK band storage, one diagonal at a time
+# ---------------------------------------------------------------------------
+
+def band_storage(a: np.ndarray, kl: int, ku: int) -> np.ndarray:
+    """Dense ``a`` in LAPACK band storage for ``dgbtrf``: ``a[i, j]`` at
+    ``[kl + ku + i - j, j]``, under ``kl`` zero rows that hold the fill-in of
+    the row interchanges."""
+    n = a.shape[0]
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    for d in range(-kl, ku + 1):
+        ab[kl + ku - d, max(d, 0):n + min(d, 0)] = np.diagonal(a, d)
+    return ab

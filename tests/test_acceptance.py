@@ -109,7 +109,8 @@ def test_criterion_1_structural_identities(capsys):
                                case.b(cloud.boundary_points), dense_cutoff=cloud.n)
         g = boundary_column_vector(cloud, params, cubic_profile, beta)
         defect = np.abs(case_system.matrix @ np.ones(cloud.n) - g)
-        scale = np.sum(np.abs(case_system.matrix), axis=1)
+        scale = abs(case_system.matrix) @ np.ones(cloud.n)   # row sums of |entries|
+        rowsum_ok &= defect.shape == scale.shape == (cloud.n,)
         rowsum_ok &= bool(np.all(defect <= 64.0 * EPS * scale))
 
         # (d) the quadratic form is nonnegative and equals the double sum
@@ -156,7 +157,9 @@ def test_criterion_2_implementation_oracles(capsys):
                             use_index=True, dense_cutoff=cloud.n)
             slow = assemble(cloud, params, profile, beta, f, b,
                             use_index=False, dense_cutoff=cloud.n)
-            exact &= bool(np.array_equal(fast.matrix, slow.matrix))
+            for name in ("data", "indices", "indptr"):
+                x, y = getattr(fast.matrix, name), getattr(slow.matrix, name)
+                exact &= x.dtype == y.dtype and x.tobytes() == y.tobytes()
             exact &= bool(np.array_equal(fast.rhs, slow.rhs))
 
     # kernel gradients against central differences

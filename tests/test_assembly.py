@@ -6,9 +6,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.io import mmread
+from scipy.io import mmread, mmwrite
 
-from pim.analysis import Coupling
+from pim.analysis import Coupling, get_case
 from oracles import boundary_column_vector
 from pim.assembly import (ROW_BLOCK, _segment_sums, _squared_lengths, assemble,
                           dump_matrixmarket)
@@ -16,7 +16,7 @@ from pim.kernel import (KernelParams, cubic_profile, eval_Rbar_t, eval_Rt,
                         truncated_gaussian_profile)
 from pim.neighbors import NeighborIndex
 from pim.pointcloud import ManifoldSpec, PointCloud, generate
-from pim.solve import _true_residual
+from pim.solve import _true_residual, solve
 
 
 def make_system(cloud, t, beta, profile=cubic_profile, **kw):
@@ -24,6 +24,13 @@ def make_system(cloud, t, beta, profile=cubic_profile, **kw):
     f = np.sin(3.0 * cloud.points[:, 0])
     b = np.cos(cloud.boundary_points[:, 0])
     return assemble(cloud, params, profile, beta, f, b, **kw), params
+
+
+def assert_same_csr(a, c):
+    """The CSR arrays of ``a`` and ``c`` agree in dtype and byte for byte."""
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(a, name), getattr(c, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +84,7 @@ def test_indexed_equals_brute(spec, t, profile):
                     use_index=True, dense_cutoff=cloud.n)
     slow = assemble(cloud, params, profile, 0.1, f, b,
                     use_index=False, dense_cutoff=cloud.n)
-    assert np.array_equal(fast.matrix, slow.matrix)
+    assert_same_csr(fast.matrix, slow.matrix)
     assert np.array_equal(fast.rhs, slow.rhs)
 
 
@@ -90,7 +97,8 @@ def test_small_clouds_take_the_index_by_default(monkeypatch, interval_cloud):
     system, _ = make_system(interval_cloud, 0.004, 0.1)
     assert len(joins) == 1
     slow, _ = make_system(interval_cloud, 0.004, 0.1, use_index=False)
-    assert len(joins) == 1 and np.array_equal(system.matrix, slow.matrix)
+    assert len(joins) == 1
+    assert_same_csr(system.matrix, slow.matrix)
 
 
 @pytest.mark.parametrize("profile", [cubic_profile, truncated_gaussian_profile],
@@ -108,10 +116,8 @@ def test_indexed_equals_brute_csr_over_row_blocks(spec, profile):
     b = np.sin(cloud.boundary_points[:, 1]) + 0.5
     fast = assemble(cloud, params, profile, 0.3, f, b, use_index=True, dense_cutoff=0)
     slow = assemble(cloud, params, profile, 0.3, f, b, use_index=False, dense_cutoff=0)
-    assert not fast.is_dense and not slow.is_dense
-    for name in ("data", "indices", "indptr"):
-        a, c = getattr(fast.matrix, name), getattr(slow.matrix, name)
-        assert a.dtype == c.dtype and np.array_equal(a, c), name
+    assert not fast.meta["dense"] and not slow.meta["dense"]
+    assert_same_csr(fast.matrix, slow.matrix)
     assert np.array_equal(fast.rhs, slow.rhs)
     # every row holds its own point, columns ascend within each row
     for i in (0, ROW_BLOCK - 1, ROW_BLOCK, cloud.n - 1):
@@ -258,19 +264,19 @@ def test_exact_cut_drops_candidates_in_place(rng):
     fast, slow = build(use_index=True), build(use_index=False)
     nnz = fast.matrix.nnz
     assert nnz < pairs_near_support(cloud, params.support_radius)  # the cut dropped some
-    for name in ("data", "indices", "indptr"):
-        a, c = getattr(fast.matrix, name), getattr(slow.matrix, name)
-        assert a.dtype == c.dtype and a.tobytes() == c.tobytes(), name
+    assert_same_csr(fast.matrix, slow.matrix)
     assert fast.matrix.data.shape == fast.matrix.indices.shape == (nnz,)
     assert fast.rhs.tobytes() == slow.rhs.tobytes()
 
 
 def test_dense_and_sparse_store_identical_values(interval_cloud):
+    # the cutoff flags the system for the direct solver; the storage is CSR
+    # either way, with the same arrays
     sys_d, _ = make_system(interval_cloud, 0.01, 0.2, dense_cutoff=interval_cloud.n)
     sys_s, _ = make_system(interval_cloud, 0.01, 0.2, dense_cutoff=0)
-    assert sys_d.is_dense and not sys_s.is_dense
-    assert isinstance(sys_s.matrix, sp.csr_matrix)
-    assert np.array_equal(sys_s.matrix.toarray(), sys_d.matrix)
+    assert sys_d.meta["dense"] and not sys_s.meta["dense"]
+    assert isinstance(sys_d.matrix, sp.csr_matrix) and isinstance(sys_s.matrix, sp.csr_matrix)
+    assert_same_csr(sys_d.matrix, sys_s.matrix)
     assert np.array_equal(sys_s.rhs, sys_d.rhs)
 
 
@@ -278,8 +284,10 @@ def test_dense_cutoff_switch():
     cloud = generate(ManifoldSpec.interval(0.0, 1.0, 120))
     sys_small, _ = make_system(cloud, 0.01, 0.2, dense_cutoff=512)
     sys_forced, _ = make_system(cloud, 0.01, 0.2, dense_cutoff=64)
-    assert sys_small.is_dense
-    assert not sys_forced.is_dense
+    assert sys_small.meta["dense"]
+    assert not sys_forced.meta["dense"]
+    assert solve(sys_small).method == "dense-lu"
+    assert solve(sys_forced).method == "iterative"
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +325,7 @@ def test_far_entries_exactly_zero(interval_cloud):
     pts = interval_cloud.points[:, 0]
     sep = np.abs(pts[:, None] - pts[None, :])
     outside = sep > params.support_radius
-    assert np.all(system.matrix[outside] == 0.0)
+    assert np.all(system.matrix.toarray()[outside] == 0.0)
 
 
 def test_row_sum_equals_boundary_column(all_clouds):
@@ -332,7 +340,8 @@ def test_row_sum_equals_boundary_column(all_clouds):
         row_sums = system.matrix @ np.ones(cloud.n)
         # rounding-scale agreement: the L-part cancels exactly in exact
         # arithmetic, so the defect per row is bounded by the row magnitude
-        scale = np.sum(np.abs(system.matrix), axis=1)
+        scale = abs(system.matrix) @ np.ones(cloud.n)
+        assert scale.shape == row_sums.shape == (cloud.n,)
         eps = np.finfo(float).eps
         assert np.all(np.abs(row_sums - g) <= 64.0 * eps * scale), name
 
@@ -355,7 +364,8 @@ def test_constant_data_residual_is_rounding_level(all_clouds):
                           np.full(len(cloud.boundary_indices), c),
                           dense_cutoff=cloud.n)
         defect = system.matrix @ np.full(cloud.n, c) - system.rhs
-        scale = np.sum(np.abs(system.matrix), axis=1) * abs(c)
+        scale = abs(system.matrix) @ np.full(cloud.n, abs(c))
+        assert scale.shape == defect.shape == (cloud.n,)
         eps = np.finfo(float).eps
         assert np.all(np.abs(defect) <= 64.0 * eps * scale), name
 
@@ -404,7 +414,7 @@ def test_graph_laplacian_crosscheck():
             if i != j:
                 W[i, j] = eval_Rt(pts[i], pts[j], params) / (t * n)
     L = np.diag(W.sum(axis=1)) - W
-    assert np.allclose(system.matrix, L, rtol=1e-12, atol=1e-12)
+    assert np.allclose(system.matrix.toarray(), L, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -476,3 +486,20 @@ def test_matrixmarket_dump(tmp_path, interval_cloud):
     back = mmread(path)
     assert np.allclose(back.toarray(), system.matrix.toarray(),
                        rtol=0.0, atol=0.0)
+
+
+@pytest.mark.parametrize("name, n", [("interval_sine", 501), ("rectangle_quadratic", 400),
+                                     ("disk_paraboloid", 284)])
+def test_matrixmarket_dump_of_direct_sized_systems_is_the_dense_one(tmp_path, name, n):
+    # the file lists exactly the nonzero entries in row order, as mmwrite writes
+    # them from the dense matrix: no explicitly stored zero slips in
+    case = get_case(name)
+    cloud = generate(case.spec.with_resolution(n), seed=0, jitter=0.25)
+    t = Coupling().t_of(cloud.metadata["h"])
+    system = assemble(cloud, KernelParams(t=t, k=cloud.intrinsic_dim), cubic_profile,
+                      Coupling().beta_of(t), case.f(cloud.points),
+                      case.b(cloud.boundary_points))
+    assert system.meta["dense"]
+    dump_matrixmarket(system, tmp_path / "csr.mtx")
+    mmwrite(tmp_path / "dense.mtx", sp.coo_matrix(system.matrix.toarray()))
+    assert (tmp_path / "csr.mtx").read_bytes() == (tmp_path / "dense.mtx").read_bytes()

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf
 
+from oracles import band_storage
 from pim import analysis
 from pim.assembly import LinearSystem, assemble
 from pim.config import DEFAULTS
@@ -70,8 +71,9 @@ def test_auto_dispatch(interval_cloud):
 
 
 def test_iterative_on_dense_storage(interval_cloud):
-    # method is an explicit override, not tied to the storage format
+    # method is an explicit override, not tied to the dense flag
     system = assembled(interval_cloud, dense_cutoff=interval_cloud.n)
+    assert system.meta["dense"]
     report = solve(system, SolveOptions(method="iterative"))
     assert report.method == "iterative"
     assert report.residual_norm <= 1e-10
@@ -97,16 +99,29 @@ def tridiagonal_with_equal_rows(n=40, i=20):
 
 
 def test_singular_matrix_raises():
+    # the matrix with no stored entries has an empty band, (0, 0)
     for mat, factorization in ((np.array([[1.0, 2.0], [2.0, 4.0]]), "full"),
-                               (tridiagonal_with_equal_rows(), "band")):
-        system = LinearSystem(matrix=mat, rhs=np.ones(mat.shape[0]))
+                               (tridiagonal_with_equal_rows(), "band"),
+                               (np.zeros((3, 3)), "band")):
+        system = LinearSystem(matrix=sp.csr_matrix(mat), rhs=np.ones(mat.shape[0]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # scipy warns before we can raise
             with pytest.raises(SingularMatrix) as exc:
                 solve(system, SolveOptions(method="dense-lu"))
         assert "min_pivot" in exc.value.diagnostics
         assert exc.value.diagnostics["factorization"] == factorization
+        assert exc.value.diagnostics["bandwidth"] == scipy.linalg.bandwidth(mat)
         assert isinstance(exc.value, SolverError)
+
+
+def test_dense_lu_adds_repeated_entries():
+    # a CSR matrix may store (i, j) twice; it means the sum, as in toarray
+    mat = sp.csr_matrix((np.array([1.0, 1.0, -1.0, 2.0, 2.0]), np.array([0, 0, 1, 1, 2]),
+                         np.array([0, 3, 4, 5])), shape=(3, 3))
+    report = solve(LinearSystem(matrix=mat, rhs=np.ones(3)), SolveOptions(method="dense-lu"))
+    assert report.diagnostics["bandwidth"] == (0, 1)
+    assert np.allclose(report.solution, np.linalg.solve(mat.toarray(), np.ones(3)),
+                       rtol=1e-15, atol=0)
 
 
 def test_unreachable_tolerance_raises(interval_cloud):
@@ -165,9 +180,7 @@ def test_nan_residual_is_a_failure(method):
     # the verification and came back as a "solved" all-NaN vector
     mat = 2.0 * np.eye(4)
     mat[2, 1] = np.nan
-    if method == "iterative":
-        mat = sp.csr_matrix(mat)
-    system = LinearSystem(matrix=mat, rhs=np.zeros(4))
+    system = LinearSystem(matrix=sp.csr_matrix(mat), rhs=np.zeros(4))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(NoConvergence) as exc:
@@ -179,7 +192,7 @@ def test_nan_residual_is_a_failure(method):
 def test_nonfinite_rhs_is_a_failure(bad):
     rhs = np.ones(4)
     rhs[1] = bad
-    system = LinearSystem(matrix=2.0 * np.eye(4), rhs=rhs)
+    system = LinearSystem(matrix=sp.csr_matrix(2.0 * np.eye(4)), rhs=rhs)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for method in ("dense-lu", "iterative"):
@@ -222,7 +235,7 @@ def test_boundary_free_cloud_rejected_before_solving(disk_cloud, method):
 def scipy_gmres(system, options):
     """scipy's ``gmres`` called as ``_solve_iterative`` sets it up: the oracle."""
     a = system.matrix
-    diag = a.diagonal() if sp.issparse(a) else np.diag(a).copy()
+    diag = a.diagonal()
     restart = min(options.restart, system.n)
     maxiter = max(1, math.ceil(options.max_iter_factor * system.n / restart))
     history = []
@@ -247,7 +260,7 @@ GMRES_CASES = {
     "disk 2k": ("disk_paraboloid", 2000, {}),
     "interval 801": ("interval_sine", 801, {}),
     "rectangle 900": ("rectangle_quadratic", 900, {}),
-    "interval 801, dense-stored": ("interval_sine", 801, {"dense_cutoff": 801}),
+    "interval 801, dense flag": ("interval_sine", 801, {"dense_cutoff": 801}),
     "disk 2k, restart 7": ("disk_paraboloid", 2000, {"restart": 7}),
     "interval 801, restart 2, spent budget": ("interval_sine", 801,
                                               {"restart": 2, "max_iter_factor": 1}),
@@ -261,7 +274,7 @@ def test_gmres_repeats_scipy_bit_for_bit(case, profile):
     name, n, settings = GMRES_CASES[case]
     settings = dict(settings)
     system = case_system(name, n, profile, dense_cutoff=settings.pop("dense_cutoff", 0))
-    assert system.is_dense == ("dense-stored" in case)
+    assert system.meta["dense"] == ("dense flag" in case)
     options = SolveOptions(method="iterative", **settings)
     x, iterations, diagnostics = _solve_iterative(system, options)
     expected, history, info = scipy_gmres(system, options)
@@ -293,17 +306,17 @@ DENSE_CUTOFF = DEFAULTS["assembly.dense_cutoff"]
 @pytest.mark.parametrize("case", list(BAND_CASES))
 def test_band_lu_agrees_with_full_lu(case):
     system = case_system(*BAND_CASES[case], cubic_profile, dense_cutoff=DENSE_CUTOFF)
-    assert system.is_dense
+    assert system.meta["dense"]
     report = solve(system)
     assert report.method == "dense-lu"
     assert report.diagnostics["factorization"] == "band"
-    a = system.matrix
+    a = system.matrix.toarray()
     kl, ku = report.diagnostics["bandwidth"]
     assert (kl, ku) == scipy.linalg.bandwidth(a)
     lu, piv = scipy.linalg.lu_factor(a)
     expected = scipy.linalg.lu_solve((lu, piv), system.rhs)
     assert np.max(np.abs(report.solution - expected)) <= 1e-12 * np.max(np.abs(expected))
-    band_lu, band_piv, info = dgbtrf(_band_storage(a, kl, ku), kl, ku)
+    band_lu, band_piv, info = dgbtrf(band_storage(a, kl, ku), kl, ku)
     assert info == 0
     assert np.array_equal(band_piv, piv)   # the same row interchanges
     pivots = np.abs(np.diag(lu))
@@ -315,8 +328,31 @@ def test_band_lu_agrees_with_full_lu(case):
 @pytest.mark.parametrize("name, n", [("disk_paraboloid", 484), ("cap_linear", 440)])
 def test_wide_band_keeps_full_lu(name, n):
     system = case_system(name, n, cubic_profile, dense_cutoff=DENSE_CUTOFF)
-    assert system.is_dense and system.n > 400
+    assert system.meta["dense"] and system.n > 400
     report = solve(system)
+    assert report.method == "dense-lu"
     assert report.diagnostics["factorization"] == "full"
     kl, ku = report.diagnostics["bandwidth"]
+    assert (kl, ku) == scipy.linalg.bandwidth(system.matrix.toarray())
     assert 6 * kl * (kl + ku) > system.n ** 2
+
+
+STORED_ZERO = "3x3 with a stored zero"
+
+
+@pytest.mark.parametrize("case", [*BAND_CASES, STORED_ZERO])
+def test_band_storage_scatter_equals_diagonal_copies(case):
+    # one flat scatter from the CSR arrays gives the band the per-diagonal
+    # copy of the dense matrix gives; a stored zero lands as a zero
+    if case == STORED_ZERO:
+        mat = sp.csr_matrix((np.array([4.0, 0.0, -1.0, 4.0, -1.0, 2.0]),
+                             np.array([0, 1, 0, 1, 2, 2]), np.array([0, 2, 5, 6])), shape=(3, 3))
+        assert mat.nnz == 6 and mat.data[1] == 0.0
+    else:
+        mat = case_system(*BAND_CASES[case], cubic_profile, dense_cutoff=DENSE_CUTOFF).matrix
+    a = mat.toarray()
+    kl, ku = scipy.linalg.bandwidth(a)
+    coo = mat.tocoo()
+    ab = _band_storage(mat, coo.col - coo.row, kl, ku)
+    assert ab.flags.f_contiguous
+    assert np.array_equal(ab, band_storage(a, kl, ku))
