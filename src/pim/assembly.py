@@ -95,6 +95,14 @@ class LinearSystem:
     rhs: np.ndarray
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # shapes and format only: an O(nnz) check here would tax every GMRES solve
+        if not (sp.issparse(self.matrix) and self.matrix.format == "csr"):
+            raise TypeError(f"LinearSystem needs a scipy CSR matrix, got {type(self.matrix).__name__}")
+        if np.ndim(self.rhs) != 1 or self.matrix.shape != (self.n, self.n):
+            raise ValueError(f"matrix of shape {self.matrix.shape} does not fit "
+                             f"rhs of shape {np.shape(self.rhs)}")
+
     @property
     def n(self) -> int:
         return self.rhs.shape[0]

@@ -3,12 +3,11 @@
 The assembled matrix is nonsymmetric (the boundary-penalty columns break
 symmetry), so the iterative path uses restarted GMRES with diagonal
 preconditioning: our own loop, bit for bit scipy 1.17's ``gmres`` without its
-per-step bookkeeping.  Small systems go through LU with partial pivoting,
-which factors only the band when the matrix's band is narrow (a 1-D cloud's
-is), scattered straight from the CSR matrix, and a dense copy otherwise.
-Either way the reported residual is recomputed from scratch after the
-solve — a solver claiming success is never taken at its word — and any
-failure raises with diagnostics rather than returning silently.
+per-step bookkeeping.  Small systems go through LU with partial pivoting
+of the matrix's band, scattered straight from the CSR arrays.  Either way
+the reported residual is recomputed from scratch after the solve — a
+solver claiming success is never taken at its word — and any failure
+raises with diagnostics rather than returning silently.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dlartg
 
 from .assembly import LinearSystem
@@ -47,7 +45,7 @@ class SolverError(RuntimeError):
 
 
 class SingularMatrix(SolverError):
-    """Dense factorization hit a pivot below the relative threshold."""
+    """The LU factorization hit a pivot below the relative threshold."""
 
 
 class NoConvergence(SolverError):
@@ -99,34 +97,27 @@ def _band_storage(a, d: np.ndarray, kl: int, ku: int) -> np.ndarray:
 
 
 def _solve_dense(system: LinearSystem, options: SolveOptions) -> tuple[np.ndarray, int, dict]:
-    """LU with partial pivoting; raises :class:`SingularMatrix` on a tiny pivot.
+    """Band LU with partial pivoting; raises :class:`SingularMatrix` on a tiny pivot.
 
-    A band LU costs about ``3 kl (kl + ku)`` against ``n**2`` for the full one;
-    measured, the band is faster once ``6 kl (kl + ku) <= n**2`` (every 1-D
-    cloud, the larger rectangles) and slower on disks and caps.
+    One factorization serves every direct solve.  The band comes from the CSR
+    arrays in one scatter, where a full LU first pays for a dense copy; measured,
+    the band is as fast or faster on every built-in cloud up to the default
+    cutoff.  Its cost follows the point order: a cloud in random order has a
+    band as wide as the matrix, stored as up to ``3 n**2`` values.
     """
     a = system.matrix
     a.sum_duplicates()      # the scatter keeps one of repeated entries; assembled ones are unique
     d = a.indices - np.repeat(np.arange(system.n, dtype=a.indices.dtype), np.diff(a.indptr))
     kl, ku = -int(d.min(initial=0)), int(d.max(initial=0))     # 0 for an empty matrix
-    band = 6 * kl * (kl + ku) <= system.n ** 2
-    if band:
-        lu, piv, _ = dgbtrf(_band_storage(a, d, kl, ku), kl, ku, overwrite_ab=True)
-        pivots = np.abs(lu[kl + ku])
-    else:
-        lu, piv = scipy.linalg.lu_factor(a.toarray(), overwrite_a=True, check_finite=False)
-        pivots = np.abs(np.diag(lu))
+    lu, piv, _ = dgbtrf(_band_storage(a, d, kl, ku), kl, ku, overwrite_ab=True)
+    pivots = np.abs(lu[kl + ku])
     scale = float(pivots.max())
     pmin = float(pivots.min())
-    diagnostics = {"min_pivot": pmin, "max_pivot": scale, "bandwidth": (kl, ku),
-                   "factorization": "band" if band else "full"}
+    diagnostics = {"min_pivot": pmin, "max_pivot": scale, "bandwidth": (kl, ku)}
     if pmin <= PIVOT_RTOL * scale:
-        raise SingularMatrix("dense factorization pivot below threshold",
+        raise SingularMatrix("LU pivot below threshold",
                              {**diagnostics, "threshold": PIVOT_RTOL * scale})
-    if band:
-        x, _ = dgbtrs(lu, kl, ku, system.rhs, piv)
-    else:
-        x = scipy.linalg.lu_solve((lu, piv), system.rhs, check_finite=False)
+    x, _ = dgbtrs(lu, kl, ku, system.rhs, piv)
     return x, 0, diagnostics
 
 

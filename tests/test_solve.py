@@ -100,18 +100,31 @@ def tridiagonal_with_equal_rows(n=40, i=20):
 
 def test_singular_matrix_raises():
     # the matrix with no stored entries has an empty band, (0, 0)
-    for mat, factorization in ((np.array([[1.0, 2.0], [2.0, 4.0]]), "full"),
-                               (tridiagonal_with_equal_rows(), "band"),
-                               (np.zeros((3, 3)), "band")):
+    for mat in (np.array([[1.0, 2.0], [2.0, 4.0]]), tridiagonal_with_equal_rows(),
+                np.zeros((3, 3))):
         system = LinearSystem(matrix=sp.csr_matrix(mat), rhs=np.ones(mat.shape[0]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # scipy warns before we can raise
             with pytest.raises(SingularMatrix) as exc:
                 solve(system, SolveOptions(method="dense-lu"))
         assert "min_pivot" in exc.value.diagnostics
-        assert exc.value.diagnostics["factorization"] == factorization
         assert exc.value.diagnostics["bandwidth"] == scipy.linalg.bandwidth(mat)
         assert isinstance(exc.value, SolverError)
+
+
+def test_linear_system_needs_csr():
+    # the direct LU reads the CSR arrays; GMRES alone would take an ndarray
+    for mat in (2.0 * np.eye(4), sp.csc_matrix(2.0 * np.eye(4))):
+        with pytest.raises(TypeError, match=f"CSR matrix, got {type(mat).__name__}"):
+            LinearSystem(matrix=mat, rhs=np.ones(4))
+
+
+def test_linear_system_shapes_must_fit():
+    mat = sp.csr_matrix(2.0 * np.eye(4))
+    for m, rhs in ((mat, np.ones(3)), (mat, np.ones((4, 1))), (mat[:3], np.ones(4))):
+        with pytest.raises(ValueError, match=(rf"matrix of shape \({m.shape[0]}, 4\) does not fit "
+                                              rf"rhs of shape \({rhs.shape[0]},")):
+            LinearSystem(matrix=m, rhs=rhs)
 
 
 def test_dense_lu_adds_repeated_entries():
@@ -245,10 +258,20 @@ def scipy_gmres(system, options):
     return x, history, info
 
 
-def case_system(name, n, profile, *, dense_cutoff=0):
+def shuffled(cloud, seed=0):
+    """``cloud`` with its points listed in random order, as a loaded CSV may list them."""
+    perm = np.random.default_rng(seed).permutation(cloud.n)
+    return dataclasses.replace(cloud, points=cloud.points[perm],
+                               volume_weights=cloud.volume_weights[perm],
+                               boundary_indices=np.argsort(perm)[cloud.boundary_indices])
+
+
+def case_system(name, n, profile, *, dense_cutoff=0, shuffle=False):
     """A built-in case on its jittered cloud under the default coupling."""
     case = analysis.get_case(name)
     cloud = generate(case.spec.with_resolution(n), seed=0, jitter=0.25)
+    if shuffle:
+        cloud = shuffled(cloud)
     coupling = analysis.Coupling()
     t = coupling.t_of(cloud.metadata["h"])
     return assemble(cloud, KernelParams(t=t, k=cloud.intrinsic_dim), profile,
@@ -294,25 +317,36 @@ def test_gmres_repeats_scipy_bit_for_bit(case, profile):
 
 
 # ---------------------------------------------------------------------------
-# a narrow band is factored as a band, in agreement with the full LU
+# every direct solve is a band LU, in agreement with the full LU of a dense copy
 # ---------------------------------------------------------------------------
 
 BAND_CASES = {**{f"interval {n}": ("interval_sine", n) for n in (101, 201, 301, 401, 501)},
               "rectangle 400": ("rectangle_quadratic", 400),
-              "rectangle 484": ("rectangle_quadratic", 484)}
+              "rectangle 484": ("rectangle_quadratic", 484),
+              "disk 484": ("disk_paraboloid", 484),
+              "cap 440": ("cap_linear", 440),
+              # random point order: the band is as wide as the matrix
+              "interval 501, shuffled": ("interval_sine", 501, True),
+              "disk 484, shuffled": ("disk_paraboloid", 484, True)}
 DENSE_CUTOFF = DEFAULTS["assembly.dense_cutoff"]
+
+
+def band_case_system(case):
+    name, n, *shuffle = BAND_CASES[case]
+    return case_system(name, n, cubic_profile, dense_cutoff=DENSE_CUTOFF, shuffle=bool(shuffle))
 
 
 @pytest.mark.parametrize("case", list(BAND_CASES))
 def test_band_lu_agrees_with_full_lu(case):
-    system = case_system(*BAND_CASES[case], cubic_profile, dense_cutoff=DENSE_CUTOFF)
+    system = band_case_system(case)
     assert system.meta["dense"]
     report = solve(system)
     assert report.method == "dense-lu"
-    assert report.diagnostics["factorization"] == "band"
     a = system.matrix.toarray()
     kl, ku = report.diagnostics["bandwidth"]
     assert (kl, ku) == scipy.linalg.bandwidth(a)
+    if "shuffled" in case:
+        assert min(kl, ku) > 0.9 * system.n
     lu, piv = scipy.linalg.lu_factor(a)
     expected = scipy.linalg.lu_solve((lu, piv), system.rhs)
     assert np.max(np.abs(report.solution - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -323,18 +357,6 @@ def test_band_lu_agrees_with_full_lu(case):
     np.testing.assert_allclose(np.abs(band_lu[kl + ku]), pivots, rtol=1e-12, atol=0)
     assert report.diagnostics["min_pivot"] == pytest.approx(pivots.min(), rel=1e-12)
     assert report.diagnostics["max_pivot"] == pytest.approx(pivots.max(), rel=1e-12)
-
-
-@pytest.mark.parametrize("name, n", [("disk_paraboloid", 484), ("cap_linear", 440)])
-def test_wide_band_keeps_full_lu(name, n):
-    system = case_system(name, n, cubic_profile, dense_cutoff=DENSE_CUTOFF)
-    assert system.meta["dense"] and system.n > 400
-    report = solve(system)
-    assert report.method == "dense-lu"
-    assert report.diagnostics["factorization"] == "full"
-    kl, ku = report.diagnostics["bandwidth"]
-    assert (kl, ku) == scipy.linalg.bandwidth(system.matrix.toarray())
-    assert 6 * kl * (kl + ku) > system.n ** 2
 
 
 STORED_ZERO = "3x3 with a stored zero"
@@ -349,7 +371,7 @@ def test_band_storage_scatter_equals_diagonal_copies(case):
                              np.array([0, 1, 0, 1, 2, 2]), np.array([0, 2, 5, 6])), shape=(3, 3))
         assert mat.nnz == 6 and mat.data[1] == 0.0
     else:
-        mat = case_system(*BAND_CASES[case], cubic_profile, dense_cutoff=DENSE_CUTOFF).matrix
+        mat = band_case_system(case).matrix
     a = mat.toarray()
     kl, ku = scipy.linalg.bandwidth(a)
     coo = mat.tocoo()
