@@ -421,6 +421,11 @@ def robin_gap_study(case: ManufacturedCase, t: float, n: int,
     betas = list(betas)
     if any(b2 >= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("beta sequence must be strictly decreasing")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
+    bad = [beta for beta in betas if not 0.0 < beta < math.inf]
+    if bad:
+        raise ValueError(f"every beta must be positive and finite, got {bad[0]}")
     guardrails = guardrails or Guardrails()
 
     def settings(level, h):

@@ -15,6 +15,12 @@ Laplacian(u) up to O(sqrt(t)), so with -Laplacian(u) = f and the Robin
 substitution du/dn = (b - u)/beta the system above is the consistent
 discretization (checked against dense quadrature in the operator tests).
 
+The boundary points are samples, so, as the reconstruction folds its h_j,
+the data terms fold into one per-sample weight g_j = f_j V_j +
+(2/beta) b_j A_j and the penalty into pen_j = A_j, the A_j terms on
+boundary samples only: the rhs of row i is sum_j Rbar_t(p_i, p_j) g_j, and
+entry (i, j) gains (2/beta) Rbar_t(p_i, p_j) pen_j.
+
 Signs follow the positive form of the operator (diagonal positive,
 off-diagonal kernel entries negative), so constants are reproduced
 exactly: matrix @ 1 equals the boundary-column vector because the L-part
@@ -23,9 +29,9 @@ annihilates constants.
 The matrix is built from a candidate graph in compressed-sparse-row form:
 the k-d-tree self-join of :mod:`pim.neighbors`, or, for the direct-scan
 oracle, every pair.  One routine walks it in blocks of ``ROW_BLOCK`` rows:
-it masks the candidates to the open support s < 1, evaluates the kernels,
-weights and boundary addends for the whole block at once, and writes the
-values into ``data`` and the kept columns back over the graph's column
+it masks the candidates to the open support s < 1, evaluates the kernels
+and gathers the per-sample weights for the whole block at once, and writes
+the values into ``data`` and the kept columns back over the graph's column
 array, which becomes the matrix's ``indices``.  A block is read before it
 is written and the write offset never passes the read offset, so no second
 column array exists.  The diagonal and the right-hand side are per-row sums
@@ -50,32 +56,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .kernel import KernelParams, KernelProfile
-from .neighbors import NeighborIndex
+from .neighbors import NeighborIndex, _squared_lengths
 from .pointcloud import PointCloud
 
 __all__ = ["LinearSystem", "assemble", "dump_matrixmarket"]
 
 DENSE_CUTOFF = 512  # default direct-solve switch; config-overridable
 ROW_BLOCK = 128  # matrix rows per vectorized block; bounds the block temporaries
-
-
-def _squared_lengths(parts: list) -> np.ndarray:
-    """Squared lengths of vectors given one coordinate array each, in place.
-
-    Bit for bit ``np.einsum("ij,ij->i", diff, diff)`` of the stacked
-    coordinates: for up to three coordinates einsum adds the squares as
-    (x0^2 + x2^2) + x1^2; past three, einsum sums them itself.  Gathering
-    coordinate arrays takes half the time of gathering rows.
-    """
-    if len(parts) > 3:
-        diff = np.stack(parts, axis=1)
-        return np.einsum("ij,ij->i", diff, diff)
-    for x in parts:
-        x *= x
-    sq = parts[0]
-    for x in parts[:0:-1]:
-        sq += x
-    return sq
 
 
 def _segment_sums(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -129,24 +116,25 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
     if f.shape != (n,):
         raise ValueError(f"f length {f.shape[0]} != cloud size {n}")
     b = np.asarray(b, dtype=float).ravel()
-    m = cloud.boundary_indices.shape[0]
-    if b.shape != (m,):
-        raise ValueError(f"b length {b.shape[0]} != boundary size {m}")
+    bi = cloud.boundary_indices
+    if b.shape != bi.shape:
+        raise ValueError(f"b length {b.shape[0]} != boundary size {bi.shape[0]}")
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(b))):
         raise ValueError("source f and boundary data b must be finite")
 
     points = cloud.points
     coords = np.ascontiguousarray(points.T)     # one row per coordinate
     vw = cloud.volume_weights
-    aw = cloud.area_weights
     t = params.t
     inv4t = 1.0 / (4.0 * t)
     c_t = params.C_t
     two_over_beta = 2.0 / beta
 
-    # point index -> position in the boundary list, -1 for interior
-    bpos = np.full(n, -1, dtype=np.intp)
-    bpos[cloud.boundary_indices] = np.arange(m)
+    # per-sample Rbar_t weights g and pen; boundary indices are distinct
+    g = f * vw
+    g[bi] += two_over_beta * b * cloud.area_weights
+    pen = np.zeros(n)
+    pen[bi] = cloud.area_weights
 
     if use_index:
         cand_ptr, indices = NeighborIndex(points, params.support_radius).self_join()
@@ -178,36 +166,22 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
             ends = np.cumsum(np.bincount(rows - lo, minlength=hi - lo))
         rt = c_t * profile.R(s)
         rbar = c_t * profile.Rbar(s)
-        vc = np.take(vw, cols)
-        a = rt * vc / t
-        pf = rbar * np.take(f, cols) * vc
+        a = rt * np.take(vw, cols) / t
+        penalty = two_over_beta * rbar * np.take(pen, cols)
 
         # Every row holds its own point exactly once, so dropping the self
-        # entries shifts row k of the block back by k in a_off.
+        # entries shifts row k of the block back by k in a[~on_diag].
         on_diag = rows == cols
-        a_off = a[~on_diag]
-        lb = np.take(bpos, cols)
-        is_b = lb >= 0
-        lb = lb[is_b]
-        rbar_b = rbar[is_b]
-        aw_b = np.take(aw, lb)
-        pb = rbar_b * np.take(b, lb) * aw_b
         # Per-row sums over contiguous slices, each the same pairwise
         # summation, hence the same bits, as summing the row on its own.
         starts = np.concatenate(([0], ends[:-1]))
-        diag = _segment_sums(a_off, starts - np.arange(hi - lo))  # without the self entries
-        rsum = _segment_sums(pf, starts)
-        bends = np.cumsum(np.bincount(rows[is_b] - lo, minlength=hi - lo))
-        bsum = _segment_sums(pb, np.concatenate(([0], bends[:-1])))     # boundary columns only
-        bsum *= two_over_beta       # rhs = two_over_beta * bsum + rsum, in place
-        bsum += rsum
-        rhs[lo:hi] = bsum
+        diag = _segment_sums(a[~on_diag], starts - np.arange(hi - lo))  # without the self entries
+        rhs[lo:hi] = _segment_sums(rbar * np.take(g, cols), starts)
 
         base = int(indptr[lo])
         end = base + a.shape[0]
-        vals = np.negative(a, out=data[base:end])
-        vals[on_diag] = diag
-        vals[is_b] += two_over_beta * rbar_b * aw_b
+        vals = np.subtract(penalty, a, out=data[base:end])
+        vals[on_diag] = diag + penalty[on_diag]
         indices[base:end] = cols
         indptr[lo + 1:hi + 1] = base + ends
 
@@ -234,7 +208,7 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
         "support_radius": params.support_radius,
         "dense": n <= dense_cutoff,
         "fill_ratio": nnz / float(n * n),
-        "boundary_points": m,
+        "boundary_points": bi.shape[0],
     }
     return LinearSystem(matrix=mat, rhs=rhs, meta=meta)
 

@@ -26,6 +26,11 @@ reduced into a new array, and the self pairs are inserted after the sort.
 Assembly applies its own exact cut (the open kernel support) to the
 candidates and sums in index order, so it is bit-identical to a masked full
 scan.  ``query_self`` applies the radius cut to the same graph.
+
+Every pair's squared distance, here and in assembly, comes from the one
+routine ``_squared_lengths``, which adds the squares in a fixed order: the
+reconstruction's I(p_i) = u_i needs assembly and reconstruction to measure
+each pair to the same bits.
 """
 
 from __future__ import annotations
@@ -39,6 +44,21 @@ __all__ = ["NeighborIndex"]
 # with its own rounding; a pad far above a few ulps keeps it from dropping a
 # point the exact test below would keep.
 _PAD = 1e-9
+
+
+def _squared_lengths(parts) -> np.ndarray:
+    """Squared lengths of vectors given one coordinate array each, such as
+    ``diff.T``; ``parts`` is not modified.  Up to three coordinates the sum is
+    (x0^2 + x2^2) + x1^2, the order of ``np.einsum("ij,ij->i", diff, diff)``
+    on a contiguous ``diff``; past three, that einsum sums them itself.
+    """
+    if len(parts) > 3:
+        diff = np.stack(parts, axis=1)
+        return np.einsum("ij,ij->i", diff, diff)
+    sq = parts[0] * parts[0]
+    for x in parts[:0:-1]:
+        sq += x * x
+    return sq
 
 
 class NeighborIndex:
@@ -80,7 +100,7 @@ class NeighborIndex:
         keys.sort()
         rows, cols = np.divmod(keys, n)
         diff = np.take(self.points, cols, axis=0) - np.take(queries, rows, axis=0)
-        sq = np.einsum("ij,ij->i", diff, diff)
+        sq = _squared_lengths(diff.T)
         keep = sq <= self._r2
         if keep.all():      # the padded radius rarely adds a pair; skip the copies
             return rows, cols, diff, sq
@@ -146,7 +166,7 @@ class NeighborIndex:
         cand_ptr, cols = self.self_join()
         rows = np.repeat(np.arange(n), np.diff(cand_ptr))
         diff = np.take(self.points, cols, axis=0) - np.take(self.points, rows, axis=0)
-        keep = np.einsum("ij,ij->i", diff, diff) <= self._r2
+        keep = _squared_lengths(diff.T) <= self._r2
         ends = np.cumsum(np.bincount(rows[keep], minlength=n))
         return np.split(cols[keep].astype(np.int64), ends[:-1])
 
@@ -154,5 +174,5 @@ class NeighborIndex:
         """Direct O(n) scan; oracle for :meth:`join` and :meth:`query_self`."""
         x = np.asarray(x, dtype=float).ravel()
         diff = self.points - x
-        keep = np.einsum("ij,ij->i", diff, diff) <= self._r2
+        keep = _squared_lengths(diff.T) <= self._r2
         return np.flatnonzero(keep).astype(np.intp)

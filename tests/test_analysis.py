@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -506,6 +507,32 @@ def test_robin_gap_study_requires_decreasing_betas():
         robin_gap_study(case, t=1e-3, n=101, betas=[0.1, 0.2])
     with pytest.raises(ValueError, match="decreasing"):
         robin_gap_study(case, t=1e-3, n=101, betas=[0.2, 0.2])
+
+
+@pytest.mark.parametrize("t,betas,match", [
+    (1e-3, [0.1, 0.0], "every beta must be positive and finite, got 0.0"),
+    (-1e-3, [0.1], "t must be positive and finite, got -0.001"),
+    (math.nan, [0.1], "t must be positive and finite, got nan"),
+    (1e-3, [math.inf, 0.1], "every beta must be positive and finite, got inf"),
+])
+def test_robin_gap_study_rejects_bad_t_or_beta_before_any_level(monkeypatch, t, betas, match):
+    # a zero beta used to fail in the guardrail after solving level 0, and a
+    # negative t with a "math domain error" that named nothing
+    calls = []
+
+    def counted(name):
+        real = getattr(analysis, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("generate", "solve_case_on_cloud"):
+        monkeypatch.setattr(analysis, name, counted(name))
+    with pytest.raises(ValueError, match=re.escape(match)):
+        robin_gap_study(get_case("interval_sine"), t=t, n=101, betas=betas)
+    assert calls == []
 
 
 def test_robin_gap_study_single_beta():

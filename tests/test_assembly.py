@@ -10,8 +10,7 @@ from scipy.io import mmread, mmwrite
 
 from pim.analysis import Coupling, get_case
 from oracles import boundary_column_vector
-from pim.assembly import (ROW_BLOCK, _segment_sums, _squared_lengths, assemble,
-                          dump_matrixmarket)
+from pim.assembly import ROW_BLOCK, _segment_sums, assemble, dump_matrixmarket
 from pim.kernel import (KernelParams, cubic_profile, eval_Rbar_t, eval_Rt,
                         truncated_gaussian_profile)
 from pim.neighbors import NeighborIndex
@@ -36,16 +35,6 @@ def assert_same_csr(a, c):
 # ---------------------------------------------------------------------------
 # the two assembly paths agree bit-for-bit
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_squared_lengths_equal_einsum_bit_for_bit(d, rng):
-    # assembly gathers one coordinate array at a time; its squared lengths
-    # must stay those of the row-wise einsum the neighbour index computes
-    diff = rng.standard_normal((20000, d)) * 10.0 ** rng.integers(-6, 6, size=(20000, 1))
-    expected = np.einsum("ij,ij->i", diff, diff)
-    got = _squared_lengths([diff[:, k].copy() for k in range(d)])
-    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-
 
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308]
 
@@ -130,6 +119,8 @@ def assemble_row_by_row(cloud, params, profile, beta, f, b):
     pts, vw, aw, t = cloud.points, cloud.volume_weights, cloud.area_weights, params.t
     bpos = np.full(cloud.n, -1)
     bpos[cloud.boundary_indices] = np.arange(cloud.boundary_indices.size)
+    g = f * vw      # the data terms folded into one Rbar_t weight per sample
+    g[cloud.boundary_indices] += (2.0 / beta) * b * aw
     data, indices, indptr, rhs = [], [], [0], []
     for i in range(cloud.n):
         diff = pts - pts[i]
@@ -145,8 +136,7 @@ def assemble_row_by_row(cloud, params, profile, beta, f, b):
         is_b = lb >= 0
         lb = lb[is_b]
         vals[is_b] += (2.0 / beta) * rbar[is_b] * aw[lb]
-        rhs.append((2.0 / beta) * np.add.reduce(rbar[is_b] * b[lb] * aw[lb])
-                   + np.add.reduce(rbar * f[cols] * vw[cols]))
+        rhs.append(np.add.reduce(rbar * g[cols]))
         data.append(vals)
         indices.append(cols)
         indptr.append(indptr[-1] + cols.size)

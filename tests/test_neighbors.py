@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pim.neighbors import NeighborIndex
+from pim.neighbors import NeighborIndex, _squared_lengths
 from pim.pointcloud import ManifoldSpec, generate
 
 
@@ -15,6 +15,20 @@ def join_one(idx, x):
     assert not rows.any()
     assert same_bits(sq, np.einsum("ij,ij->i", diff, diff))
     return cols
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_squared_lengths_equal_einsum_bit_for_bit(d, rng):
+    # assembly passes one coordinate array each, join passes diff.T, a strided
+    # view; both get the bits of the row-wise einsum of a contiguous difference
+    # array, and neither input changes (join returns the diff it measured)
+    diff = rng.standard_normal((20000, d)) * 10.0 ** rng.integers(-6, 6, size=(20000, 1))
+    kept = diff.copy()
+    parts = [x.copy() for x in diff.T]
+    expected = np.einsum("ij,ij->i", diff, diff)
+    assert same_bits(_squared_lengths(parts), expected)
+    assert same_bits(_squared_lengths(diff.T), expected)
+    assert same_bits(np.stack(parts, axis=1), kept) and same_bits(diff, kept)
 
 
 def test_uniform_interval_window():
