@@ -448,5 +448,9 @@ def error_floor_study(case: ManufacturedCase, t: float, beta: float,
     the h term is subdominant the L2 error stalls at a floor.  The study
     leaves the coupling rule on purpose, so no guardrail is checked.
     """
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     return _sweep(case, levels, lambda level, h: (t, beta, []), profile,
                   solver_options, reference_factor, dense_cutoff, seed)

@@ -209,6 +209,7 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
         "dense": n <= dense_cutoff,
         "fill_ratio": nnz / float(n * n),
         "boundary_points": bi.shape[0],
+        "points": points,   # by reference: the two-level preconditioner aggregates them
     }
     return LinearSystem(matrix=mat, rhs=rhs, meta=meta)
 

@@ -186,6 +186,8 @@ def cmd_solve(args, cfg: dict, settings: Settings) -> int:
         "residual": _fmt(report.residual_norm),
         "guardrail_flags": "; ".join(flags) if flags else "none",
     }
+    if "preconditioner" in report.diagnostics:     # iterative solves
+        lines["preconditioner"] = report.diagnostics["preconditioner"]
     if case is not None:
         exact = case.u(cloud.points)
         lines["max_abs_error_vs_exact"] = _fmt(float(np.max(np.abs(u - exact))))

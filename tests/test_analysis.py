@@ -509,15 +509,8 @@ def test_robin_gap_study_requires_decreasing_betas():
         robin_gap_study(case, t=1e-3, n=101, betas=[0.2, 0.2])
 
 
-@pytest.mark.parametrize("t,betas,match", [
-    (1e-3, [0.1, 0.0], "every beta must be positive and finite, got 0.0"),
-    (-1e-3, [0.1], "t must be positive and finite, got -0.001"),
-    (math.nan, [0.1], "t must be positive and finite, got nan"),
-    (1e-3, [math.inf, 0.1], "every beta must be positive and finite, got inf"),
-])
-def test_robin_gap_study_rejects_bad_t_or_beta_before_any_level(monkeypatch, t, betas, match):
-    # a zero beta used to fail in the guardrail after solving level 0, and a
-    # negative t with a "math domain error" that named nothing
+def counted_level_calls(monkeypatch):
+    """The names of the ``generate`` and ``solve_case_on_cloud`` calls a study makes."""
     calls = []
 
     def counted(name):
@@ -530,8 +523,37 @@ def test_robin_gap_study_rejects_bad_t_or_beta_before_any_level(monkeypatch, t, 
 
     for name in ("generate", "solve_case_on_cloud"):
         monkeypatch.setattr(analysis, name, counted(name))
+    return calls
+
+
+@pytest.mark.parametrize("t,betas,match", [
+    (1e-3, [0.1, 0.0], "every beta must be positive and finite, got 0.0"),
+    (-1e-3, [0.1], "t must be positive and finite, got -0.001"),
+    (math.nan, [0.1], "t must be positive and finite, got nan"),
+    (1e-3, [math.inf, 0.1], "every beta must be positive and finite, got inf"),
+])
+def test_robin_gap_study_rejects_bad_t_or_beta_before_any_level(monkeypatch, t, betas, match):
+    # a zero beta used to fail in the guardrail after solving level 0, and a
+    # negative t with a "math domain error" that named nothing
+    calls = counted_level_calls(monkeypatch)
     with pytest.raises(ValueError, match=re.escape(match)):
         robin_gap_study(get_case("interval_sine"), t=t, n=101, betas=betas)
+    assert calls == []
+
+
+@pytest.mark.parametrize("t,beta,match", [
+    (1e-3, 0.0, "beta must be positive and finite, got 0.0"),
+    (-1e-3, 0.1, "t must be positive and finite, got -0.001"),
+    (math.nan, 0.1, "t must be positive and finite, got nan"),
+    (1e-3, math.inf, "beta must be positive and finite, got inf"),
+    (math.inf, 0.1, "t must be positive and finite, got inf"),
+])
+def test_error_floor_study_rejects_bad_t_or_beta_before_any_level(monkeypatch, t, beta, match):
+    # these once generated the level-0 cloud and its reference, and entered
+    # the level's solve, before the kernel parameters or assembly raised
+    calls = counted_level_calls(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        error_floor_study(get_case("interval_sine"), t=t, beta=beta, levels=[51, 101])
     assert calls == []
 
 

@@ -143,6 +143,19 @@ def test_solve_builtin_case(tmp_path, interval_csv, capsys):
     assert "solved n=101" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n,preconditioner", [(101, None), (801, "jacobi"), (4096, "two-level")])
+def test_solve_report_names_the_preconditioner(tmp_path, n, preconditioner):
+    # one added line on iterative solves; a direct solve's report has none
+    cloud = tmp_path / "cloud.csv"
+    assert main(["generate", "--shape", "interval", "--n", str(n), "--out", str(cloud)]) == 0
+    assert main(["solve", "--cloud", str(cloud), "--case", "interval_sine",
+                 "--out", str(tmp_path / "u.csv")]) == 0
+    lines = (tmp_path / "u.csv.report.txt").read_text().splitlines()
+    assert [ln for ln in lines if ln.startswith("preconditioner")] == (
+        [] if preconditioner is None else [f"preconditioner = {preconditioner}"])
+    assert ("method = dense-lu" in lines) == (preconditioner is None)
+
+
 def test_solve_constant_identity(tmp_path, interval_csv):
     # zero source + constant boundary data must return that constant
     out = tmp_path / "const.csv"

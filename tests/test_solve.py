@@ -16,7 +16,8 @@ from pim.config import DEFAULTS
 from pim.kernel import KernelParams, cubic_profile, truncated_gaussian_profile
 from pim.pointcloud import generate
 from pim.solve import (NoConvergence, SingularMatrix, SolveOptions,
-                       SolverError, _band_storage, _solve_iterative, _true_residual, solve)
+                       SolverError, TWO_LEVEL_MIN_N, _band_storage, _solve_iterative,
+                       _true_residual, solve)
 
 
 def assembled(cloud, t=0.01, beta=0.2, *, dense_cutoff):
@@ -378,3 +379,69 @@ def test_band_storage_scatter_equals_diagonal_copies(case):
     ab = _band_storage(mat, coo.col - coo.row, kl, ku)
     assert ab.flags.f_contiguous
     assert np.array_equal(ab, band_storage(a, kl, ku))
+
+
+# ---------------------------------------------------------------------------
+# from TWO_LEVEL_MIN_N rows on, GMRES takes the two-level preconditioner
+# ---------------------------------------------------------------------------
+
+TWO_LEVEL_CASES = {"disk 4186": ("disk_paraboloid", 4096),
+                   "cap 4237": ("cap_linear", 4096),
+                   "rectangle 4096": ("rectangle_quadratic", 4096),
+                   "interval 4096": ("interval_sine", 4096),
+                   "disk 4186, shuffled": ("disk_paraboloid", 4096, True)}
+
+
+def without_points(system):
+    """``system`` as a hand-built one, which takes Jacobi at any size: the same
+    matrix and rhs, no points."""
+    return LinearSystem(matrix=system.matrix, rhs=system.rhs,
+                        meta={k: v for k, v in system.meta.items() if k != "points"})
+
+
+@pytest.mark.parametrize("case", list(TWO_LEVEL_CASES))
+def test_two_level_agrees_with_jacobi(case):
+    name, n, *shuffle = TWO_LEVEL_CASES[case]
+    system = case_system(name, n, cubic_profile, shuffle=bool(shuffle))
+    assert system.n >= TWO_LEVEL_MIN_N and system.meta["points"] is not None
+    two_level = solve(system)
+    jacobi = solve(without_points(system))
+    assert two_level.diagnostics["preconditioner"] == "two-level"
+    assert jacobi.diagnostics["preconditioner"] == "jacobi"
+    assert two_level.residual_norm == _true_residual(system, two_level.solution)
+    assert two_level.residual_norm <= SolveOptions().tol
+    expected = jacobi.solution
+    assert np.max(np.abs(two_level.solution - expected)) <= 1e-10 * np.max(np.abs(expected))
+    assert two_level.iterations <= 15 < jacobi.iterations
+    assert 1 < two_level.diagnostics["coarse_size"] < system.n / 4
+    assert two_level.diagnostics["coarse_setup_s"] > 0.0
+
+
+def test_two_level_iterations_on_the_solve_cap_cloud():
+    # the jittered 8 188-point cap; Jacobi takes 67 iterations here
+    system = case_system("cap_linear", 8000, cubic_profile)
+    assert system.n == 8188
+    report = solve(system)
+    assert report.diagnostics["preconditioner"] == "two-level"
+    assert report.iterations <= 15
+    assert report.residual_norm <= SolveOptions().tol
+
+
+@pytest.mark.parametrize("name,n", [("interval_sine", 4095), ("rectangle_quadratic", 4000),
+                                    ("disk_paraboloid", 2000)])
+def test_jacobi_below_the_cutoff(name, n):
+    system = case_system(name, n, cubic_profile)
+    assert system.n < TWO_LEVEL_MIN_N
+    report = solve(system)
+    assert report.diagnostics["preconditioner"] == "jacobi"
+    assert report.diagnostics["coarse_size"] == 0
+
+
+def test_solve_leaves_the_matrix_arrays_unchanged():
+    # a coarse matrix built on A's own arrays once re-sorted them in place,
+    # and GMRES then spent its whole budget on the scrambled matrix
+    system = case_system("disk_paraboloid", 4096, cubic_profile, shuffle=True)
+    a = system.matrix
+    before = [x.tobytes() for x in (a.data, a.indices, a.indptr)]
+    assert solve(system).diagnostics["preconditioner"] == "two-level"
+    assert [x.tobytes() for x in (a.data, a.indices, a.indptr)] == before
