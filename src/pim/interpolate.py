@@ -11,9 +11,10 @@ support of the cloud is the ratio
 Rearranging row i of the linear system shows I(p_i) = u_i exactly — the
 reconstruction interpolates the discrete solution — and I inherits the
 kernel's smoothness, so ambient gradients follow from the quotient rule.
-For clouds sampled from the unit sphere the gradient is projected onto the
-analytic tangent plane (radial normal); clouds of unknown provenance get
-the raw ambient gradient.
+When the samples lie on a sphere about the origin, with intrinsic dimension
+one below the ambient, the gradient is projected onto the tangent plane with
+the radial normal, whether the cloud was generated or loaded; every other
+cloud gets the raw ambient gradient.
 
 The boundary points are samples, so the two Rbar_t sums fold into one
 per-sample weight h_j = t f_j V_j - (2t/beta) (u_j - b_j) A_j, the last term
@@ -42,6 +43,8 @@ from .pointcloud import PointCloud
 __all__ = ["Interpolant", "OutOfSupport"]
 
 CHUNK = 256  # query points per evaluation block
+# samples lie on a sphere when their radii spread by less than this, relative
+SPHERE_RTOL = 1e-12  # to the smallest; generated caps spread by at most 5.6e-16
 
 
 class OutOfSupport(ValueError):
@@ -68,6 +71,7 @@ class Interpolant:
     _uV: np.ndarray = field(init=False, repr=False)
     _h: np.ndarray = field(init=False, repr=False)
     _samples: NeighborIndex = field(init=False, repr=False)
+    _sphere: bool = field(init=False, repr=False)
     _memo: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -91,6 +95,8 @@ class Interpolant:
         self._h = t * self.f * cl.volume_weights
         self._h[bi] -= (2.0 * t / self.beta) * (self.u[bi] - self.b) * cl.area_weights
         self._samples = NeighborIndex(cl.points, self.params.support_radius)
+        r = np.linalg.norm(cl.points, axis=1)
+        self._sphere = cl.intrinsic_dim == cl.ambient_dim - 1 and np.ptp(r) < SPHERE_RTOL * r.min()
 
     # -- core chunk evaluation ------------------------------------------------
 
@@ -159,33 +165,25 @@ class Interpolant:
     def eval(self, x) -> float:
         return float(self.eval_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
-    def _project(self, X: np.ndarray, G: np.ndarray, project: str) -> np.ndarray:
-        if project == "none":
-            return G
-        shape = self.cloud.metadata.get("shape")
-        if project == "auto" and shape != "spherical_cap":
-            return G
-        # tangent-plane projection with the analytic radial normal
-        nrm = X / np.linalg.norm(X, axis=1, keepdims=True)
-        return G - np.einsum("qd,qd->q", G, nrm)[:, None] * nrm
+    def grad_many(self, X) -> np.ndarray:
+        return self.value_and_grad_many(X)[1]
 
-    def grad_many(self, X, project: str = "auto") -> np.ndarray:
-        return self.value_and_grad_many(X, project)[1]
-
-    def value_and_grad_many(self, X, project: str = "auto"):
+    def value_and_grad_many(self, X):
         """Values and gradients in one pass over the pairs; returns (vals, grads).
 
         The values are bit-identical to :meth:`eval_many`'s: both come out of
-        the same per-block sums.
+        the same per-block sums.  On a sphere's samples the gradients are
+        projected onto the tangent planes with each query's radial normal.
         """
-        if project not in ("auto", "none", "sphere"):
-            raise ValueError(f"unknown projection mode {project!r}")
         X = self._queries(X)
         vals, grads = self._run(X, want_grad=True)
-        return vals, self._project(X, grads, project)
+        if self._sphere:
+            nrm = X / np.linalg.norm(X, axis=1, keepdims=True)
+            grads = grads - np.einsum("qd,qd->q", grads, nrm)[:, None] * nrm
+        return vals, grads
 
     def on_cloud(self, cloud: PointCloud):
-        """Read-only (vals, grads) at ``cloud.points``, "auto"-projected.
+        """Read-only (vals, grads) at ``cloud.points``, as :meth:`value_and_grad_many` gives them.
 
         One :meth:`value_and_grad_many` pass, kept for the last cloud given
         and keyed by the object itself: a PointCloud is frozen and its arrays
@@ -198,5 +196,5 @@ class Interpolant:
             self._memo = (cloud, vals, grads)
         return self._memo[1], self._memo[2]
 
-    def grad(self, x, project: str = "auto") -> np.ndarray:
-        return self.grad_many(np.asarray(x, dtype=float).reshape(1, -1), project)[0]
+    def grad(self, x) -> np.ndarray:
+        return self.grad_many(np.asarray(x, dtype=float).reshape(1, -1))[0]

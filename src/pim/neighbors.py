@@ -3,16 +3,16 @@
 The kernels have compact support, so every matrix row and every
 reconstruction sum touches only points within a known radius.  A k-d tree
 (``scipy.spatial.cKDTree``) over the points proposes candidates within a
-slightly padded radius; the final cut is the same squared-distance test
-``query_brute`` applies, so indexed and direct-scan results agree exactly
-whatever rounding the tree uses internally.
+slightly padded radius; the final cut is an exact squared-distance test,
+so indexed and direct-scan results agree exactly whatever rounding the
+tree uses internally.
 
 Queries come in batches: ``join`` joins a tree over the queries to the
 point tree in one C-level call, sorts the candidate pairs once as int64
 keys ``q * n + j``, applies the exact cut, and returns the kept pairs with
 the difference vectors and squared distances the cut computed, so callers
-never measure a pair twice.  ``query_brute``, a direct scan of one query,
-is the oracle for every batch query.
+never measure a pair twice.  The tests check every batch query against a
+direct scan of one query through the same cut (``tests/oracles.py``).
 
 Assembly takes every pair of the cloud at once from ``self_join``: one tree
 self-join, mirrored into keys ``i * n + j``, sorted once and turned into a
@@ -169,10 +169,3 @@ class NeighborIndex:
         keep = _squared_lengths(diff.T) <= self._r2
         ends = np.cumsum(np.bincount(rows[keep], minlength=n))
         return np.split(cols[keep].astype(np.int64), ends[:-1])
-
-    def query_brute(self, x: np.ndarray) -> np.ndarray:
-        """Direct O(n) scan; oracle for :meth:`join` and :meth:`query_self`."""
-        x = np.asarray(x, dtype=float).ravel()
-        diff = self.points - x
-        keep = _squared_lengths(diff.T) <= self._r2
-        return np.flatnonzero(keep).astype(np.intp)

@@ -103,8 +103,8 @@ class ManifoldSpec:
 class PointCloud:
     """Immutable sampled manifold with quadrature weights.
 
-    Arrays are locked read-only on construction so instances can be shared
-    freely across workers.
+    Arrays are locked read-only on construction, so the same object always
+    holds the same samples: ``Interpolant.on_cloud`` keys its memo on it.
     """
 
     points: np.ndarray            # (n, d)

@@ -124,19 +124,24 @@ def _solve_dense(system: LinearSystem, options: SolveOptions) -> tuple[np.ndarra
     d = a.indices - np.repeat(np.arange(system.n, dtype=a.indices.dtype), np.diff(a.indptr))
     kl, ku = -int(d.min(initial=0)), int(d.max(initial=0))     # 0 for an empty matrix
     lu, piv, _ = dgbtrf(_band_storage(a, d, kl, ku), kl, ku, overwrite_ab=True)
-    pivots = np.abs(lu[kl + ku])
-    scale = float(pivots.max())
-    pmin = float(pivots.min())
-    diagnostics = {"min_pivot": pmin, "max_pivot": scale, "bandwidth": (kl, ku)}
-    if pmin <= PIVOT_RTOL * scale:
-        raise SingularMatrix("LU pivot below threshold",
-                             {**diagnostics, "threshold": PIVOT_RTOL * scale})
+    diagnostics = _checked_pivots("LU", np.abs(lu[kl + ku]), bandwidth=(kl, ku))
     x, _ = dgbtrs(lu, kl, ku, system.rhs, piv)
     return x, 0, diagnostics
 
 
+def _checked_pivots(name: str, pivots: np.ndarray, **extra) -> dict:
+    """``{min_pivot, max_pivot, **extra}``; raises :class:`SingularMatrix` if
+    the smallest pivot is at most ``PIVOT_RTOL`` times the largest."""
+    scale, pmin = float(pivots.max()), float(pivots.min())
+    diagnostics = {"min_pivot": pmin, "max_pivot": scale, **extra}
+    if pmin <= PIVOT_RTOL * scale:
+        raise SingularMatrix(f"{name} pivot below threshold",
+                             {**diagnostics, "threshold": PIVOT_RTOL * scale})
+    return diagnostics
+
+
 def _gmres(a, b: np.ndarray, prec, rtol: float, restart: int,
-           maxiter: int, history: list) -> tuple[np.ndarray, int]:
+           maxiter: int, history: list, stall_rtol: float) -> tuple[np.ndarray, int]:
     """Restarted GMRES from x = 0, left-preconditioned by ``prec(y, out)``,
     which writes M y into ``out`` and returns it.
 
@@ -145,6 +150,9 @@ def _gmres(a, b: np.ndarray, prec, rtol: float, restart: int,
     with the Givens updates on Python floats; for ``M = diags(dinv)`` and
     ``prec = np.multiply(dinv, y, out=out)`` bit for bit.  Appends each
     preconditioned residual ratio to ``history``; returns ``(x, info)``.
+    It also succeeds at a restart whose true residual ratio is at most
+    ``stall_rtol`` and no smaller than the previous restart's, for systems
+    that cannot reach ``rtol``; ``stall_rtol = 0`` turns that off.
     """
     # scipy's diagonal product turns a -0.0 of dinv * y into 0.0; that sign
     # reaches no sum, norm or iterate, which all start from 0.0
@@ -159,7 +167,7 @@ def _gmres(a, b: np.ndarray, prec, rtol: float, restart: int,
     ptol = np.linalg.norm(prec(b, buf)) * min(ptol_max_factor, atol / bnrm2)
     v = np.empty((restart + 1, n))
     h = np.zeros((restart, restart + 1))    # row j holds column j of the Hessenberg matrix
-    r = b
+    r, last = b, np.inf
     for _ in range(maxiter):
         prec(r, v[0])
         tmp = np.linalg.norm(v[0])
@@ -208,6 +216,9 @@ def _gmres(a, b: np.ndarray, prec, rtol: float, restart: int,
         rnorm = np.linalg.norm(r)
         if rnorm <= atol or breakdown:
             break
+        if last <= rnorm <= stall_rtol * bnrm2:
+            return x, 0
+        last = rnorm
         if presid <= ptol:
             ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
         else:
@@ -224,7 +235,8 @@ def _two_level(a, dinv: np.ndarray, points: np.ndarray, radius: float):
     matrix ``A_c = P^T AP`` is LU-factored.  One application is the coarse
     correction ``c = A_c^-1 P^T y`` followed by one Jacobi step on what it
     leaves, ``z = P c + D^-1 (y - AP c)``: no matvec with A.  Returns
-    ``(prec, n_c)``.
+    ``(prec, n_c)``; raises :class:`SingularMatrix` on a coarse LU pivot below
+    the direct solver's threshold, as on a component with no boundary sample.
     """
     n = points.shape[0]
     cells = np.floor(points / (CELL_FACTOR * radius)).astype(np.int64)
@@ -237,6 +249,7 @@ def _two_level(a, dinv: np.ndarray, points: np.ndarray, radius: float):
     # P^T in CSR keeps scipy from converting AP to CSC for the product
     coarse = lu_factor((p.T.tocsr() @ ap).toarray(order="F"), overwrite_a=True,
                        check_finite=False)
+    _checked_pivots("coarse LU", np.abs(coarse[0].diagonal()), coarse_size=nc)
 
     def prec(y: np.ndarray, out: np.ndarray) -> np.ndarray:
         c = lu_solve(coarse, np.bincount(agg, weights=y, minlength=nc), check_finite=False)
@@ -280,13 +293,13 @@ def _solve_iterative(system: LinearSystem,
         start = time.perf_counter()
         prec, coarse_size = _two_level(a, dinv, points, system.meta["support_radius"])
         setup_s = time.perf_counter() - start
-        name, margin = "two-level", 0.005
+        name, margin, stall_rtol = "two-level", 0.005, options.tol
     else:
         def prec(y: np.ndarray, out: np.ndarray) -> np.ndarray:
             return np.multiply(dinv, y, out=out)
-        name, margin, coarse_size, setup_s = "jacobi", 0.05, 0, 0.0
+        name, margin, stall_rtol, coarse_size, setup_s = "jacobi", 0.05, 0.0, 0, 0.0
     inner_rtol = max(options.tol * margin, 1e-15)
-    x, info = _gmres(a, system.rhs, prec, inner_rtol, restart, maxiter, history)
+    x, info = _gmres(a, system.rhs, prec, inner_rtol, restart, maxiter, history, stall_rtol)
     return x, len(history), {
         "claimed_residual": history[-1] if history else 0.0, "info": info,
         "restart": restart, "max_outer": maxiter, "preconditioner": name,

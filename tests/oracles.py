@@ -4,9 +4,10 @@ Each routine here is a direct, loop-level evaluation of a quantity the
 library computes another way: the finite-difference Laplacian that guards
 the hand-derived source terms of the manufactured cases, the kernel
 gradients of the dense reconstruction oracle, the penalized pointwise
-operator K, the boundary column g = K 1, and the LAPACK band storage of
-a dense matrix copied one diagonal at a time.  None of them is part of a
-solve, so they live beside the tests rather than in ``pim``.
+operator K, the boundary column g = K 1, the LAPACK band storage of a
+dense matrix copied one diagonal at a time, and a neighbour search by
+direct scan.  None of them is part of a solve, so they live beside the
+tests rather than in ``pim``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from pim.analysis import ManufacturedCase
 from pim.kernel import (KernelParams, KernelProfile, _diff_and_arg, cubic_profile,
                         eval_Rbar_t)
+from pim.neighbors import NeighborIndex, _squared_lengths
 from pim.operators import _as_field, apply_Lth
 from pim.pointcloud import PointCloud
 
@@ -169,3 +171,17 @@ def band_storage(a: np.ndarray, kl: int, ku: int) -> np.ndarray:
     for d in range(-kl, ku + 1):
         ab[kl + ku - d, max(d, 0):n + min(d, 0)] = np.diagonal(a, d)
     return ab
+
+
+# ---------------------------------------------------------------------------
+# neighbour search by direct scan
+# ---------------------------------------------------------------------------
+
+
+def query_brute(index: NeighborIndex, x: np.ndarray) -> np.ndarray:
+    """Indices of ``index``'s points within its radius of ``x``, by a direct
+    O(n) scan through the library's own squared-distance routine; the oracle
+    for ``NeighborIndex.join`` and ``NeighborIndex.query_self``."""
+    x = np.asarray(x, dtype=float).ravel()
+    keep = _squared_lengths((index.points - x).T) <= index.radius * index.radius
+    return np.flatnonzero(keep).astype(np.intp)

@@ -16,7 +16,7 @@ from pim.analysis import (Coupling, Guardrails, SWEEP_HEADER, SweepAborted,
                           solve_case_on_cloud)
 from pim.interpolate import Interpolant
 from pim.kernel import get_profile
-from pim.pointcloud import ManifoldSpec, generate
+from pim.pointcloud import ManifoldSpec, generate, load, save
 from pim.solve import SolverError
 
 CASE_NAMES = ["interval_sine", "disk_paraboloid", "rectangle_quadratic",
@@ -116,6 +116,30 @@ def test_error_norms_positive_and_consistent(interval_cloud):
     bl2 = boundary_l2_error(interp, case, ref)
     assert 0.0 < l2 < h1               # H1 dominates L2 by construction
     assert bl2 > 0.0
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_reloaded_cloud_matches_the_generated_one(name, tmp_path):
+    # the samples' geometry alone decides the gradient projection, so a cloud
+    # saved and loaded again gives the generated cloud's results bit for bit
+    case = get_case(name)
+    cloud = generate(case.spec.with_resolution(300), seed=3, jitter=0.25)
+    save(cloud, tmp_path / "cloud.csv")
+    loaded = load(tmp_path / "cloud.csv")
+    assert loaded.metadata["shape"] is None
+    ref = generate(case.spec.with_resolution(600), seed=0)
+    coupling = Coupling()
+    t = coupling.t_of(cloud.metadata["h"])
+    beta = coupling.beta_of(t)
+    arrays, scalars = [], []
+    for cl in (cloud, loaded):
+        interp, report = solve_case_on_cloud(case, cl, t, beta)
+        arrays.append([report.solution, *interp.on_cloud(ref)])
+        scalars.append([l2_error(interp, case, ref), h1_error(interp, case, ref),
+                        boundary_l2_error(interp, case, ref), lemma_norm_check(interp, ref)])
+    for got, want in zip(*arrays):
+        assert np.array_equal(got, want)
+    assert scalars[0] == scalars[1]
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +471,9 @@ def test_sweep_lemma_record_shares_the_level_pass(monkeypatch):
     for study, run in STUDIES.items():
         passes = []
 
-        def counted(self, X, project="auto"):
+        def counted(self, X):
             passes.append((self, np.array(X)))
-            return real(self, X, project)
+            return real(self, X)
 
         monkeypatch.setattr(Interpolant, "value_and_grad_many", counted)
         result = run(case, sizes, reference_factor=2)

@@ -121,31 +121,73 @@ def test_gradient_matches_finite_differences(solved_interval, solved_disk):
                 assert g[axis] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
+def raw_grads(interp, X):
+    """The unprojected gradients: the pair sums' quotient rule alone."""
+    return interp._run(interp._queries(X), True)[1]
+
+
 def test_cap_gradient_is_tangent(solved_cap):
     pts = solved_cap.cloud.points[::37]
-    grads = solved_cap.grad_many(pts)           # auto -> projected
+    grads = solved_cap.grad_many(pts)           # the samples lie on a sphere
     radial = pts / np.linalg.norm(pts, axis=1, keepdims=True)
     normal_part = np.abs(np.einsum("qd,qd->q", grads, radial))
     mags = np.linalg.norm(grads, axis=1)
     assert np.all(mags > 0.0)
     assert np.all(normal_part <= 1e-10 * mags)
-    # explicit modes: "sphere" must agree with auto; "none" must not project
-    forced = solved_cap.grad_many(pts, project="sphere")
-    assert np.array_equal(forced, grads)
-    raw = solved_cap.grad_many(pts, project="none")
-    raw_normal = np.abs(np.einsum("qd,qd->q", raw, radial))
+    # unprojected, the gradients keep a normal part
+    raw_normal = np.abs(np.einsum("qd,qd->q", raw_grads(solved_cap, pts), radial))
     assert np.max(raw_normal) > np.max(normal_part)
 
 
 def test_flat_clouds_not_projected(solved_disk):
     pts = np.array([[0.2, 0.1]])
-    assert np.array_equal(solved_disk.grad_many(pts),
-                          solved_disk.grad_many(pts, project="none"))
+    assert np.array_equal(solved_disk.grad_many(pts), raw_grads(solved_disk, pts))
 
 
-def test_unknown_projection_mode(solved_interval):
-    with pytest.raises(ValueError, match="projection"):
-        solved_interval.grad_many(np.array([[0.5]]), project="normal")
+def linear_interp(cloud):
+    """Reconstruction of u = x1 + 2 x2 with no source and exact boundary data."""
+    u = cloud.points[:, 0] + 2.0 * cloud.points[:, 1]
+    return Interpolant(cloud=cloud, params=KernelParams(t=0.03, k=cloud.intrinsic_dim),
+                       profile=cubic_profile, beta=0.15, u=u, f=np.zeros(cloud.n),
+                       b=u[cloud.boundary_indices])
+
+
+@pytest.mark.parametrize("scale, shift, nudge, projected", [
+    (1.0, 0.0, 0.0, True),
+    (2.0, 0.0, 0.0, True),          # any sphere about the origin
+    (1.0, 0.5, 0.0, False),         # a sphere about another centre
+    (1.0, 0.0, 1e-9, False),        # one sample off the sphere
+])
+def test_projection_follows_the_samples_geometry(cap_cloud, scale, shift, nudge, projected):
+    pts = cap_cloud.points * scale + [0.0, 0.0, shift]
+    pts[7] *= 1.0 + nudge
+    cloud = PointCloud(points=pts, intrinsic_dim=2, boundary_indices=cap_cloud.boundary_indices,
+                       volume_weights=cap_cloud.volume_weights,
+                       area_weights=cap_cloud.area_weights)
+    interp = linear_interp(cloud)
+    X = pts[::23]
+    grads, raw = interp.grad_many(X), raw_grads(interp, X)
+    if projected:
+        radial = X / np.linalg.norm(X, axis=1, keepdims=True)
+        normal_part = np.abs(np.einsum("qd,qd->q", grads, radial))
+        assert np.all(normal_part <= 1e-12 * np.linalg.norm(grads, axis=1))
+        assert not np.array_equal(grads, raw)
+    else:
+        assert np.array_equal(grads, raw)
+
+
+def test_curve_on_a_sphere_not_projected(interval_cloud):
+    # samples on the unit sphere, but on a circle of latitude: intrinsic
+    # dimension 1 in R^3, so the sphere's tangent plane is not the curve's
+    theta = 2.0 * interval_cloud.points[:, 0]
+    pts = np.column_stack([0.8 * np.cos(theta), 0.8 * np.sin(theta), np.full(theta.size, 0.6)])
+    cloud = PointCloud(points=pts, intrinsic_dim=1,
+                       boundary_indices=interval_cloud.boundary_indices,
+                       volume_weights=interval_cloud.volume_weights,
+                       area_weights=interval_cloud.area_weights)
+    interp = linear_interp(cloud)
+    X = pts[::9]
+    assert np.array_equal(interp.grad_many(X), raw_grads(interp, X))
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +291,13 @@ def test_neighbour_sums_match_dense_oracle(which, request, rng):
     X = support_edge_queries(interp.cloud, interp.params.support_radius, rng, 300)
     assert X.shape[0] > CHUNK       # spans more than one evaluation block
     vals = interp.eval_many(X)
-    grads = interp.grad_many(X, project="none")
+    grads = raw_grads(interp, X)
     want_v, want_g = dense_oracle(interp, X)
     assert np.max(np.abs(vals - want_v)) <= 1e-12 * np.max(np.abs(want_v))
     assert np.max(np.abs(grads - want_g)) <= 1e-12 * np.max(np.abs(want_g))
     # a repeat evaluation reproduces the first bit for bit
     assert np.array_equal(interp.eval_many(X), vals)
-    assert np.array_equal(interp.grad_many(X, project="none"), grads)
+    assert np.array_equal(raw_grads(interp, X), grads)
 
 
 def permuted_boundary(cloud, perm):
@@ -280,7 +322,7 @@ def test_boundary_sums_follow_a_permuted_boundary_list(case_name, cloud_name,
     interp, _ = solve_case_on_cloud(get_case(case_name), cloud, t=0.03, beta=0.15)
     X = support_edge_queries(cloud, interp.params.support_radius, rng, 300)
     vals = interp.eval_many(X)
-    grads = interp.grad_many(X, project="none")
+    grads = raw_grads(interp, X)
     want_v, want_g = dense_oracle(interp, X)
     assert np.max(np.abs(vals - want_v)) <= 1e-12 * np.max(np.abs(want_v))
     assert np.max(np.abs(grads - want_g)) <= 1e-12 * np.max(np.abs(want_g))
@@ -300,8 +342,8 @@ def test_boundary_weights_follow_their_samples(which, request, rng):
                         profile=interp.profile, beta=interp.beta,
                         u=interp.u, f=interp.f, b=interp.b[perm])
     X = support_edge_queries(cloud, interp.params.support_radius, rng, 300)
-    for got, want in zip(other.value_and_grad_many(X, "none"),
-                         interp.value_and_grad_many(X, "none")):
+    for got, want in zip(other._run(other._queries(X), True),
+                         interp._run(interp._queries(X), True)):
         assert np.array_equal(got, want)
 
 
@@ -309,12 +351,9 @@ def test_boundary_weights_follow_their_samples(which, request, rng):
 def test_value_and_grad_many_is_one_fused_pass(which, request, rng):
     interp = request.getfixturevalue(which)
     X = support_edge_queries(interp.cloud, interp.params.support_radius, rng, 300)
-    for project in ("auto", "none"):
-        vals, grads = interp.value_and_grad_many(X, project)
-        assert np.array_equal(vals, interp.eval_many(X))
-        assert np.array_equal(grads, interp.grad_many(X, project))
-    with pytest.raises(ValueError):
-        interp.value_and_grad_many(X, project="bogus")
+    vals, grads = interp.value_and_grad_many(X)
+    assert np.array_equal(vals, interp.eval_many(X))
+    assert np.array_equal(grads, interp.grad_many(X))
 
 
 def test_h1_and_lemma_norms_unchanged_by_fused_pass(solved_cap, cap_cloud):

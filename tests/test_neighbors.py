@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import query_brute
 from pim.neighbors import NeighborIndex, _squared_lengths
 from pim.pointcloud import ManifoldSpec, generate
 
@@ -69,7 +70,7 @@ def test_matches_brute_force_random(n, dim, rng):
     idx = NeighborIndex(pts, radius)
     for _ in range(100):
         q = rng.uniform(-1.3, 1.3, size=dim)
-        assert np.array_equal(join_one(idx, q), idx.query_brute(q))
+        assert np.array_equal(join_one(idx, q), query_brute(idx, q))
 
 
 def test_matches_brute_force_on_generated_clouds(disk_cloud, cap_cloud, rng):
@@ -78,7 +79,7 @@ def test_matches_brute_force_on_generated_clouds(disk_cloud, cap_cloud, rng):
         queries = rng.integers(0, cloud.n, size=60)
         for qi in queries:
             q = cloud.points[qi]
-            assert np.array_equal(join_one(idx, q), idx.query_brute(q))
+            assert np.array_equal(join_one(idx, q), query_brute(idx, q))
 
 
 def test_query_self_consistent(rng):
@@ -134,14 +135,14 @@ def test_points_at_radius_and_one_ulp_either_side(rng):
     centre = np.array([0.1, -0.2])
     pts = np.array([centre + r * u for u in dirs for r in shells])
     idx = NeighborIndex(pts, radius)
-    want = idx.query_brute(centre)
+    want = query_brute(idx, centre)
     assert 0 < want.size < pts.shape[0]
     assert np.array_equal(join_one(idx, centre), want)
     rows, cols, _, _ = idx.join(np.vstack([centre, centre]))
     assert np.array_equal(rows, np.repeat([0, 1], want.size))
     assert np.array_equal(cols, np.concatenate([want, want]))
     for i, row in enumerate(idx.query_self()):
-        assert np.array_equal(row, idx.query_brute(pts[i]))
+        assert np.array_equal(row, query_brute(idx, pts[i]))
 
 
 def test_pairs_rows_and_columns_ascending(rng):
@@ -151,7 +152,7 @@ def test_pairs_rows_and_columns_ascending(rng):
     rows, cols, _, _ = idx.join(queries)
     assert np.all(np.diff(rows) >= 0)
     for q in range(queries.shape[0]):
-        assert np.array_equal(cols[rows == q], idx.query_brute(queries[q]))
+        assert np.array_equal(cols[rows == q], query_brute(idx, queries[q]))
 
 
 def test_empty_point_set():
@@ -179,7 +180,7 @@ def test_self_join_candidate_graph(rng):
     assert np.all(np.isin(np.arange(n) * (n + 1), keys))  # every self pair
     # a superset of the exact pairs, and nothing far past the radius
     for i in (0, 1, 299, n - 1):
-        assert np.all(np.isin(idx.query_brute(pts[i]), cols[rows == i]))
+        assert np.all(np.isin(query_brute(idx, pts[i]), cols[rows == i]))
     dist = np.linalg.norm(pts[rows] - pts[cols], axis=1)
     assert np.max(dist) <= radius * (1.0 + 1e-8)
 
@@ -199,7 +200,7 @@ def test_self_join_either_side_of_the_int32_key_limit(n, rng):
     assert np.all((np.diff(cols) > 0) | (np.diff(rows) > 0))  # ascending in each row
     assert np.array_equal(rows[rows == cols], np.arange(n))  # every self pair
     for i in np.concatenate(([0, n - 1], rng.choice(n, size=40, replace=False))):
-        assert np.array_equal(cols[cand_ptr[i]:cand_ptr[i + 1]], idx.query_brute(pts[i]))
+        assert np.array_equal(cols[cand_ptr[i]:cand_ptr[i + 1]], query_brute(idx, pts[i]))
 
 
 def test_query_self_matches_brute_on_a_large_cloud_with_shells(rng):
@@ -220,7 +221,7 @@ def test_query_self_matches_brute_on_a_large_cloud_with_shells(rng):
     rows = idx.query_self()
     assert len(rows) == pts.shape[0]
     for i, row in enumerate(rows):
-        assert np.array_equal(row, idx.query_brute(pts[i])), i
+        assert np.array_equal(row, query_brute(idx, pts[i])), i
 
 
 def assert_join_matches_brute(idx, queries):
@@ -229,7 +230,7 @@ def assert_join_matches_brute(idx, queries):
     assert diff.shape[1] == idx.points.shape[1]
     assert np.all(np.diff(rows) >= 0)
     for q in range(queries.shape[0]):
-        assert np.array_equal(cols[rows == q], idx.query_brute(queries[q])), q
+        assert np.array_equal(cols[rows == q], query_brute(idx, queries[q])), q
     # the differences are the ones the exact cut measured
     assert np.array_equal(diff, idx.points[cols] - queries[rows])
     # and the squared distances are the ones it tested, bit for bit

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 import warnings
 
@@ -15,7 +16,7 @@ from pim.assembly import LinearSystem, assemble
 from pim.config import DEFAULTS
 from pim.kernel import KernelParams, cubic_profile, truncated_gaussian_profile
 from pim.pointcloud import generate
-from pim.solve import (NoConvergence, SingularMatrix, SolveOptions,
+from pim.solve import (NoConvergence, PIVOT_RTOL, SingularMatrix, SolveOptions,
                        SolverError, TWO_LEVEL_MIN_N, _band_storage, _solve_iterative,
                        _true_residual, solve)
 
@@ -445,3 +446,47 @@ def test_solve_leaves_the_matrix_arrays_unchanged():
     before = [x.tobytes() for x in (a.data, a.indices, a.indptr)]
     assert solve(system).diagnostics["preconditioner"] == "two-level"
     assert [x.tobytes() for x in (a.data, a.indices, a.indptr)] == before
+
+
+def test_two_level_accepts_a_stalled_iterate_inside_tol():
+    # at t = 1e-4 the two-level's inner target, 0.005 * tol, lies below the
+    # ~1e-12 true residual this system reaches; without the stall rule GMRES
+    # spent its whole budget (here 4 097 iterations) and raised NoConvergence
+    case = analysis.get_case("interval_sine")
+    cloud = generate(case.spec.with_resolution(4097))
+    options = SolveOptions(max_iter_factor=1)
+    _, report = analysis.solve_case_on_cloud(case, cloud, t=1e-4, beta=0.1,
+                                             solver_options=options)
+    assert report.diagnostics["preconditioner"] == "two-level"
+    assert report.diagnostics["info"] == 0
+    assert report.residual_norm <= options.tol
+    assert report.iterations <= 100
+
+
+def test_singular_coarse_matrix_raises_before_gmres(monkeypatch):
+    # a jittered disk plus a copy of 40 interior points 10 units away: the
+    # copy has no boundary sample, so the matrix and its coarse matrix
+    # annihilate constants on it
+    disk = generate(analysis.get_case("disk_paraboloid").spec.with_resolution(8000),
+                    seed=0, jitter=0.25)
+    interior = np.setdiff1d(np.arange(disk.n), disk.boundary_indices)
+    near = interior[np.argsort(np.linalg.norm(disk.points[interior], axis=1))[:40]]
+    cloud = dataclasses.replace(
+        disk, points=np.vstack([disk.points, disk.points[near] + [10.0, 0.0]]),
+        volume_weights=np.concatenate([disk.volume_weights, disk.volume_weights[near]]))
+    assert cloud.n == 8052
+    t = analysis.Coupling().t_of(disk.metadata["h"])
+    system = assemble(cloud, KernelParams(t=t, k=2), cubic_profile,
+                      analysis.Coupling().beta_of(t), np.full(cloud.n, 4.0),
+                      np.zeros(cloud.boundary_indices.size), dense_cutoff=0)
+
+    def no_gmres(*args, **kwargs):
+        raise AssertionError("GMRES ran on a singular coarse matrix")
+
+    # ``pim.solve`` names the function once the package is imported
+    monkeypatch.setattr(importlib.import_module("pim.solve"), "_gmres", no_gmres)
+    with pytest.raises(SingularMatrix, match="coarse LU pivot") as exc:
+        solve(system)
+    diag = exc.value.diagnostics
+    assert diag["coarse_size"] > 1
+    assert diag["min_pivot"] <= diag["threshold"] == PIVOT_RTOL * diag["max_pivot"]
