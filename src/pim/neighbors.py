@@ -7,12 +7,12 @@ slightly padded radius; the final cut is an exact squared-distance test,
 so indexed and direct-scan results agree exactly whatever rounding the
 tree uses internally.
 
-Queries come in batches: ``join`` joins a tree over the queries to the
-point tree in one C-level call, sorts the candidate pairs once as int64
-keys ``q * n + j``, applies the exact cut, and returns the kept pairs with
-the difference vectors and squared distances the cut computed, so callers
-never measure a pair twice.  The tests check every batch query against a
-direct scan of one query through the same cut (``tests/oracles.py``).
+Queries come in batches: ``join`` joins a tree over a batch to the point
+tree and sorts the pairs once as int64 keys ``q * n + j``, or takes each
+query's candidates from its nearest point's row of one ``self_join`` (below)
+made by ``candidates`` for a whole pass.  It returns the pairs the exact cut
+keeps with the differences and squared distances it computed, so callers
+never measure a pair twice; tests check both ways against a direct scan.
 
 Assembly takes every pair of the cloud at once from ``self_join``: one tree
 self-join, mirrored into keys ``i * n + j``, sorted once and turned into a
@@ -44,6 +44,8 @@ __all__ = ["NeighborIndex"]
 # with its own rounding; a pad far above a few ulps keeps it from dropping a
 # point the exact test below would keep.
 _PAD = 1e-9
+# widest graph ``candidates`` builds, in radii: at 1.5 a tree per batch was faster
+_REACH_MAX = 1.25
 
 
 def _squared_lengths(parts) -> np.ndarray:
@@ -83,43 +85,68 @@ class NeighborIndex:
         self._r2 = self.radius * self.radius
         self._tree = cKDTree(points)
 
-    def join(self, queries: np.ndarray) -> tuple[np.ndarray, ...]:
+    def join(self, queries: np.ndarray, via=None) -> tuple[np.ndarray, ...]:
         """Every (query, point) pair within ``radius``, with its difference.
 
         Returns ``(rows, cols, diff, sq)``: ``rows`` indexes ``queries`` and
         ascends, ``cols`` indexes the points and ascends within each row,
         ``diff[p] = points[cols[p]] - queries[rows[p]]`` and ``sq[p]`` is its
-        squared length, the value the radius cut tested.  Raises
-        ``ValueError`` if a query is not finite.
+        squared length, the value the radius cut tested.  ``via``, a pass's
+        :meth:`candidates` sliced to these queries, gives the same result.
+        Raises ``ValueError`` if a query is not finite.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        n = self.points.shape[0]
-        hits = cKDTree(queries).sparse_distance_matrix(
-            self._tree, self.radius * (1.0 + _PAD), output_type="ndarray")
-        keys = hits["i"] * n + hits["j"]
-        keys.sort()
-        rows, cols = np.divmod(keys, n)
-        diff = np.take(self.points, cols, axis=0) - np.take(queries, rows, axis=0)
-        sq = _squared_lengths(diff.T)
+        if via is None:
+            n = self.points.shape[0]
+            hits = cKDTree(queries).sparse_distance_matrix(
+                self._tree, self.radius * (1.0 + _PAD), output_type="ndarray")
+            keys = hits["i"] * n + hits["j"]
+            keys.sort()
+            rows, cols = np.divmod(keys, n)
+        else:
+            first, count, graph = via
+            rows = np.repeat(np.arange(count.shape[0]), count)
+            at = np.arange(rows.shape[0]) + np.repeat(first - np.cumsum(count) + count, count)
+            cols = np.take(graph, at).astype(np.intp)
+        diff = np.empty((queries.shape[1], rows.shape[0]))     # diff.T is returned
+        for p, x, out in zip(self.points.T, queries.T, diff):
+            np.subtract(np.take(p, cols), np.take(x, rows), out=out)
+        sq = _squared_lengths(diff)
         keep = sq <= self._r2
-        if keep.all():      # the padded radius rarely adds a pair; skip the copies
-            return rows, cols, diff, sq
-        return rows[keep], cols[keep], diff[keep], sq[keep]
+        return rows[keep], cols[keep], np.compress(keep, diff, axis=1).T, sq[keep]
 
-    def self_join(self) -> tuple[np.ndarray, np.ndarray]:
+    def candidates(self, queries: np.ndarray) -> tuple[np.ndarray, ...] | None:
+        """``(first, count, cols)``: query k's candidates ``cols[first[k]:first[k]
+        + count[k]]`` are its nearest point's row of :meth:`self_join` at radius
+        ``radius + max δ``, δ a query's distance to that point: a superset of
+        ``join``'s pairs, ascending.  A query with no point within ``radius`` has
+        none and no δ.  None if that radius passes ``_REACH_MAX * radius``.
+        Raises ``ValueError`` if a query is not finite."""
+        n = self.points.shape[0]
+        dist, near = self._tree.query(np.atleast_2d(np.asarray(queries, dtype=float)))
+        # no point within radius (dist is inf on an empty tree): row n, emptied by the clip
+        near[~(dist <= self.radius * (1.0 + _PAD))] = n
+        reach = self.radius + dist.max(initial=0.0, where=near < n)
+        if reach > _REACH_MAX * self.radius:
+            return None
+        cand_ptr, cols = self.self_join(reach)
+        first = cand_ptr[near]
+        return first, np.take(cand_ptr, near + 1, mode="clip") - first, cols
+
+    def self_join(self, radius: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Candidate pairs among the points, as a compressed-sparse-row graph.
 
         Returns ``(cand_ptr, cols)``: the candidates of point ``i`` are
         ``cols[cand_ptr[i]:cand_ptr[i + 1]]``, ascending.  They hold both
-        orders of every pair within ``radius`` and each point itself; the
-        tree's padded radius may add pairs just beyond ``radius``, so callers
-        apply their own exact cut.  ``cols`` is int32 when the candidate
-        count fits, int64 otherwise, and ``cand_ptr`` is int64.  Up to
-        n = 46 340 the keys are int32 and the self keys are sorted in with
-        the pairs, so nothing is inserted afterwards.
+        orders of every pair within ``radius`` (by default the index's) and
+        each point itself; the tree's padded radius may add pairs just beyond
+        ``radius``, so callers apply their own exact cut.  ``cols`` is int32
+        when the candidate count fits, int64 otherwise, and ``cand_ptr`` is
+        int64.  Up to n = 46 340 the keys are int32 and the self keys are
+        sorted in with the pairs, so nothing is inserted afterwards.
         """
         n = self.points.shape[0]
-        keys = self._tree.query_pairs(self.radius * (1.0 + _PAD), output_type="ndarray")
+        keys = self._tree.query_pairs((radius or self.radius) * (1.0 + _PAD), output_type="ndarray")
         if n * n <= np.iinfo(np.int32).max:     # n <= 46 340: every key fits int32
             # Narrow the pairs and free the tree's buffer before allocating the
             # array that is returned: allocated while that buffer lived, it
@@ -163,9 +190,6 @@ class NeighborIndex:
         n = self.points.shape[0]
         if n == 0:
             return []
-        cand_ptr, cols = self.self_join()
-        rows = np.repeat(np.arange(n), np.diff(cand_ptr))
-        diff = np.take(self.points, cols, axis=0) - np.take(self.points, rows, axis=0)
-        keep = _squared_lengths(diff.T) <= self._r2
-        ends = np.cumsum(np.bincount(rows[keep], minlength=n))
-        return np.split(cols[keep].astype(np.int64), ends[:-1])
+        rows, cols, _, _ = self.join(self.points, self.candidates(self.points))
+        ends = np.cumsum(np.bincount(rows, minlength=n))
+        return np.split(cols.astype(np.int64), ends[:-1])

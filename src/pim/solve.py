@@ -141,7 +141,7 @@ def _checked_pivots(name: str, pivots: np.ndarray, **extra) -> dict:
 
 
 def _gmres(a, b: np.ndarray, prec, rtol: float, restart: int,
-           maxiter: int, history: list, stall_rtol: float) -> tuple[np.ndarray, int]:
+           maxiter: int, history: list, stall_rtol: float) -> tuple[np.ndarray, int, dict]:
     """Restarted GMRES from x = 0, left-preconditioned by ``prec(y, out)``,
     which writes M y into ``out`` and returns it.
 
@@ -149,7 +149,8 @@ def _gmres(a, b: np.ndarray, prec, rtol: float, restart: int,
     atol=0, restart=restart, maxiter=maxiter, callback_type="pr_norm")``,
     with the Givens updates on Python floats; for ``M = diags(dinv)`` and
     ``prec = np.multiply(dinv, y, out=out)`` bit for bit.  Appends each
-    preconditioned residual ratio to ``history``; returns ``(x, info)``.
+    preconditioned residual ratio to ``history``; returns ``(x, info, {"breakdown": whether
+    Arnoldi broke down, "restart_residual": the last restart's true residual ratio})``.
     It also succeeds at a restart whose true residual ratio is at most
     ``stall_rtol`` and no smaller than the previous restart's, for systems
     that cannot reach ``rtol``; ``stall_rtol = 0`` turns that off.
@@ -161,7 +162,7 @@ def _gmres(a, b: np.ndarray, prec, rtol: float, restart: int,
     bnrm2 = np.linalg.norm(b)
     atol = max(0.0, rtol * float(bnrm2))
     if bnrm2 == 0 or bnrm2 < atol:      # scipy returns b itself when it is 0
-        return (b.copy() if bnrm2 == 0 else x), 0
+        return (b.copy() if bnrm2 == 0 else x), 0, {"breakdown": False, "restart_residual": 0.0}
     eps = np.finfo(float).eps
     ptol_max_factor = 1.0
     ptol = np.linalg.norm(prec(b, buf)) * min(ptol_max_factor, atol / bnrm2)
@@ -217,14 +218,14 @@ def _gmres(a, b: np.ndarray, prec, rtol: float, restart: int,
         if rnorm <= atol or breakdown:
             break
         if last <= rnorm <= stall_rtol * bnrm2:
-            return x, 0
+            return x, 0, {"breakdown": False, "restart_residual": rnorm / bnrm2}
         last = rnorm
         if presid <= ptol:
             ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
         else:
             ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
         ptol = presid * min(ptol_max_factor, atol / rnorm)
-    return x, 0 if rnorm <= atol else maxiter
+    return x, 0 if rnorm <= atol else maxiter, {"breakdown": breakdown, "restart_residual": rnorm / bnrm2}
 
 
 def _two_level(a, dinv: np.ndarray, points: np.ndarray, radius: float):
@@ -299,9 +300,9 @@ def _solve_iterative(system: LinearSystem,
             return np.multiply(dinv, y, out=out)
         name, margin, stall_rtol, coarse_size, setup_s = "jacobi", 0.05, 0.0, 0, 0.0
     inner_rtol = max(options.tol * margin, 1e-15)
-    x, info = _gmres(a, system.rhs, prec, inner_rtol, restart, maxiter, history, stall_rtol)
+    x, info, ended = _gmres(a, system.rhs, prec, inner_rtol, restart, maxiter, history, stall_rtol)
     return x, len(history), {
-        "claimed_residual": history[-1] if history else 0.0, "info": info,
+        "claimed_residual": history[-1] if history else 0.0, "info": info, **ended,
         "restart": restart, "max_outer": maxiter, "preconditioner": name,
         "coarse_size": coarse_size, "coarse_setup_s": setup_s,
     }
@@ -328,13 +329,12 @@ def solve(system: LinearSystem, options: Optional[SolveOptions] = None) -> Solve
     run = _solve_dense if method == "dense-lu" else _solve_iterative
     x, iterations, diagnostics = run(system, options)
     res = _true_residual(system, x)
-    # GMRES's info flags a spent iteration budget; a NaN residual fails too
+    # GMRES's info flags a spent budget or a breakdown short of it; a NaN residual fails too
     if diagnostics.get("info", 0) != 0 or not res <= options.tol:
-        raise NoConvergence(
-            f"{method} solve failed to reach tolerance",
-            {**diagnostics, "residual": res, "tol": options.tol,
-             "iterations": iterations},
-        )
+        failed = "broke down before reaching" if diagnostics.get("breakdown") else "failed to reach"
+        raise NoConvergence(f"{method} solve {failed} tolerance",
+                            {**diagnostics, "residual": res, "tol": options.tol,
+                             "iterations": iterations})
     # LU claims nothing of its own, so its claimed residual is the verified one
     return SolveReport(
         solution=x, method=method, iterations=iterations, residual_norm=res,

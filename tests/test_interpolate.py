@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from pim import neighbors
 from pim.analysis import (get_case, h1_error, lemma_norm_check,
                           solve_case_on_cloud)
 from pim.interpolate import CHUNK, Interpolant, OutOfSupport
 from oracles import grad_Rbar_t_x, grad_Rt_x
 from pim.kernel import KernelParams, cubic_profile, eval_Rbar_t, eval_Rt
+from pim.neighbors import NeighborIndex
 from pim.pointcloud import PointCloud
 
 
@@ -369,3 +371,78 @@ def test_h1_and_lemma_norms_unchanged_by_fused_pass(solved_cap, cap_cloud):
     norm = math.sqrt(float(np.sum(vals * vals * w))
                      + float(np.sum(np.einsum("qd,qd->q", grads, grads) * w)))
     assert lemma_norm_check(solved_cap, cap_cloud)["h1_norm"] == norm
+
+
+# ---------------------------------------------------------------------------
+# passes of at least as many queries as samples take the samples' own graph
+# ---------------------------------------------------------------------------
+
+def count_searches(monkeypatch):
+    """Record the radius of every ``self_join`` and count the k-d trees
+    ``pim.neighbors`` builds."""
+    joins, trees = [], []
+    real_join, real_tree = NeighborIndex.self_join, neighbors.cKDTree
+    monkeypatch.setattr(NeighborIndex, "self_join",
+                        lambda self, r=None: joins.append(r) or real_join(self, r))
+    monkeypatch.setattr(neighbors, "cKDTree",
+                        lambda *a, **k: trees.append(a) or real_tree(*a, **k))
+    return joins, trees
+
+
+@pytest.mark.parametrize("which", ["solved_interval", "solved_disk", "solved_cap"])
+def test_large_pass_makes_one_self_join_and_no_query_tree(which, request, monkeypatch, rng):
+    # the samples, and points 0.2 support radii off random samples: a graph
+    # at most 1.2 radii wide
+    interp = request.getfixturevalue(which)
+    cl, radius = interp.cloud, interp.params.support_radius
+    d = rng.standard_normal((cl.n, cl.ambient_dim))
+    d *= 0.2 * radius / np.linalg.norm(d, axis=1, keepdims=True)
+    X = np.vstack([cl.points, cl.points[rng.integers(0, cl.n, size=cl.n)] + d])
+    small = [interp.value_and_grad_many(X[lo:lo + 97]) for lo in range(0, X.shape[0], 97)]
+    joins, trees = count_searches(monkeypatch)
+    vals, grads = interp.value_and_grad_many(X)
+    assert len(joins) == 1 and radius < joins[0] <= 1.2 * radius * (1.0 + 1e-12) and not trees
+    # the same bits as the blocks of a tree over the queries
+    assert np.array_equal(vals, np.concatenate([v for v, _ in small]))
+    assert np.array_equal(grads, np.concatenate([g for _, g in small]))
+    interp.value_and_grad_many(X[:cl.n - 1])
+    assert len(joins) == 1 and len(trees) == -(-(cl.n - 1) // CHUNK)
+
+
+@pytest.mark.parametrize("which", ["solved_disk", "solved_cap"])
+def test_large_pass_far_off_the_samples_keeps_a_tree_per_block(which, request,
+                                                               monkeypatch, rng):
+    # queries 0.9 support radii off the samples would need a graph 1.9 radii
+    # wide, which costs more than a tree over each block
+    interp = request.getfixturevalue(which)
+    cl = interp.cloud
+    X = support_edge_queries(cl, interp.params.support_radius, rng, cl.n)
+    small = [interp.value_and_grad_many(X[lo:lo + 97]) for lo in range(0, X.shape[0], 97)]
+    joins, trees = count_searches(monkeypatch)
+    vals, grads = interp.value_and_grad_many(X)
+    assert not joins and len(trees) == -(-X.shape[0] // CHUNK)
+    assert np.array_equal(vals, np.concatenate([v for v, _ in small]))
+    assert np.array_equal(grads, np.concatenate([g for _, g in small]))
+
+
+def test_large_pass_raises_out_of_support_without_widening_the_graph(solved_interval,
+                                                                     monkeypatch):
+    # queries on every sample, one just past the padded support radius from
+    # the last sample and one far away: the graph keeps the support radius
+    cl, radius = solved_interval.cloud, solved_interval.params.support_radius
+    joins, _ = count_searches(monkeypatch)
+    for far in (cl.points.max() + radius * (1.0 + 1e-8), 5.0):
+        X = np.vstack([cl.points, [[far]], cl.points[::-1]])
+        with pytest.raises(OutOfSupport) as exc:
+            solved_interval.value_and_grad_many(X)
+        assert exc.value.point == pytest.approx([far], rel=0.0)
+    assert joins == [radius, radius]
+
+
+def test_non_finite_query_raises_on_both_paths(solved_interval):
+    n = solved_interval.cloud.n
+    for q in (3, n + 3):
+        X = np.linspace(0.1, 0.9, q)[:, None]
+        X[1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            solved_interval.value_and_grad_many(X)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import query_brute
+from pim import neighbors
 from pim.neighbors import NeighborIndex, _squared_lengths
 from pim.pointcloud import ManifoldSpec, generate
 
@@ -10,19 +11,26 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def row_einsum(diff):
+    """Squared row lengths by the row-wise einsum of a C-contiguous copy of
+    ``diff``: einsum's order of summation follows the memory layout."""
+    diff = np.ascontiguousarray(diff)
+    return np.einsum("ij,ij->i", diff, diff)
+
+
 def join_one(idx, x):
     """Indices of the points within the radius of ``x``, through ``join``."""
     rows, cols, diff, sq = idx.join(np.asarray(x, dtype=float).reshape(1, -1))
     assert not rows.any()
-    assert same_bits(sq, np.einsum("ij,ij->i", diff, diff))
+    assert same_bits(sq, row_einsum(diff))
     return cols
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_squared_lengths_equal_einsum_bit_for_bit(d, rng):
-    # assembly passes one coordinate array each, join passes diff.T, a strided
-    # view; both get the bits of the row-wise einsum of a contiguous difference
-    # array, and neither input changes (join returns the diff it measured)
+    # assembly and join pass one coordinate array each, a strided view such as
+    # diff.T must do as well; all get the bits of the row-wise einsum of a
+    # contiguous difference array, and no input changes
     diff = rng.standard_normal((20000, d)) * 10.0 ** rng.integers(-6, 6, size=(20000, 1))
     kept = diff.copy()
     parts = [x.copy() for x in diff.T]
@@ -234,7 +242,7 @@ def assert_join_matches_brute(idx, queries):
     # the differences are the ones the exact cut measured
     assert np.array_equal(diff, idx.points[cols] - queries[rows])
     # and the squared distances are the ones it tested, bit for bit
-    assert same_bits(sq, np.einsum("ij,ij->i", diff, diff))
+    assert same_bits(sq, row_einsum(diff))
     return rows, cols
 
 
@@ -281,3 +289,88 @@ def test_non_finite_query_raises(bad):
             idx.join(queries)
         with pytest.raises(ValueError, match="finite"):
             idx.join(queries[1])
+
+
+def test_non_finite_query_raises_on_the_graph_path():
+    for bad in (np.nan, np.inf, -np.inf):
+        for pts in (np.zeros((4, 2)), np.empty((0, 2))):
+            idx = NeighborIndex(pts, radius=0.5)
+            with pytest.raises(ValueError, match="finite"):
+                idx.candidates(np.array([[0.0, 0.0], [bad, 0.0]]))
+
+
+def record_self_joins(monkeypatch):
+    """The radius of every later ``self_join`` call, as a list that grows."""
+    radii = []
+    real = NeighborIndex.self_join
+    monkeypatch.setattr(NeighborIndex, "self_join",
+                        lambda self, r=None: radii.append(r) or real(self, r))
+    return radii
+
+
+def graph_blocks(idx, queries, block):
+    """``join`` through one ``candidates`` call, block by block as a
+    reconstruction pass runs it, beside the dual-tree ``join`` of each block."""
+    first, count, cols = idx.candidates(queries)
+    for lo in range(0, queries.shape[0], block):
+        part = queries[lo:lo + block]
+        yield (idx.join(part, (first[lo:lo + block], count[lo:lo + block], cols)),
+               idx.join(part))
+
+
+@pytest.mark.parametrize("d,radius", [(1, 0.05), (2, 0.25), (3, 0.45)])
+def test_graph_path_joins_like_the_dual_tree_bit_for_bit(d, radius, monkeypatch, rng):
+    # queries on samples, between samples, duplicated, beyond every support
+    # and at random, in shuffled order; blocks of 64 and the whole pass.  The
+    # random queries need a graph wider than candidates builds by default.
+    monkeypatch.setattr(neighbors, "_REACH_MAX", np.inf)
+    pts = rng.uniform(-1, 1, size=(400, d))
+    idx = NeighborIndex(pts, radius)
+    between = 0.5 * (pts[:80] + pts[rng.integers(0, 400, size=80)])
+    queries = np.vstack([pts[:100], between, pts[5:15], pts[5:15], np.full((3, d), 4.0),
+                         rng.uniform(-1.2, 1.2, size=(300, d))])
+    queries = queries[rng.permutation(queries.shape[0])]
+    _, count, _ = idx.candidates(queries)
+    for block in (64, queries.shape[0]):
+        for got, want in graph_blocks(idx, queries, block):
+            for a, b in zip(got, want):
+                assert same_bits(a, b)
+            assert got[2].shape == (got[0].shape[0], d)
+    assert count.sum() > idx.join(queries)[0].shape[0]     # the exact cut ran
+
+
+def test_graph_candidates_skip_queries_beyond_every_support(monkeypatch):
+    # a 21 x 21 grid of spacing 0.05; one query just past the padded radius
+    # from the grid's edge and one far away get no candidates and leave the
+    # graph's radius at radius + the largest distance of the other queries
+    # to their nearest point
+    radius = 0.12
+    g = np.linspace(0.0, 1.0, 21)
+    pts = np.column_stack([np.repeat(g, 21), np.tile(g, 21)])
+    idx = NeighborIndex(pts, radius)
+    radii = record_self_joins(monkeypatch)
+    inside = np.array([[0.5, 0.5], [0.51, 0.52], [1.0 + 0.2 * radius, 0.3]])
+    beyond = np.array([[1.0 + radius * (1.0 + 1e-8), 0.5], [50.0, 50.0]])
+    queries = np.vstack([inside[:2], beyond[:1], inside[2:], beyond[1:]])
+    first, count, cols = idx.candidates(queries)
+    assert count[2] == count[4] == 0 and np.all(count[[0, 1, 3]] > 0)
+    assert radii == [pytest.approx(1.2 * radius, rel=1e-12)]
+    for got, want in graph_blocks(idx, queries, 5):
+        assert not np.isin([2, 4], got[0]).any()
+        for a, b in zip(got, want):
+            assert same_bits(a, b)
+    # a query 0.3 radii off the grid would widen the graph past 1.25 radii:
+    # no graph, and join keeps the tree over the queries
+    radii.clear()
+    assert idx.candidates(np.vstack([queries, [[1.0 + 0.3 * radius, 0.3]]])) is None
+    assert not radii
+
+
+def test_graph_candidates_of_an_empty_point_set(monkeypatch):
+    # the tree gives every query index 0 at distance inf: no candidates
+    idx = NeighborIndex(np.empty((0, 2)), radius=0.5)
+    radii = record_self_joins(monkeypatch)
+    first, count, cols = idx.candidates(np.zeros((3, 2)))
+    assert radii == [0.5] and not count.any() and cols.size == 0
+    rows, cols, diff, sq = idx.join(np.zeros((3, 2)), (first, count, cols))
+    assert rows.size == 0 and cols.size == 0 and diff.shape == (0, 2) and sq.size == 0

@@ -490,3 +490,22 @@ def test_singular_coarse_matrix_raises_before_gmres(monkeypatch):
     diag = exc.value.diagnostics
     assert diag["coarse_size"] > 1
     assert diag["min_pivot"] <= diag["threshold"] == PIVOT_RTOL * diag["max_pivot"]
+
+
+def test_gmres_breakdown_is_reported_as_a_breakdown():
+    # with A = diag(1, 0) and b = (1, 1) the Krylov space stops growing after
+    # two steps, short of any solution; scipy's info then reads as a spent
+    # budget and its claimed residual as 0, so the error must name the
+    # breakdown and carry the true residual of the last restart
+    system = LinearSystem(sp.csr_matrix(np.diag([1.0, 0.0])), np.array([1.0, 1.0]))
+    with pytest.raises(NoConvergence, match="broke down") as exc:
+        solve(system, SolveOptions(method="iterative"))
+    diag = exc.value.diagnostics
+    assert diag["breakdown"] is True
+    assert diag["restart_residual"] == diag["residual"] == pytest.approx(math.sqrt(0.5))
+    assert diag["info"] == 10 and diag["claimed_residual"] == 0.0 and diag["iterations"] == 2
+    # a converged solve reports no breakdown, and its last restart's ratio is
+    # the verified residual
+    report = solve(case_system("interval_sine", 801, cubic_profile), SolveOptions(method="iterative"))
+    assert report.diagnostics["breakdown"] is False
+    assert report.diagnostics["restart_residual"] == report.residual_norm
