@@ -15,17 +15,15 @@ keeps with the differences and squared distances it computed, so callers
 never measure a pair twice; tests check both ways against a direct scan.
 
 Assembly takes every pair of the cloud at once from ``self_join``: one tree
-self-join, mirrored into keys ``i * n + j``, sorted once and turned into a
-candidate graph in compressed-sparse-row form, ``(cand_ptr, cols)``: row
-starts from a search for ``i * n``, columns as the keys modulo ``n``.  Up to
-n = 46 340 points, where ``n * n`` fits int32, the keys are int32 (half the
-bytes to sort), the self keys ``i * (n + 1)`` are sorted in with them, and
-the keys are reduced in place, so the key array becomes the column array.
-Past that the keys are int64, formed in the tree's own pair buffer and
-reduced into a new array, and the self pairs are inserted after the sort.
-Assembly applies its own exact cut (the open kernel support) to the
-candidates and sums in index order, so it is bit-identical to a masked full
-scan.  ``query_self`` applies the radius cut to the same graph.
+self-join, mirrored into keys ``i * n + j`` with the self keys
+``i * (n + 1)`` among them, sorted once and turned into a candidate graph in
+compressed-sparse-row form, ``(cand_ptr, cols)``: row starts from a search
+for ``i * n``, columns as the keys modulo ``n``, reduced in place.  The keys
+are int32 (half the bytes to sort) while ``n * n`` fits, up to n = 46 340
+points, and int64 past that; one path serves every n.  Assembly applies its
+own exact cut (the open kernel support) to the candidates and sums in index
+order, so it is bit-identical to a masked full scan.  ``query_self`` applies
+the radius cut to the same graph.
 
 Every pair's squared distance, here and in assembly, comes from the one
 routine ``_squared_lengths``, which adds the squares in a fixed order: the
@@ -142,48 +140,34 @@ class NeighborIndex:
         each point itself; the tree's padded radius may add pairs just beyond
         ``radius``, so callers apply their own exact cut.  ``cols`` is int32
         when the candidate count fits, int64 otherwise, and ``cand_ptr`` is
-        int64.  Up to n = 46 340 the keys are int32 and the self keys are
-        sorted in with the pairs, so nothing is inserted afterwards.
+        int64.  The self keys are sorted in with the pairs' keys, which are
+        int32 up to n = 46 340 and int64 past it.
         """
         n = self.points.shape[0]
-        keys = self._tree.query_pairs((radius or self.radius) * (1.0 + _PAD), output_type="ndarray")
-        if n * n <= np.iinfo(np.int32).max:     # n <= 46 340: every key fits int32
-            # Narrow the pairs and free the tree's buffer before allocating the
-            # array that is returned: allocated while that buffer lived, it
-            # left the heap about 37 MB larger between solve-cap ops.
-            p = keys.shape[0]
-            ij = np.empty(2 * p, dtype=np.int32)
-            i, j = ij[:p], ij[p:]
-            i[...] = keys[:, 0]
-            j[...] = keys[:, 1]
-            del keys
-            # keys i*n + j, j*n + i and the self keys i*(n + 1), sorted once
-            cols = np.empty(2 * p + n, dtype=np.int32)
-            np.multiply(i, n, out=cols[:p])
-            cols[:p] += j
-            np.multiply(j, n, out=cols[p:2 * p])
-            cols[p:2 * p] += i
-            np.multiply(np.arange(n, dtype=np.int32), n + 1, out=cols[2 * p:])
-            del ij, i, j
-            cols.sort()
-            # int32 needles: int64 ones would make searchsorted cast all of cols
-            cand_ptr = np.searchsorted(cols, np.arange(n + 1, dtype=np.int32) * np.int32(n))
-            return cand_ptr, np.remainder(cols, n, out=cols)
-        # keys i*n + j and j*n + i of each intp pair i < j, written over the
-        # pair array itself so that no second list of that size exists
-        ij = keys[:, 0] * n + keys[:, 1]
-        keys[:, 1] *= n
-        keys[:, 1] += keys[:, 0]
-        keys[:, 0] = ij
+        pairs = self._tree.query_pairs((radius or self.radius) * (1.0 + _PAD), output_type="ndarray")
+        # Narrow the pairs (i < j < n fit int32) and free the tree's buffer
+        # before allocating the array that is returned: allocated while that
+        # buffer lived, it left the heap about 37 MB larger between solve-cap ops.
+        p = pairs.shape[0]
+        ij = pairs.T.astype(np.int32, order="C")
+        del pairs
+        # keys i*n + j, j*n + i and the self keys i*(n + 1), sorted once; int32
+        # while n*n fits (n <= 46 340), half the bytes to sort, int64 past that
+        kt = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+        keys = np.empty(2 * p + n, dtype=kt)
+        mirrored = keys[:2 * p].reshape(2, p)
+        np.multiply(ij, n, out=mirrored, dtype=kt)
+        mirrored += ij[::-1]
+        np.multiply(np.arange(n, dtype=kt), n + 1, out=keys[2 * p:])
         del ij
-        keys = keys.reshape(-1)
         keys.sort()
-        starts = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-        at_self = np.searchsorted(keys, np.arange(n, dtype=np.int64) * (n + 1))
-        dtype = np.int32 if keys.shape[0] + n <= np.iinfo(np.int32).max else np.int64
-        cols = np.remainder(keys, n, out=np.empty(keys.shape, dtype), casting="unsafe")
-        del keys
-        return starts + np.arange(n + 1), np.insert(cols, at_self, np.arange(n, dtype=dtype))
+        # needles of the keys' dtype: others would make searchsorted cast all of keys
+        cand_ptr = np.searchsorted(keys, np.arange(n + 1, dtype=kt) * kt(n))
+        # columns: the keys modulo n, in place unless they need another dtype
+        # (int32 unless the candidates pass 2**31 - 1)
+        ct = np.int32 if keys.shape[0] <= np.iinfo(np.int32).max else np.int64
+        cols = keys if ct is kt else np.empty(keys.shape, ct)
+        return cand_ptr, np.remainder(keys, n, out=cols, casting="unsafe")
 
     def query_self(self) -> list[np.ndarray]:
         """Neighbor list for every indexed point (each includes itself)."""

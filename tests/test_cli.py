@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.io import mmread
 
-from pim import pointcloud
+from pim import analysis, pointcloud
 from pim.cli import main
 from pim.pointcloud import _csv_rows
 from pim.solve import SolverError
@@ -183,6 +183,28 @@ def test_solve_explicit_files(tmp_path, interval_csv):
     assert np.max(np.abs(body[:, 1] - 2.0)) < 1e-9
     text = (tmp_path / "sol.csv.report.txt").read_text()
     assert "case = (explicit data)" in text
+
+
+@pytest.mark.parametrize("cloud_args,case_name,method", [
+    (["--shape", "interval", "--n", "101"], "interval_sine", "method = dense-lu"),
+    (["--shape", "spherical_cap", "--n", "2000", "--jitter", "0.25"], "cap_linear",
+     "preconditioner = jacobi"),
+], ids=["interval", "cap"])
+def test_solve_explicit_data_matches_the_case(tmp_path, cloud_args, case_name, method):
+    # the case's f and b written at %.17g read back to the same bits, so
+    # --f-file/--b-file must write the solution bytes --case writes
+    cloud = tmp_path / "cloud.csv"
+    assert main(["generate", *cloud_args, "--out", str(cloud)]) == 0
+    loaded, case = pointcloud.load(cloud), analysis.get_case(case_name)
+    fsrc, bsrc = tmp_path / "f.txt", tmp_path / "b.txt"
+    np.savetxt(fsrc, case.f(loaded.points), fmt="%.17g")
+    np.savetxt(bsrc, case.b(loaded.boundary_points), fmt="%.17g")
+    by_case, by_files = tmp_path / "case_u.csv", tmp_path / "files_u.csv"
+    assert main(["solve", "--cloud", str(cloud), "--case", case_name, "--out", str(by_case)]) == 0
+    assert main(["solve", "--cloud", str(cloud), "--f-file", str(fsrc), "--b-file", str(bsrc),
+                 "--out", str(by_files)]) == 0
+    assert method in (tmp_path / "files_u.csv.report.txt").read_text().splitlines()
+    assert by_files.read_bytes() == by_case.read_bytes()
 
 
 def test_solve_corrupt_cloud(tmp_path, capsys):

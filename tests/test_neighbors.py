@@ -211,6 +211,17 @@ def test_self_join_either_side_of_the_int32_key_limit(n, rng):
         assert np.array_equal(cols[cand_ptr[i]:cand_ptr[i + 1]], query_brute(idx, pts[i]))
 
 
+@pytest.mark.parametrize("n", [46340, 46341])
+def test_self_join_without_pairs_either_side_of_the_int32_key_limit(n):
+    # a radius below the spacing: the tree finds no pair, and the graph holds
+    # the self pairs alone, from int32 keys and from int64 ones
+    pts = np.linspace(0.0, 1.0, n)[:, None]
+    cand_ptr, cols = NeighborIndex(pts, radius=0.5 / (n - 1)).self_join()
+    assert cand_ptr.dtype == np.int64 and cols.dtype == np.int32
+    assert np.array_equal(cand_ptr, np.arange(n + 1))
+    assert np.array_equal(cols, np.arange(n))
+
+
 def test_query_self_matches_brute_on_a_large_cloud_with_shells(rng):
     # a jittered cloud plus, around a few of its points, points at exactly
     # the radius and one ulp either side of it
