@@ -11,8 +11,8 @@ beta = c_beta * sqrt(t), which lets all error contributions decay
 together.  The error-floor study freezes t and beta while h shrinks, and
 the Robin-gap study shrinks beta on one cloud.  All three run one level
 loop and differ only in how level k gets its cloud size and its (t, beta,
-guardrail flags).  Results are recorded as CSV rows; runs are
-deterministic apart from the wall-time column.
+guardrail flags); a level solves through :func:`solve_on_cloud`, as
+``pim solve`` does.  Results are CSV rows, deterministic but for wall time.
 
 The error norms and the norm-comparison record read the interpolant's
 values and gradients from :meth:`Interpolant.on_cloud`, so any caller that
@@ -30,11 +30,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .assembly import DENSE_CUTOFF, assemble
+from .assembly import DENSE_CUTOFF, assemble, dump_matrixmarket
 from .interpolate import Interpolant
 from .kernel import KernelParams, KernelProfile, cubic_profile
 from .pointcloud import ManifoldSpec, PointCloud, fill_distance, generate
-from .solve import SolveOptions, SolverError, solve
+from .solve import SolveOptions, SolveReport, SolverError, solve
 
 __all__ = [
     "ManufacturedCase",
@@ -50,6 +50,7 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "SweepAborted",
+    "solve_on_cloud",
     "solve_case_on_cloud",
     "convergence_sweep",
     "robin_gap_study",
@@ -326,20 +327,30 @@ class SweepAborted(RuntimeError):
             f"sweep aborted after {len(partial.rows)} level(s): {cause}")
 
 
+def solve_on_cloud(cloud: PointCloud, f, b, t: float, beta: float,
+                   profile: Optional[KernelProfile] = None,
+                   solver_options: Optional[SolveOptions] = None,
+                   dense_cutoff: int = DENSE_CUTOFF, matrix_out=None) -> SolveReport:
+    """Assemble and solve for source f (per point) and boundary data b (per boundary
+    point); ``matrix_out`` gets the matrix, in MatrixMarket form, before the solve."""
+    system = assemble(cloud, KernelParams(t=t, k=cloud.intrinsic_dim),
+                      profile or cubic_profile, beta, f, b, dense_cutoff=dense_cutoff)
+    if matrix_out:
+        dump_matrixmarket(system, matrix_out)
+    return solve(system, solver_options)
+
+
 def solve_case_on_cloud(case: ManufacturedCase, cloud: PointCloud, t: float,
                         beta: float, profile: Optional[KernelProfile] = None,
                         solver_options: Optional[SolveOptions] = None,
                         dense_cutoff: int = DENSE_CUTOFF):
-    """Assemble + solve one manufactured case; returns (interp, report)."""
+    """:func:`solve_on_cloud` for one manufactured case; returns (interp, report)."""
     profile = profile or cubic_profile
-    params = KernelParams(t=t, k=cloud.intrinsic_dim)
-    fvals = case.f(cloud.points)
-    bvals = case.b(cloud.boundary_points)
-    system = assemble(cloud, params, profile, beta, fvals, bvals,
-                      dense_cutoff=dense_cutoff)
-    report = solve(system, solver_options)
-    interp = Interpolant(cloud=cloud, params=params, profile=profile,
-                         beta=beta, u=report.solution, f=fvals, b=bvals)
+    fvals, bvals = case.f(cloud.points), case.b(cloud.boundary_points)
+    report = solve_on_cloud(cloud, fvals, bvals, t, beta, profile, solver_options,
+                            dense_cutoff)
+    interp = Interpolant(cloud=cloud, params=KernelParams(t=t, k=cloud.intrinsic_dim),
+                         profile=profile, beta=beta, u=report.solution, f=fvals, b=bvals)
     return interp, report
 
 

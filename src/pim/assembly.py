@@ -26,21 +26,20 @@ off-diagonal kernel entries negative), so constants are reproduced
 exactly: matrix @ 1 equals the boundary-column vector because the L-part
 annihilates constants.
 
-The matrix is built from a candidate graph in compressed-sparse-row form:
-the k-d-tree self-join of :mod:`pim.neighbors`, or, for the direct-scan
-oracle, every pair.  One routine walks it in blocks of ``ROW_BLOCK`` rows:
-it masks the candidates to the open support s < 1, evaluates the kernels
-and gathers the per-sample weights for the whole block at once, and writes
-the values into ``data`` and the kept columns back over the graph's column
-array, which becomes the matrix's ``indices``.  A block is read before it
-is written and the write offset never passes the read offset, so no second
-column array exists.  The diagonal and the right-hand side are per-row sums
-over contiguous slices in ascending column order, the same pairwise
-summation a row summed on its own gets, so indexed and direct-scan
-assembly produce bit-identical matrices — the direct scan is the audit
-oracle for the indexed fast path.  The matrix is CSR for every n; small
-clouds are only flagged (``meta["dense"]``) for the direct solver, which
-reads its band from the CSR arrays.
+The matrix is built from a candidate graph in compressed-sparse-row form,
+the k-d-tree self-join of :mod:`pim.neighbors`.  One routine walks it in
+blocks of ``ROW_BLOCK`` rows: it masks the candidates to the open support
+s < 1, evaluates the kernels and gathers the per-sample weights for the
+whole block at once, and writes the values into ``data`` and the kept
+columns back over the graph's column array, which becomes the matrix's
+``indices``.  A block is read before it is written and the write offset
+never passes the read offset, so no second column array exists.  The
+diagonal and the right-hand side are per-row sums over contiguous slices
+in ascending column order, the same pairwise summation a row summed on its
+own gets, so candidates outside the support do not change a bit: a graph
+of every pair, the tests' direct-scan oracle, gives the same output.  The
+matrix is CSR for every n; small clouds are only flagged (``meta["dense"]``)
+for the direct solver, which reads its band from the CSR arrays.
 
 A point with no other point inside its support has a row that does not
 couple it to the cloud; ``assemble`` rejects such clouds.  ``meta`` records
@@ -96,14 +95,9 @@ class LinearSystem:
 
 
 def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
-             beta: float, f, b, *,
-             use_index: bool = True,
-             dense_cutoff: int = DENSE_CUTOFF) -> LinearSystem:
+             beta: float, f, b, *, dense_cutoff: int = DENSE_CUTOFF) -> LinearSystem:
     """Build the linear system for source f (per point) and boundary data b.
 
-    ``use_index``: take the candidate pairs from a k-d-tree self-join;
-    ``False`` takes every pair instead, the direct-scan test oracle, which
-    costs O(n^2) time and memory and yields bit-identical output.
     The matrix is always CSR; ``dense_cutoff`` only sets ``meta["dense"]``
     for n <= dense_cutoff, which sends ``solve``'s "auto" to the direct LU.
     Raises ``ValueError`` on non-finite ``f`` or ``b``, and on a point with
@@ -136,11 +130,7 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
     pen = np.zeros(n)
     pen[bi] = cloud.area_weights
 
-    if use_index:
-        cand_ptr, indices = NeighborIndex(points, params.support_radius).self_join()
-    else:
-        cand_ptr = np.arange(n + 1) * n  # every pair; n^2 < 2^31 for any n it can afford
-        indices = np.tile(np.arange(n, dtype=np.int32), n)
+    cand_ptr, indices = NeighborIndex(points, params.support_radius).self_join()
     # row i's candidates are indices[cand_ptr[i]:cand_ptr[i + 1]]; fill compacts them
     data = np.empty(indices.shape[0])
     indptr = np.zeros(n + 1, dtype=indices.dtype)
@@ -195,7 +185,7 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
             "kernel does not couple them to the cloud (refine the cloud or raise t)")
 
     # Where the exact cut dropped candidates, scipy keeps the first nnz
-    # entries: a view, or a copy when most is slack, as for the direct scan.
+    # entries: a view, or a copy when most is slack.
     nnz = int(indptr[n])
     mat = sp.csr_matrix((data, indices, indptr), shape=(n, n))
 

@@ -28,10 +28,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import analysis, assembly, pointcloud
+from . import analysis, pointcloud
 from .config import merged
 from .kernel import PROFILE_NAMES, KernelParams, KernelProfile, eval_Rbar_t, get_profile
-from .solve import SolveOptions, SolverError, solve as run_solve
+from .solve import SolveOptions, SolverError
 
 __all__ = ["main"]
 
@@ -165,13 +165,10 @@ def cmd_solve(args, cfg: dict, settings: Settings) -> int:
     if not (0.0 < t < math.inf and 0.0 < beta < math.inf):
         raise ValueError(f"t and beta must be positive and finite, got t={t}, beta={beta}")
 
-    params = KernelParams(t=t, k=cloud.intrinsic_dim)
     flags = settings.guardrails.check(t, beta, h)
-    system = assembly.assemble(cloud, params, settings.profile, beta, fvals, bvals,
-                               dense_cutoff=cfg["assembly.dense_cutoff"])
-    if args.matrix_out:
-        assembly.dump_matrixmarket(system, args.matrix_out)
-    report = run_solve(system, settings.solver_options)
+    report = analysis.solve_on_cloud(cloud, fvals, bvals, t, beta, settings.profile,
+                                     settings.solver_options,
+                                     cfg["assembly.dense_cutoff"], args.matrix_out)
 
     u = report.solution
     with open(args.out, "w") as fh:

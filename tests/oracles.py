@@ -5,18 +5,20 @@ library computes another way: the finite-difference Laplacian that guards
 the hand-derived source terms of the manufactured cases, the kernel
 gradients of the dense reconstruction oracle, the penalized pointwise
 operator K, the boundary column g = K 1, the LAPACK band storage of a
-dense matrix copied one diagonal at a time, and a neighbour search by
-direct scan.  None of them is part of a solve, so they live beside the
-tests rather than in ``pim``.
+dense matrix copied one diagonal at a time, a neighbour search by direct
+scan, and assembly over every pair.  None of them is part of a solve, so
+they live beside the tests rather than in ``pim``.
 """
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 
 from pim.analysis import ManufacturedCase
+from pim.assembly import LinearSystem, assemble
 from pim.kernel import (KernelParams, KernelProfile, _diff_and_arg, cubic_profile,
                         eval_Rbar_t)
 from pim.neighbors import NeighborIndex, _squared_lengths
@@ -185,3 +187,18 @@ def query_brute(index: NeighborIndex, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     keep = _squared_lengths((index.points - x).T) <= index.radius * index.radius
     return np.flatnonzero(keep).astype(np.intp)
+
+
+# ---------------------------------------------------------------------------
+# assembly by direct scan
+# ---------------------------------------------------------------------------
+
+
+def assemble_direct(cloud: PointCloud, *args, **kwargs) -> LinearSystem:
+    """``assemble(cloud, *args, **kwargs)`` with every pair as the candidate
+    graph in place of the k-d-tree self-join: O(n^2) time and memory, and the
+    oracle the indexed assembly must equal bit for bit."""
+    n = cloud.n
+    every_pair = (np.arange(n + 1) * n, np.tile(np.arange(n, dtype=np.int32), n))
+    with mock.patch.object(NeighborIndex, "self_join", lambda self: every_pair):
+        return assemble(cloud, *args, **kwargs)

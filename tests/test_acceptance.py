@@ -25,7 +25,7 @@ from pim import analysis, pointcloud
 from pim.analysis import (Coupling, convergence_sweep, error_floor_study,
                           get_case, l2_error, robin_gap_study,
                           solve_case_on_cloud)
-from oracles import boundary_column_vector, grad_Rbar_t_x, grad_Rt_x
+from oracles import assemble_direct, boundary_column_vector, grad_Rbar_t_x, grad_Rt_x
 from pim.assembly import assemble
 from pim.interpolate import Interpolant
 from pim.kernel import (KernelParams, cubic_profile, eval_Rt,
@@ -154,9 +154,9 @@ def test_criterion_2_implementation_oracles(capsys):
         b = np.ones(cloud.boundary_indices.size)
         for profile in (cubic_profile, truncated_gaussian_profile):
             fast = assemble(cloud, params, profile, beta, f, b,
-                            use_index=True, dense_cutoff=cloud.n)
-            slow = assemble(cloud, params, profile, beta, f, b,
-                            use_index=False, dense_cutoff=cloud.n)
+                            dense_cutoff=cloud.n)
+            slow = assemble_direct(cloud, params, profile, beta, f, b,
+                                   dense_cutoff=cloud.n)
             for name in ("data", "indices", "indptr"):
                 x, y = getattr(fast.matrix, name), getattr(slow.matrix, name)
                 exact &= x.dtype == y.dtype and x.tobytes() == y.tobytes()

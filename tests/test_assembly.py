@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.io import mmread, mmwrite
 
 from pim.analysis import Coupling, get_case
-from oracles import boundary_column_vector
+from oracles import assemble_direct, boundary_column_vector
 from pim.assembly import ROW_BLOCK, _segment_sums, assemble, dump_matrixmarket
 from pim.kernel import (KernelParams, cubic_profile, eval_Rbar_t, eval_Rt,
                         truncated_gaussian_profile)
@@ -69,10 +69,8 @@ def test_indexed_equals_brute(spec, t, profile):
     params = KernelParams(t=t, k=cloud.intrinsic_dim)
     f = cloud.points[:, 0] ** 2
     b = np.ones(len(cloud.boundary_indices))
-    fast = assemble(cloud, params, profile, 0.1, f, b,
-                    use_index=True, dense_cutoff=cloud.n)
-    slow = assemble(cloud, params, profile, 0.1, f, b,
-                    use_index=False, dense_cutoff=cloud.n)
+    fast = assemble(cloud, params, profile, 0.1, f, b, dense_cutoff=cloud.n)
+    slow = assemble_direct(cloud, params, profile, 0.1, f, b, dense_cutoff=cloud.n)
     assert_same_csr(fast.matrix, slow.matrix)
     assert np.array_equal(fast.rhs, slow.rhs)
 
@@ -83,11 +81,8 @@ def test_small_clouds_take_the_index_by_default(monkeypatch, interval_cloud):
     real = NeighborIndex.self_join
     monkeypatch.setattr(NeighborIndex, "self_join",
                         lambda self: joins.append(self) or real(self))
-    system, _ = make_system(interval_cloud, 0.004, 0.1)
+    make_system(interval_cloud, 0.004, 0.1)
     assert len(joins) == 1
-    slow, _ = make_system(interval_cloud, 0.004, 0.1, use_index=False)
-    assert len(joins) == 1
-    assert_same_csr(system.matrix, slow.matrix)
 
 
 @pytest.mark.parametrize("profile", [cubic_profile, truncated_gaussian_profile],
@@ -103,8 +98,8 @@ def test_indexed_equals_brute_csr_over_row_blocks(spec, profile):
     params = KernelParams(t=t, k=cloud.intrinsic_dim)
     f = np.cos(cloud.points[:, 0]) + cloud.points[:, 1]
     b = np.sin(cloud.boundary_points[:, 1]) + 0.5
-    fast = assemble(cloud, params, profile, 0.3, f, b, use_index=True, dense_cutoff=0)
-    slow = assemble(cloud, params, profile, 0.3, f, b, use_index=False, dense_cutoff=0)
+    fast = assemble(cloud, params, profile, 0.3, f, b, dense_cutoff=0)
+    slow = assemble_direct(cloud, params, profile, 0.3, f, b, dense_cutoff=0)
     assert not fast.meta["dense"] and not slow.meta["dense"]
     assert_same_csr(fast.matrix, slow.matrix)
     assert np.array_equal(fast.rhs, slow.rhs)
@@ -183,12 +178,13 @@ def traced_peak(fn):
 
 
 def coupled_assembly(cloud):
-    """Assembly of ``cloud`` under the default coupling, CSR storage."""
+    """Assembly of ``cloud`` under the default coupling, CSR storage, by
+    ``assemble`` or another routine of its signature."""
     params = KernelParams(t=Coupling().t_of(cloud.metadata["h"]), k=cloud.intrinsic_dim)
     f = np.cos(cloud.points[:, 0]) + cloud.points[:, 1]
     b = np.sin(cloud.boundary_points[:, 1]) + 0.5
-    return params, lambda **kw: assemble(cloud, params, cubic_profile, 0.3, f, b,
-                                         dense_cutoff=0, **kw)
+    return params, lambda by=assemble: by(cloud, params, cubic_profile, 0.3, f, b,
+                                          dense_cutoff=0)
 
 
 def with_shells(cloud, rng, centres=6):
@@ -251,7 +247,7 @@ def test_exact_cut_drops_candidates_in_place(rng):
     # nnz; the result still equals the direct scan byte for byte
     cloud = with_shells(generate(ManifoldSpec.disk(900), seed=4, jitter=0.25), rng)
     params, build = coupled_assembly(cloud)
-    fast, slow = build(use_index=True), build(use_index=False)
+    fast, slow = build(), build(assemble_direct)
     nnz = fast.matrix.nnz
     assert nnz < pairs_near_support(cloud, params.support_radius)  # the cut dropped some
     assert_same_csr(fast.matrix, slow.matrix)
@@ -443,10 +439,9 @@ def test_rejects_isolated_point(boundary):
                        volume_weights=np.full(52, 0.01),
                        area_weights=np.ones(2))
     params = KernelParams(t=0.0004, k=1)
-    for use_index in (True, False):
+    for build in (assemble, assemble_direct):
         with pytest.raises(ValueError, match=r"1 point\(s\), first index 51"):
-            assemble(cloud, params, cubic_profile, 0.01, np.ones(52), np.zeros(2),
-                     use_index=use_index)
+            build(cloud, params, cubic_profile, 0.01, np.ones(52), np.zeros(2))
 
 
 def test_metadata(interval_cloud):

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -295,12 +296,10 @@ def test_solve_prints_guardrail_lines_under_any_warning_filter(tmp_path, interva
 
 
 def test_solve_solver_failure_exits_1(tmp_path, interval_csv, capsys, monkeypatch):
-    import pim.cli as cli
-
     def failing(*args, **kwargs):
         raise SolverError("synthetic failure")
 
-    monkeypatch.setattr(cli, "run_solve", failing)
+    monkeypatch.setattr(analysis, "solve", failing)
     out = tmp_path / "u.csv"
     rc = main(["solve", "--cloud", interval_csv, "--case", "interval_sine",
                "--out", str(out)])
@@ -317,6 +316,23 @@ def test_solve_matrix_dump(tmp_path, interval_csv):
     assert rc == 0
     mat = mmread(mtx)
     assert mat.shape == (101, 101)
+
+
+def test_solve_writes_the_matrix_before_the_solve(tmp_path, interval_csv, capsys,
+                                                  monkeypatch):
+    # the matrix of a system the solver fails on is the one worth inspecting;
+    # pim.solve names the function once the package is imported, hence sys.modules
+    def failing(*args, **kwargs):
+        raise SolverError("synthetic LU failure")
+
+    monkeypatch.setattr(sys.modules["pim.solve"], "_solve_dense", failing)
+    out, mtx = tmp_path / "u.csv", tmp_path / "m.mtx"
+    rc = main(["solve", "--cloud", interval_csv, "--case", "interval_sine",
+               "--out", str(out), "--matrix-out", str(mtx)])
+    assert rc == 1
+    assert "synthetic LU failure" in capsys.readouterr().err
+    assert not out.exists()
+    assert mmread(mtx).shape == (101, 101)
 
 
 def test_solve_alternate_profile(tmp_path, interval_csv):
@@ -585,8 +601,6 @@ def test_bad_input_exits_2_with_one_message(tmp_path, capsys, interval_csv, monk
     # nothing and exited 0, and the one-point cloud raised from fill_distance;
     # later, a missing output directory stopped pim solve only after it had
     # assembled and solved, and pim sweep only after its last level
-    import pim.analysis as analysis
-    import pim.assembly as assembly
     pointcloud.save(pointcloud.PointCloud(
         points=np.array([[0.5]]), intrinsic_dim=1, boundary_indices=np.array([0]),
         volume_weights=np.array([1.0]), area_weights=np.array([1.0])), tmp_path / "one.csv")
@@ -597,7 +611,7 @@ def test_bad_input_exits_2_with_one_message(tmp_path, capsys, interval_csv, monk
         return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
     for module, name in ((pointcloud, "generate"), (pointcloud, "load"),
-                         (assembly, "assemble"), (analysis, "solve_case_on_cloud")):
+                         (analysis, "solve_on_cloud"), (analysis, "solve_case_on_cloud")):
         monkeypatch.setattr(module, name, recorded(module, name))
     paths = {"cloud": interval_csv, "tmp": str(tmp_path), "missing": str(tmp_path / "no_dir")}
     argv, named = BAD_INPUT[case]

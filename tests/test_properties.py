@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pim.analysis import Coupling
-from oracles import boundary_column_vector
+from oracles import assemble_direct, boundary_column_vector
 from pim.assembly import assemble
 from pim.interpolate import Interpolant
 from pim.kernel import (KernelParams, KernelProfile, cubic_profile,
@@ -70,10 +70,8 @@ def test_matrix_times_ones_is_boundary_column(p):
 @given(problems())
 def test_indexed_and_brute_assembly_bit_identical(p):
     f, b = data(p)
-    fast = assemble(p.cloud, p.params, p.profile, p.beta, f, b,
-                    use_index=True, dense_cutoff=0)
-    slow = assemble(p.cloud, p.params, p.profile, p.beta, f, b,
-                    use_index=False, dense_cutoff=0)
+    fast = assemble(p.cloud, p.params, p.profile, p.beta, f, b, dense_cutoff=0)
+    slow = assemble_direct(p.cloud, p.params, p.profile, p.beta, f, b, dense_cutoff=0)
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(fast.matrix, name), getattr(slow.matrix, name))
     assert np.array_equal(fast.rhs, slow.rhs)
