@@ -17,9 +17,8 @@ from .assembly import LinearSystem, assemble
 from .solve import (NoConvergence, SingularMatrix, SolveOptions, SolveReport,
                     SolverError, solve)
 from .interpolate import Interpolant, OutOfSupport
-from .analysis import (Coupling, Guardrails, ManufacturedCase, SweepAborted,
-                       SweepResult, builtin_cases, convergence_sweep, get_case,
-                       robin_gap_study)
+from .analysis import (Coupling, ManufacturedCase, SweepAborted, SweepResult,
+                       builtin_cases, convergence_sweep, get_case, robin_gap_study)
 
 __version__ = "0.1.0"
 
@@ -33,8 +32,7 @@ __all__ = [
     "NoConvergence", "SingularMatrix", "SolveOptions", "SolveReport",
     "SolverError", "solve",
     "Interpolant", "OutOfSupport",
-    "Coupling", "Guardrails", "ManufacturedCase", "SweepAborted",
-    "SweepResult", "builtin_cases", "convergence_sweep", "get_case",
-    "robin_gap_study",
+    "Coupling", "ManufacturedCase", "SweepAborted", "SweepResult",
+    "builtin_cases", "convergence_sweep", "get_case", "robin_gap_study",
     "__version__",
 ]

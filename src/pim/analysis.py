@@ -12,7 +12,10 @@ together.  The error-floor study freezes t and beta while h shrinks, and
 the Robin-gap study shrinks beta on one cloud.  All three run one level
 loop and differ only in how level k gets its cloud size and its (t, beta,
 guardrail flags); a level solves through :func:`solve_on_cloud`, as
-``pim solve`` does.  Results are CSV rows, deterministic but for wall time.
+``pim solve`` does, on an unjittered cloud, and measures its errors on one
+``REFERENCE_FACTOR`` = 4 times finer.  The guardrails flag sqrt(t)/beta
+above ``PENALTY_CEILING`` and h/t^(3/2) above ``DENSITY_CEILING``; none of
+these is a setting.  Results are CSV rows, deterministic but for wall time.
 
 The error norms and the norm-comparison record read the interpolant's
 values and gradients from :meth:`Interpolant.on_cloud`, so any caller that
@@ -46,7 +49,9 @@ __all__ = [
     "l2_norm",
     "lemma_norm_check",
     "Coupling",
-    "Guardrails",
+    "PENALTY_CEILING",
+    "DENSITY_CEILING",
+    "guardrail_flags",
     "SweepRow",
     "SweepResult",
     "SweepAborted",
@@ -241,38 +246,29 @@ class Coupling:
         return self.c_beta * math.sqrt(t)
 
 
-@dataclass(frozen=True)
-class Guardrails:
-    """Config-overridable ceilings on the stability ratios (empirical defaults)."""
+PENALTY_CEILING = 2.0    # ceiling for sqrt(t)/beta (empirical)
+DENSITY_CEILING = 20.0   # ceiling for h/t^(3/2) (empirical)
 
-    r0_penalty: float = 2.0    # ceiling for sqrt(t)/beta
-    r0_density: float = 20.0   # ceiling for h/t^(3/2)
 
-    def __post_init__(self):
-        # a NaN ceiling would turn the guardrail off: every comparison is false
-        if not (0.0 < self.r0_penalty < math.inf and 0.0 < self.r0_density < math.inf):
-            raise ValueError(f"guardrail ceilings must be positive and finite, got "
-                             f"r0_penalty={self.r0_penalty}, r0_density={self.r0_density}")
-
-    def check(self, t: float, beta: float, h: float) -> list[str]:
-        flags = []
-        ratio_tb = math.sqrt(t) / beta
-        if ratio_tb > self.r0_penalty:
-            flags.append(f"sqrt(t)/beta={ratio_tb:.3g}>{self.r0_penalty:.3g}")
-        ratio_ht = h / t ** 1.5
-        if ratio_ht > self.r0_density:
-            flags.append(f"h/t^1.5={ratio_ht:.3g}>{self.r0_density:.3g}")
-        for msg in flags:
-            warnings.warn(f"stability guardrail exceeded: {msg}",
-                          RuntimeWarning, stacklevel=2)
-        return flags
+def guardrail_flags(t: float, beta: float, h: float) -> list[str]:
+    """The stability ratios above their ceilings, each also a ``RuntimeWarning``."""
+    flags = []
+    ratio_tb = math.sqrt(t) / beta
+    if ratio_tb > PENALTY_CEILING:
+        flags.append(f"sqrt(t)/beta={ratio_tb:.3g}>{PENALTY_CEILING:.3g}")
+    ratio_ht = h / t ** 1.5
+    if ratio_ht > DENSITY_CEILING:
+        flags.append(f"h/t^1.5={ratio_ht:.3g}>{DENSITY_CEILING:.3g}")
+    for msg in flags:
+        warnings.warn(f"stability guardrail exceeded: {msg}", RuntimeWarning, stacklevel=2)
+    return flags
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
 
-REFERENCE_FACTOR = 4  # reference resolution over the level's; config-overridable
+REFERENCE_FACTOR = 4  # a study's reference resolution over the level's
 
 
 @dataclass
@@ -357,13 +353,13 @@ def solve_case_on_cloud(case: ManufacturedCase, cloud: PointCloud, t: float,
 def _sweep(case: ManufacturedCase, sizes: Sequence[int],
            settings: Callable[[int, float], tuple[float, float, list[str]]],
            profile: Optional[KernelProfile], solver_options: Optional[SolveOptions],
-           reference_factor: int, dense_cutoff: int, seed: int) -> SweepResult:
+           dense_cutoff: int) -> SweepResult:
     """The studies' level loop: level k solves on a cloud of resolution
     ``sizes[k]`` with ``(t, beta, flags) = settings(k, h)``, h the cloud's
     fill distance, and measures its norms and lemma record on a cloud
-    ``reference_factor`` times finer.  Both clouds are generated again only
-    when the size changes.  Raises :class:`SweepAborted`, carrying the rows
-    so far, on solver failure.
+    ``REFERENCE_FACTOR`` times finer.  Both clouds are unjittered, so they
+    depend on the size alone, and are generated again only when it changes.
+    Raises :class:`SweepAborted`, carrying the rows so far, on solver failure.
     """
     result = SweepResult(case_name=case.name, rows=[])
     size = None
@@ -371,9 +367,8 @@ def _sweep(case: ManufacturedCase, sizes: Sequence[int],
         start = time.perf_counter()
         if n != size:
             size = n
-            cloud = generate(case.spec.with_resolution(int(n)), seed=seed)
-            ref = generate(case.spec.with_resolution(int(n) * reference_factor),
-                           seed=seed)
+            cloud = generate(case.spec.with_resolution(int(n)))
+            ref = generate(case.spec.with_resolution(int(n) * REFERENCE_FACTOR))
         h = cloud.metadata["h"]
         t, beta, flags = settings(level, h)
         try:
@@ -396,34 +391,26 @@ def convergence_sweep(case: ManufacturedCase, levels: Sequence[int],
                       coupling: Optional[Coupling] = None,
                       profile: Optional[KernelProfile] = None,
                       solver_options: Optional[SolveOptions] = None,
-                      guardrails: Optional[Guardrails] = None,
-                      reference_factor: int = REFERENCE_FACTOR,
-                      dense_cutoff: int = DENSE_CUTOFF,
-                      seed: int = 0) -> SweepResult:
+                      dense_cutoff: int = DENSE_CUTOFF) -> SweepResult:
     """Solve the case across resolutions with h-coupled t and beta.
 
     Raises :class:`SweepAborted` (partial rows attached) on solver failure.
     """
     coupling = coupling or Coupling()
-    guardrails = guardrails or Guardrails()
 
     def settings(level, h):
         t = coupling.t_of(h)
         beta = coupling.beta_of(t)
-        return t, beta, guardrails.check(t, beta, h)
+        return t, beta, guardrail_flags(t, beta, h)
 
-    return _sweep(case, levels, settings, profile, solver_options,
-                  reference_factor, dense_cutoff, seed)
+    return _sweep(case, levels, settings, profile, solver_options, dense_cutoff)
 
 
 def robin_gap_study(case: ManufacturedCase, t: float, n: int,
                     betas: Sequence[float],
                     profile: Optional[KernelProfile] = None,
                     solver_options: Optional[SolveOptions] = None,
-                    guardrails: Optional[Guardrails] = None,
-                    reference_factor: int = REFERENCE_FACTOR,
-                    dense_cutoff: int = DENSE_CUTOFF,
-                    seed: int = 0) -> SweepResult:
+                    dense_cutoff: int = DENSE_CUTOFF) -> SweepResult:
     """Fix t and the cloud, vary the penalty weight beta (decreasing).
 
     Shrinking beta tightens the boundary condition, so the boundary
@@ -437,22 +424,18 @@ def robin_gap_study(case: ManufacturedCase, t: float, n: int,
     bad = [beta for beta in betas if not 0.0 < beta < math.inf]
     if bad:
         raise ValueError(f"every beta must be positive and finite, got {bad[0]}")
-    guardrails = guardrails or Guardrails()
 
     def settings(level, h):
-        return t, betas[level], guardrails.check(t, betas[level], h)
+        return t, betas[level], guardrail_flags(t, betas[level], h)
 
-    return _sweep(case, [n] * len(betas), settings, profile, solver_options,
-                  reference_factor, dense_cutoff, seed)
+    return _sweep(case, [n] * len(betas), settings, profile, solver_options, dense_cutoff)
 
 
 def error_floor_study(case: ManufacturedCase, t: float, beta: float,
                       levels: Sequence[int],
                       profile: Optional[KernelProfile] = None,
                       solver_options: Optional[SolveOptions] = None,
-                      reference_factor: int = REFERENCE_FACTOR,
-                      dense_cutoff: int = DENSE_CUTOFF,
-                      seed: int = 0) -> SweepResult:
+                      dense_cutoff: int = DENSE_CUTOFF) -> SweepResult:
     """Refine h with t and beta frozen: the error should flatten, not vanish.
 
     The t- and beta-controlled contributions do not shrink with h, so once
@@ -464,4 +447,4 @@ def error_floor_study(case: ManufacturedCase, t: float, beta: float,
     if not 0.0 < beta < math.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
     return _sweep(case, levels, lambda level, h: (t, beta, []), profile,
-                  solver_options, reference_factor, dense_cutoff, seed)
+                  solver_options, dense_cutoff)

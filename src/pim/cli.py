@@ -62,12 +62,14 @@ def _check_out_dirs(*paths: Optional[str]) -> None:
 
 
 class Settings(NamedTuple):
-    """Built from the merged config, once, in ``main``; named as the studies' keywords."""
+    """Every config key as the object it sets, built once in ``main``: the one
+    argument beside ``args`` that a command takes.  The fields are named as
+    the studies' keywords, so ``pim sweep`` passes them through as they are."""
 
     profile: KernelProfile
     solver_options: SolveOptions
     coupling: analysis.Coupling
-    guardrails: analysis.Guardrails
+    dense_cutoff: int
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +93,7 @@ def _spec_from_args(args) -> pointcloud.ManifoldSpec:
                                    widths=(v["wx"], v["wy"]), z0=v["z0"])
 
 
-def cmd_generate(args, cfg: dict, settings: Settings) -> int:
+def cmd_generate(args, settings: Settings) -> int:
     _check_out_dirs(args.out)
     cloud = pointcloud.generate(_spec_from_args(args), seed=args.seed, jitter=args.jitter)
     pointcloud.save(cloud, args.out)
@@ -124,7 +126,7 @@ def _read_values(path, const, expected: int, what: str) -> np.ndarray:
     return np.array(vals)
 
 
-def cmd_solve(args, cfg: dict, settings: Settings) -> int:
+def cmd_solve(args, settings: Settings) -> int:
     report_path = args.report or (args.out + ".report.txt")
     _check_out_dirs(args.out, report_path, args.matrix_out)
     if args.case is not None and (args.f_file or args.b_file or args.f_const is not None
@@ -165,10 +167,10 @@ def cmd_solve(args, cfg: dict, settings: Settings) -> int:
     if not (0.0 < t < math.inf and 0.0 < beta < math.inf):
         raise ValueError(f"t and beta must be positive and finite, got t={t}, beta={beta}")
 
-    flags = settings.guardrails.check(t, beta, h)
+    flags = analysis.guardrail_flags(t, beta, h)
     report = analysis.solve_on_cloud(cloud, fvals, bvals, t, beta, settings.profile,
-                                     settings.solver_options,
-                                     cfg["assembly.dense_cutoff"], args.matrix_out)
+                                     settings.solver_options, settings.dense_cutoff,
+                                     args.matrix_out)
 
     u = report.solution
     with open(args.out, "w") as fh:
@@ -201,19 +203,14 @@ def cmd_solve(args, cfg: dict, settings: Settings) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def cmd_sweep(args, cfg: dict, settings: Settings) -> int:
+def cmd_sweep(args, settings: Settings) -> int:
     _check_out_dirs(args.out)
     case = analysis.get_case(args.case)
     levels = [int(tok) for tok in args.levels.split(",") if tok.strip()]
     if not levels:
         raise ValueError("empty level list")
     try:
-        result = analysis.convergence_sweep(
-            case, levels, **settings._asdict(),
-            reference_factor=cfg["reference.factor"],
-            dense_cutoff=cfg["assembly.dense_cutoff"],
-            seed=args.seed,
-        )
+        result = analysis.convergence_sweep(case, levels, **settings._asdict())
     except analysis.SweepAborted as exc:
         try:
             exc.partial.to_csv(args.out)
@@ -232,9 +229,8 @@ def cmd_sweep(args, cfg: dict, settings: Settings) -> int:
 # oracle-check
 # ---------------------------------------------------------------------------
 
-def _oracle_checks(cfg: dict, profile: KernelProfile) -> list[tuple[str, bool, str]]:
+def _oracle_checks(profile: KernelProfile) -> list[tuple[str, bool, str]]:
     from .operators import apply_Lth, energy_identity, oracle_Lt, oracle_v
-    fineness = cfg["oracle.fineness"]
     checks: list[tuple[str, bool, str]] = []
     rng = np.random.default_rng(7)
 
@@ -286,12 +282,11 @@ def _oracle_checks(cfg: dict, profile: KernelProfile) -> list[tuple[str, bool, s
                    rel <= 1e-10 and rhs_e >= 0.0,
                    f"lhs={lhs_e:.10f}, rhs={rhs_e:.10f}, rel={rel:.2e}"))
 
-    # discrete operator approaches the fine-quadrature integral as h shrinks
+    # discrete operator approaches the integral, by a quadrature 8x finer, as h shrinks
     diffs = []
     for n in (101, 201):
         cl = pointcloud.generate(pointcloud.ManifoldSpec.interval(0.0, 1.0, n))
-        fine_n = fineness * (n - 1) + 1
-        fc = pointcloud.generate(pointcloud.ManifoldSpec.interval(0.0, 1.0, fine_n))
+        fc = pointcloud.generate(pointcloud.ManifoldSpec.interval(0.0, 1.0, 8 * (n - 1) + 1))
         uv = np.sin(math.pi * cl.points[:, 0])
         i_mid = n // 2
         disc = apply_Lth(cl, params, profile, uv, i_mid)
@@ -317,8 +312,8 @@ def _oracle_checks(cfg: dict, profile: KernelProfile) -> list[tuple[str, bool, s
     return checks
 
 
-def cmd_oracle_check(args, cfg: dict, settings: Settings) -> int:
-    checks = _oracle_checks(cfg, settings.profile)
+def cmd_oracle_check(args, settings: Settings) -> int:
+    checks = _oracle_checks(settings.profile)
     width = max(len(name) for name, _, _ in checks)
     for name, ok, detail in checks:
         print(f"{name:<{width}}  {'pass' if ok else 'FAIL'}  {detail}")
@@ -367,7 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--case", required=True, help="built-in case name")
     w.add_argument("--levels", required=True,
                    help="comma-separated resolutions, e.g. 101,201,401")
-    w.add_argument("--seed", type=int, default=0)
     w.add_argument("--out", required=True, help="output sweep CSV path")
     w.set_defaults(func=cmd_sweep)
 
@@ -407,13 +401,11 @@ def main(argv: Optional[list] = None) -> int:
             settings = Settings(get_profile(cfg["kernel.profile"]),
                                 SolveOptions(**_section(cfg, "solver")),
                                 analysis.Coupling(**_section(cfg, "coupling")),
-                                analysis.Guardrails(**_section(cfg, "guardrails")))
-            # the keys no settings object checks
-            for key, low in (("assembly.dense_cutoff", 0), ("oracle.fineness", 1),
-                             ("reference.factor", 1)):
-                if cfg[key] < low:
-                    raise ValueError(f"{key} must be at least {low}, got {cfg[key]}")
-            return args.func(args, cfg, settings)
+                                cfg["assembly.dense_cutoff"])
+            if settings.dense_cutoff < 0:   # the one key no settings object checks
+                raise ValueError(f"assembly.dense_cutoff must be at least 0, "
+                                 f"got {settings.dense_cutoff}")
+            return args.func(args, settings)
         except SolverError as exc:
             _err(f"solver failed: {exc}")
             return 1

@@ -6,6 +6,8 @@ string, and must then have the type of the key's default (a float key also
 takes an integer).  Unknown keys and mistyped values are rejected so typos
 fail loudly instead of silently falling back to defaults.  The defaults are
 the field defaults of the objects each section configures, written once.
+What guards a run's validity (the guardrail ceilings, the oracle's fine
+quadrature, a study's reference resolution) is a constant, not a key.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import fields
 from typing import Optional
 
-from .analysis import REFERENCE_FACTOR, Coupling, Guardrails
+from .analysis import Coupling
 from .assembly import DENSE_CUTOFF
 from .kernel import cubic_profile
 from .solve import SolveOptions
@@ -35,9 +37,6 @@ DEFAULTS: dict = {
     **_defaults("solver", SolveOptions),
     "assembly.dense_cutoff": DENSE_CUTOFF,
     **_defaults("coupling", Coupling),
-    **_defaults("guardrails", Guardrails),
-    "oracle.fineness": 8,
-    "reference.factor": REFERENCE_FACTOR,
 }
 
 

@@ -9,9 +9,9 @@ from scipy.integrate import simpson
 
 import pim.analysis as analysis
 from oracles import fd_laplacian_check
-from pim.analysis import (Coupling, Guardrails, SWEEP_HEADER, SweepAborted,
+from pim.analysis import (DENSITY_CEILING, Coupling, SWEEP_HEADER, SweepAborted,
                           boundary_l2_error, builtin_cases, convergence_sweep, error_floor_study,
-                          get_case, h1_error, l2_error,
+                          get_case, guardrail_flags, h1_error, l2_error,
                           l2_norm, lemma_norm_check, robin_gap_study,
                           solve_case_on_cloud)
 from pim.interpolate import Interpolant
@@ -221,9 +221,8 @@ def test_coupling_rejects_nonvanishing_density_ratio():
 
 
 def test_guardrails_flags_and_warnings():
-    g = Guardrails()
     with pytest.warns(RuntimeWarning, match="guardrail") as record:
-        flags = g.check(t=0.09, beta=0.01, h=1.0)
+        flags = guardrail_flags(t=0.09, beta=0.01, h=1.0)
     assert len(flags) == 2
     assert any("sqrt(t)/beta" in f for f in flags)
     assert any("h/t^1.5" in f for f in flags)
@@ -234,25 +233,16 @@ def test_guardrails_flags_and_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # healthy parameters are silent
-        assert g.check(t=0.01, beta=0.1, h=0.001) == []
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -5.0])
-def test_guardrails_reject_bad_ceilings(bad):
-    # a NaN ceiling silently switched its guardrail off
-    with pytest.raises(ValueError, match=f"r0_penalty={bad}"):
-        Guardrails(r0_penalty=bad)
-    with pytest.raises(ValueError, match=f"r0_density={bad}"):
-        Guardrails(r0_density=bad)
+        assert guardrail_flags(t=0.01, beta=0.1, h=0.001) == []
 
 
 def test_default_coupling_stays_inside_guardrails():
-    c, g = Coupling(), Guardrails()
+    c = Coupling()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for h in (0.02, 0.01, 0.005, 0.0025):
             t = c.t_of(h)
-            assert g.check(t, c.beta_of(t), h) == []
+            assert guardrail_flags(t, c.beta_of(t), h) == []
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +252,7 @@ def test_default_coupling_stays_inside_guardrails():
 @pytest.fixture(scope="module")
 def small_sweep():
     case = get_case("interval_sine")
-    return convergence_sweep(case, [51, 101], reference_factor=2)
+    return convergence_sweep(case, [51, 101])
 
 
 def test_convergence_sweep_rows(small_sweep):
@@ -298,7 +288,7 @@ def test_sweep_csv_format(small_sweep, tmp_path):
 
 def test_sweep_determinism_excluding_wall_time(small_sweep):
     case = get_case("interval_sine")
-    again = convergence_sweep(case, [51, 101], reference_factor=2)
+    again = convergence_sweep(case, [51, 101])
     for r1, r2 in zip(small_sweep.rows, again.rows):
         assert r1.csv_cells()[:9] == r2.csv_cells()[:9]
 
@@ -342,8 +332,8 @@ def test_study_norms_equal_fresh_separate_passes(monkeypatch, case_name, study):
     # (values, boundary values, values and gradients) bit for bit
     case = get_case(case_name)
     interps = _record_interpolants(monkeypatch)
-    [row] = STUDIES[study](case, [300], reference_factor=2, seed=1).rows
-    ref = generate(case.spec.with_resolution(600), seed=1)
+    [row] = STUDIES[study](case, [300]).rows
+    ref = generate(case.spec.with_resolution(4 * 300))
     fresh = _fresh(interps[0])
     q, w = ref.points, ref.volume_weights
     diff = case.u(q) - fresh.eval_many(q)
@@ -457,7 +447,7 @@ def test_sweep_level_makes_one_reconstruction_pass(monkeypatch):
     case = get_case("disk_paraboloid")
     for study, run in STUDIES.items():
         calls.clear()
-        run(case, [200, 300], reference_factor=2, seed=1)
+        run(case, [200, 300])
         assert calls == ["value_and_grad_many"] * 2, study
 
 
@@ -476,11 +466,11 @@ def test_sweep_lemma_record_shares_the_level_pass(monkeypatch):
             return real(self, X)
 
         monkeypatch.setattr(Interpolant, "value_and_grad_many", counted)
-        result = run(case, sizes, reference_factor=2)
+        result = run(case, sizes)
         monkeypatch.undo()
         assert len(passes) == len(result.rows) == len(sizes), study
         for n, row, (interp, X) in zip(_resolutions(study, sizes), result.rows, passes):
-            ref = generate(case.spec.with_resolution(2 * n), seed=0)
+            ref = generate(case.spec.with_resolution(4 * n))
             assert np.array_equal(X, ref.points), study
             assert row.lemma == lemma_norm_check(interp, ref), study
 
@@ -497,9 +487,9 @@ def test_studies_generate_clouds_only_when_the_size_changes(monkeypatch, study):
 
     monkeypatch.setattr(analysis, "generate", counted)
     sizes = [51, 51, 101]
-    STUDIES[study](get_case("interval_sine"), sizes, reference_factor=2)
+    STUDIES[study](get_case("interval_sine"), sizes)
     levels = sorted(set(_resolutions(study, sizes)))
-    assert made == [n for m in levels for n in (m, 2 * m)]
+    assert made == [n for m in levels for n in (m, 4 * m)]
 
 
 @pytest.mark.filterwarnings("ignore:stability guardrail")
@@ -517,7 +507,7 @@ def test_sweep_abort_preserves_partial(monkeypatch, study):
     monkeypatch.setattr(analysis, "solve_case_on_cloud", flaky)
     case = get_case("interval_sine")
     with pytest.raises(SweepAborted) as exc:
-        STUDIES[study](case, [51, 101, 201], reference_factor=2)
+        STUDIES[study](case, [51, 101, 201])
     partial = exc.value.partial
     assert len(partial.rows) == 1
     assert partial.rows[0].n == 51
@@ -585,8 +575,7 @@ def test_robin_gap_study_single_beta():
     case = get_case("interval_sine")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        res = robin_gap_study(case, t=1e-3, n=101, betas=[0.3],
-                              reference_factor=2)
+        res = robin_gap_study(case, t=1e-3, n=101, betas=[0.3])
     assert len(res.rows) == 1
     assert res.rows[0].beta == 0.3
     assert res.rows[0].t == 1e-3
@@ -597,11 +586,10 @@ def test_error_floor_study_never_warns():
     case = get_case("interval_sine")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        res = error_floor_study(case, t=4e-3, beta=0.05, levels=[51, 101],
-                                reference_factor=2)
+        res = error_floor_study(case, t=4e-3, beta=0.05, levels=[51, 101])
     assert len(res.rows) == 2
     assert all(r.t == 4e-3 and r.beta == 0.05 for r in res.rows)
     # parameters sit past the default density ceiling, yet the study runs
     # unflagged: it exists to probe exactly that regime
-    assert res.rows[0].h / 4e-3 ** 1.5 > Guardrails().r0_density
+    assert res.rows[0].h / 4e-3 ** 1.5 > DENSITY_CEILING
     assert all(r.flags == [] for r in res.rows)

@@ -408,7 +408,7 @@ def test_sweep_seed_determinism(tmp_path):
     for name in ("s1.csv", "s2.csv"):
         out = tmp_path / name
         assert main(["sweep", "--case", "interval_sine", "--levels", "51,101",
-                     "--seed", "3", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         outs.append(out.read_text().strip().splitlines())
     for r1, r2 in zip(outs[0], outs[1]):
         # identical except the timing column
@@ -498,7 +498,8 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, interval_csv, command, 
 OUT_OF_RANGE = [("generate", "solver.restart = 0"), ("generate", "coupling.gamma_t = 0.9"),
                 ("generate", "guardrails.r0_density = 0"), ("generate", "kernel.profile = bogus"),
                 ("solve", "coupling.gamma_t = 0.9"), ("solve", "coupling.c_beta = -1")]
-# keys that no settings object checks, range-checked in main beside them
+# assembly.dense_cutoff is range-checked in main; the other two keys are gone
+# and refused as unknown
 OUT_OF_RANGE += [(command, line) for command in ("generate", "solve", "sweep", "oracle-check")
                  for line in ("assembly.dense_cutoff = -5", "oracle.fineness = 0",
                               "reference.factor = 0")]
@@ -571,6 +572,10 @@ BAD_INPUT = {
                      "--out", "{missing}/s.csv"], "{missing}"),
     "one-point cloud": (["solve", "--cloud", "{tmp}/one.csv", "--f-const", "0",
                          "--out", "{tmp}/u.csv"], "2 points"),
+    "no source": (["solve", "--cloud", "{cloud}", "--out", "{tmp}/u.csv"],
+                  "pim: error: need --case, --f-file or --f-const\n"),
+    "empty level list": (["sweep", "--case", "interval_sine", "--levels", ",",
+                          "--out", "{tmp}/s.csv"], "pim: error: empty level list\n"),
     # an output path that is an existing directory: open's own EISDIR text
     "generate --out dir": (["generate", "--shape", "interval", "--n", "11",
                             "--out", "{tmp}"], "Is a directory: '{tmp}'"),
@@ -623,6 +628,19 @@ def test_bad_input_exits_2_with_one_message(tmp_path, capsys, interval_csv, monk
     # an output check comes before any work and writes nothing
     assert calls == (["load"] if case == "one-point cloud" else [])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["interval.csv", "one.csv"]
+
+
+def test_non_numeric_data_line_exits_2_before_the_solve(tmp_path, capsys, interval_csv,
+                                                       monkeypatch):
+    fsrc = tmp_path / "f.txt"
+    fsrc.write_text("1\n\nabc\n")
+    calls = []
+    monkeypatch.setattr(analysis, "solve_on_cloud", lambda *a, **k: calls.append(1))
+    out = tmp_path / "u.csv"
+    rc = main(["solve", "--cloud", interval_csv, "--f-file", str(fsrc), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"pim: error: {fsrc}:3: non-numeric source value\n"
+    assert calls == [] and not out.exists()
 
 
 def test_sweep_abort_is_reported_when_the_partial_write_fails(tmp_path, capsys,
@@ -761,7 +779,8 @@ def test_nonfinite_numeric_input_exits_2(tmp_path, capsys, interval_csv,
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
 def test_bad_guardrail_ceiling_exits_2(tmp_path, capsys, interval_csv, command, key, value):
     # a NaN ceiling once switched its guardrail off without a word, and a
-    # negative one flagged every run
+    # negative one flagged every run; the ceilings are now constants, so a
+    # config that sets one, to any value, is refused before any work
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"guardrails.{key} = {value}\n")
     if command == "solve":
@@ -774,8 +793,43 @@ def test_bad_guardrail_ceiling_exits_2(tmp_path, capsys, interval_csv, command, 
     assert rc == 2
     err = capsys.readouterr().err
     assert "pim: error:" in err and "Traceback" not in err and "warning" not in err
-    assert f"{key}={float(value)}" in err, err
+    assert f"unknown key 'guardrails.{key}'" in err, err
     assert not out.exists()
+
+
+# each removed key at its last default, which a config file could still name
+REMOVED_KEYS = ["guardrails.r0_penalty = 2.0", "guardrails.r0_density = 20.0",
+                "oracle.fineness = 8", "reference.factor = 4"]
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "oracle-check"])
+@pytest.mark.parametrize("line", REMOVED_KEYS)
+def test_removed_config_key_exits_2_naming_it(tmp_path, capsys, interval_csv, command, line):
+    # these keys could switch off or weaken a check on the run's validity
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "x.csv"
+    argv = {"solve": ["solve", "--cloud", interval_csv, "--case", "interval_sine",
+                      "--out", str(out)],
+            "sweep": ["sweep", "--case", "interval_sine", "--levels", "51", "--out", str(out)],
+            "oracle-check": ["oracle-check"]}[command]
+    rc = main(["--config", str(cfg)] + argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"old.cfg:1: unknown key '{line.split()[0]}'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sweep_has_no_seed(tmp_path, capsys):
+    # a sweep's clouds are unjittered: a seed would reach no random draw
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "--case", "interval_sine", "--levels", "51", "--seed", "3",
+               "--out", str(out)])
+    assert rc == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["sweep", "--help"]) == 0
+    assert "--seed" not in capsys.readouterr().out
 
 
 def test_solve_case_dimension_mismatch(tmp_path, capsys):

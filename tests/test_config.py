@@ -27,7 +27,7 @@ def test_load_config(tmp_path):
                    "assembly.dense_cutoff": 64}
 
 
-@pytest.mark.parametrize("line", ["solver.tol = abc", "reference.factor = 2.5",
+@pytest.mark.parametrize("line", ["solver.tol = abc", "assembly.dense_cutoff = 2.5",
                                   "kernel.profile = 3"])
 def test_value_of_the_wrong_type_reports_line_number(tmp_path, line):
     path = tmp_path / "bad.cfg"
@@ -57,6 +57,15 @@ def test_missing_equals_sign(tmp_path):
         load_config(path)
 
 
+def test_every_key_sets_an_option():
+    # what guards a run's validity (guardrail ceilings, the oracle's fine
+    # quadrature, a study's reference resolution) is a constant, not a key
+    assert sorted(DEFAULTS) == [
+        "assembly.dense_cutoff", "coupling.c_beta", "coupling.c_t", "coupling.gamma_t",
+        "kernel.profile", "solver.max_iter_factor", "solver.method", "solver.restart",
+        "solver.tol"]
+
+
 def test_merged_precedence(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("solver.tol = 1e-8\nsolver.restart = 50\n")
@@ -81,5 +90,5 @@ def test_defaults_not_mutated(tmp_path):
     before = dict(DEFAULTS)
     path = tmp_path / "run.cfg"
     path.write_text("solver.tol = 1e-8\n")
-    merged(path, {"oracle.fineness": 2})
+    merged(path, {"assembly.dense_cutoff": 2})
     assert DEFAULTS == before

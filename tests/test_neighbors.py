@@ -128,6 +128,11 @@ def test_invalid_radius():
         NeighborIndex(pts, radius=-1.0)
 
 
+def test_points_must_be_two_dimensional():
+    with pytest.raises(ValueError, match="^points must be a 2-d array$"):
+        NeighborIndex(np.zeros(3), radius=1.0)
+
+
 def test_points_at_radius_and_one_ulp_either_side(rng):
     # the tree searches a padded radius; the exact cut must match query_brute
     # for points at distance radius and one ulp inside and outside it

@@ -186,6 +186,19 @@ def test_oracle_v_constant_and_bounds(rng):
     assert u.min() <= v <= u.max()
 
 
+def test_field_of_the_wrong_length_is_refused(interval_cloud):
+    params = KernelParams(t=0.01, k=1)
+    with pytest.raises(ValueError, match=r"^field length 3 != cloud size 101$"):
+        apply_Lth(interval_cloud, params, cubic_profile, np.ones(3), 0)
+
+
+def test_oracle_v_outside_every_support():
+    cloud = generate(ManifoldSpec.interval(0.0, 1.0, 101))
+    params = KernelParams(t=1e-3, k=1)
+    with pytest.raises(ValueError, match="^x is outside the kernel support of every sample$"):
+        oracle_v(np.ones(cloud.n), np.array([5.0]), cloud, params, cubic_profile)
+
+
 def test_oracle_v_linear_midpoint():
     cloud = generate(ManifoldSpec.interval(0.0, 1.0, 2001))
     params = KernelParams(t=1e-3, k=1)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,12 @@ def test_spec_validation():
         ManifoldSpec.spherical_cap(1.0, 100)
     with pytest.raises(ValueError):
         ManifoldSpec.spherical_cap(-1.0, 100)
+    with pytest.raises(ValueError, match=r"^unknown shape 'torus'; choose from \("):
+        ManifoldSpec(shape="torus", resolution=100)
+    for widths in ((0.0, 1.0), (1.0, -2.0)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"rectangle widths must be positive, got {widths}")):
+            ManifoldSpec.rectangle(*widths, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +219,19 @@ def test_fill_distance_needs_two_points():
 # ---------------------------------------------------------------------------
 # construction validation
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("volume,boundary,area,message", [
+    ([0.5, 0.5, 0.5], [0], [1.0], "volume_weights length must match point count"),
+    ([0.5, 0.5], [0], [1.0, 1.0], "area_weights length must match boundary_indices"),
+    ([0.5, 0.5], [0, 2], [1.0, 1.0], "boundary index out of range"),
+    ([0.5, 0.5], [-1], [1.0], "boundary index out of range"),
+], ids=["three volume weights", "two area weights", "index 2", "index -1"])
+def test_rejects_missized_weights_and_stray_boundary_index(volume, boundary, area, message):
+    with pytest.raises(CloudFormatError, match=f"^{message}$"):
+        PointCloud(points=np.array([[0.0], [1.0]]), intrinsic_dim=1,
+                   boundary_indices=np.array(boundary), volume_weights=np.array(volume),
+                   area_weights=np.array(area))
+
 
 def test_rejects_nonpositive_weights():
     with pytest.raises(ValueError):
@@ -345,8 +365,22 @@ HEADER_1D = "x1,volume_weight,boundary_flag,area_weight\n"
      ":3: could not convert string to float: '0#'"),
     ("# intrinsic_dim=1\n" + HEADER_1D + "0,0.5,1,1\n# note\n\n   \n 0.5 , 0.25 , 0 , \n"
      "1,0.5,1,nan\n", ":8: non-positive area weight nan"),
+    ("# intrinsic_dim=1\n" + HEADER_1D + "0,0.5,1,1\n1,0.5,2,1\n",
+     ":4: boundary_flag must be 0 or 1"),
+    ("# intrinsic_dim=1\n" + HEADER_1D + "0,0.5,1,abc\n",
+     ":3: could not convert string to float: 'abc'"),
+    ("# intrinsic_dim=1\n" + HEADER_1D + "# no rows\n\n", ": no data rows"),
+    ("# intrinsic_dim=x\n" + HEADER_1D + "0,0.5,1,1\n",
+     ":1: bad intrinsic_dim comment: '# intrinsic_dim=x'"),
+    ("# intrinsic_dim=1\n# only comments\n\n", ": missing header row"),
+    ("# intrinsic_dim=1\nx1,volume_weight,flag,area_weight\n0,0.5,1,1\n",
+     ":2: bad header ['x1', 'volume_weight', 'flag', 'area_weight']"),
+    ("# intrinsic_dim=1\nx2,x1,volume_weight,boundary_flag,area_weight\n0,0,0.5,1,1\n",
+     ":2: bad coordinate columns ['x2', 'x1', "),
 ], ids=["short row", "nan coordinate", "k = 0", "no dim comment", "flag 1.0", "# in a cell",
-        "after comments, blank lines and padded cells"])
+        "after comments, blank lines and padded cells", "flag 2", "area not a number",
+        "header without rows", "dim not a number", "comments only", "wrong header tail",
+        "coordinate columns not x1..xd"])
 def test_load_errors_name_the_file_and_line(tmp_path, text, where):
     path = tmp_path / "bad.csv"
     path.write_text(text)

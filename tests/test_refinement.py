@@ -29,7 +29,7 @@ BOUNDS = {
 @pytest.mark.filterwarnings("ignore:stability guardrail")
 @pytest.mark.parametrize("name", list(BOUNDS))
 def test_2d_refinement_under_the_default_coupling(name):
-    rows = convergence_sweep(get_case(name), LEVELS, seed=0).rows
+    rows = convergence_sweep(get_case(name), LEVELS).rows
     for norm in ("l2_error", "h1_error", "boundary_l2_error"):
         errs = [getattr(r, norm) for r in rows]
         assert all(b < a for a, b in zip(errs, errs[1:])), (norm, errs)
