@@ -83,6 +83,8 @@ _SHAPE_FLAGS = {"a": ("interval", 0.0, "left end"), "b": ("interval", 1.0, "righ
 
 
 def _spec_from_args(args) -> pointcloud.ManifoldSpec:
+    if args.seed is not None and not args.jitter:     # the seed draws only the jitter
+        raise ValueError("--seed does not apply without --jitter")
     v = {}
     for flag, (shape, default, _) in _SHAPE_FLAGS.items():
         value = getattr(args, flag)
@@ -95,7 +97,7 @@ def _spec_from_args(args) -> pointcloud.ManifoldSpec:
 
 def cmd_generate(args, settings: Settings) -> int:
     _check_out_dirs(args.out)
-    cloud = pointcloud.generate(_spec_from_args(args), seed=args.seed, jitter=args.jitter)
+    cloud = pointcloud.generate(_spec_from_args(args), seed=args.seed or 0, jitter=args.jitter)
     pointcloud.save(cloud, args.out)
     print(f"wrote {cloud.n} points ({cloud.boundary_indices.size} boundary) "
           f"to {args.out}; h={cloud.metadata['h']:.6g}, "
@@ -340,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
         g.add_argument(f"--{flag}", type=float, help=f"{shape} {sets} (default {default:g})")
     g.add_argument("--jitter", type=float, default=0.0,
                    help="interior perturbation, fraction of spacing in [0, 0.5)")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, help="seed of the jitter's draw (needs --jitter; default 0)")
     g.add_argument("--out", required=True, help="output cloud CSV path")
     g.set_defaults(func=cmd_generate)
 
@@ -378,9 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dense-cutoff", dest="assembly.dense_cutoff", type=int,
                        help="direct LU up to this many points, GMRES beyond "
                             "(config: assembly.dense_cutoff)")
-        for key in ("c_t", "c_beta", "gamma_t"):
-            p.add_argument(f"--{key.replace('_', '-')}", dest=f"coupling.{key}",
-                           type=float, help=f"coupling constant (config: coupling.{key})")
     return parser
 
 

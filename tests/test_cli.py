@@ -1,3 +1,4 @@
+import math
 import sys
 import warnings
 
@@ -43,12 +44,27 @@ def test_generate_writes_loadable_cloud(tmp_path, capsys):
 def test_generate_seed_determinism(tmp_path):
     args = ["generate", "--shape", "disk", "--n", "200", "--jitter", "0.25",
             "--out"]
-    a, b, c = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
+    a, b, c, d, e = (tmp_path / f"{name}.csv" for name in "abcde")
     assert main(args + [str(a), "--seed", "5"]) == 0
     assert main(args + [str(b), "--seed", "5"]) == 0
     assert main(args + [str(c), "--seed", "6"]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
+    # a jittered run without --seed draws from seed 0
+    assert main(args + [str(d)]) == 0
+    assert main(args + [str(e), "--seed", "0"]) == 0
+    assert d.read_bytes() == e.read_bytes()
+
+
+@pytest.mark.parametrize("jitter", [[], ["--jitter", "0"]], ids=["no jitter", "jitter 0"])
+def test_generate_rejects_seed_without_jitter(tmp_path, capsys, jitter):
+    # the seed draws only the jitter: it once wrote the seed-0 bytes, exit 0
+    out = tmp_path / "d7.csv"
+    rc = main(["generate", "--shape", "disk", "--n", "300", *jitter, "--seed", "7",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "pim: error: --seed does not apply without --jitter\n"
+    assert not out.exists()
 
 
 def test_generate_rejects_bad_spec(tmp_path, capsys):
@@ -416,8 +432,10 @@ def test_sweep_seed_determinism(tmp_path):
 
 
 def test_sweep_rejects_steep_coupling_exponent(tmp_path, capsys):
-    rc = main(["sweep", "--case", "interval_sine", "--levels", "51",
-               "--gamma-t", "0.7", "--out", str(tmp_path / "x.csv")])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("coupling.gamma_t = 0.7\n")
+    rc = main(["--config", str(cfg), "sweep", "--case", "interval_sine", "--levels", "51",
+               "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     err = capsys.readouterr().err
     assert "2/3" in err and "h/t^(3/2)" in err
@@ -461,8 +479,7 @@ def test_zero_restart_exits_2(tmp_path, capsys, interval_csv, restart):
     assert not out.exists() and not mtx.exists()
 
 
-@pytest.mark.parametrize("line", ["solver.restart = 0", "kernel.profile = bogus",
-                                  "reference.factor = 0"])
+@pytest.mark.parametrize("line", ["solver.restart = 0", "kernel.profile = bogus"])
 def test_sweep_bad_config_value_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
@@ -473,13 +490,11 @@ def test_sweep_bad_config_value_exits_2(tmp_path, capsys, line):
     assert "pim: error:" in err and "Traceback" not in err
 
 
-MISTYPED = ["solver.tol = abc", "coupling.c_t = x", "guardrails.r0_penalty = x",
-            "assembly.dense_cutoff = abc"]
+MISTYPED = ["solver.tol = abc", "coupling.c_t = x", "assembly.dense_cutoff = abc"]
 
 
 @pytest.mark.parametrize("command,line",
-                         [(c, line) for c in ("solve", "sweep") for line in MISTYPED]
-                         + [("sweep", "reference.factor = 2.5")])
+                         [(c, line) for c in ("solve", "sweep") for line in MISTYPED])
 def test_mistyped_config_value_exits_2(tmp_path, capsys, interval_csv, command, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
@@ -496,13 +511,11 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, interval_csv, command, 
 
 
 OUT_OF_RANGE = [("generate", "solver.restart = 0"), ("generate", "coupling.gamma_t = 0.9"),
-                ("generate", "guardrails.r0_density = 0"), ("generate", "kernel.profile = bogus"),
+                ("generate", "kernel.profile = bogus"),
                 ("solve", "coupling.gamma_t = 0.9"), ("solve", "coupling.c_beta = -1")]
-# assembly.dense_cutoff is range-checked in main; the other two keys are gone
-# and refused as unknown
-OUT_OF_RANGE += [(command, line) for command in ("generate", "solve", "sweep", "oracle-check")
-                 for line in ("assembly.dense_cutoff = -5", "oracle.fineness = 0",
-                              "reference.factor = 0")]
+# assembly.dense_cutoff is range-checked in main, not by a settings object
+OUT_OF_RANGE += [(command, "assembly.dense_cutoff = -5")
+                 for command in ("generate", "solve", "sweep", "oracle-check")]
 
 
 @pytest.mark.parametrize("command,line", OUT_OF_RANGE)
@@ -687,6 +700,27 @@ def test_config_file_and_flag_precedence(tmp_path, interval_csv):
     assert "profile = cubic" in (tmp_path / "cfg.csv.report.txt").read_text()
 
 
+def test_config_coupling_sets_the_rule_and_t_beta_override_it(tmp_path, interval_csv):
+    # the coupling constants are set only in a config file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("coupling.c_t = 0.2\ncoupling.gamma_t = 0.5\ncoupling.c_beta = 0.3\n")
+    out = tmp_path / "u.csv"
+    argv = ["--config", str(cfg), "solve", "--cloud", interval_csv, "--case", "interval_sine",
+            "--out", str(out)]
+
+    def report():
+        lines = (tmp_path / "u.csv.report.txt").read_text().splitlines()
+        return {key: float(value) for key, _, value in (l.partition(" = ") for l in lines)
+                if key in ("h", "t", "beta")}
+
+    assert main(argv) == 0
+    r = report()
+    assert r["t"] == 0.2 * r["h"] ** 0.5 and r["beta"] == 0.3 * math.sqrt(r["t"])
+    assert main(argv + ["--t", "0.001", "--beta", "0.05"]) == 0
+    r = report()
+    assert (r["t"], r["beta"]) == (0.001, 0.05)
+
+
 def test_config_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("solver.tool = 1e-9\n")
@@ -703,8 +737,7 @@ def test_oracle_check_all_pass(capsys):
     assert out.count("  pass  ") == 7
 
 
-@pytest.mark.parametrize("line,named", [("oracle.fineness = 0", "oracle.fineness"),
-                                        ("kernel.profile = bogus", "bogus")])
+@pytest.mark.parametrize("line,named", [("kernel.profile = bogus", "bogus")])
 def test_oracle_check_bad_config_value_exits_2(tmp_path, capsys, line, named):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
@@ -745,13 +778,14 @@ NONFINITE = [
     ("solve", None, ["--t", "inf", "--beta", "0.1"], ("t=inf",)),
     ("solve", "coupling.c_beta = nan", [], ("c_beta=nan",)),
     ("sweep", "coupling.c_t = nan", [], ("c_t=nan",)),
-    ("sweep", None, ["--c-t", "nan"], ("c_t=nan",)),
-    ("sweep", None, ["--c-beta", "nan"], ("c_beta=nan",)),
 ]
+NONFINITE_IDS = [" ".join(c[2]) or c[1] for c in NONFINITE]
+# the coupling constants have no flags: a config line sets each of them on any command
+NONFINITE.append(("sweep", "coupling.c_beta = nan", [], ("c_beta=nan",)))
+NONFINITE_IDS.append("sweep coupling.c_beta = nan")
 
 
-@pytest.mark.parametrize("command,line,flags,named", NONFINITE,
-                         ids=[" ".join(c[2]) or c[1] for c in NONFINITE])
+@pytest.mark.parametrize("command,line,flags,named", NONFINITE, ids=NONFINITE_IDS)
 def test_nonfinite_numeric_input_exits_2(tmp_path, capsys, interval_csv,
                                          command, line, flags, named):
     # each once ran GMRES to its cap, failed inside assembly with a NumPy
@@ -774,49 +808,31 @@ def test_nonfinite_numeric_input_exits_2(tmp_path, capsys, interval_csv,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["solve", "sweep"])
-@pytest.mark.parametrize("key", ["r0_penalty", "r0_density"])
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
-def test_bad_guardrail_ceiling_exits_2(tmp_path, capsys, interval_csv, command, key, value):
-    # a NaN ceiling once switched its guardrail off without a word, and a
-    # negative one flagged every run; the ceilings are now constants, so a
-    # config that sets one, to any value, is refused before any work
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"guardrails.{key} = {value}\n")
-    if command == "solve":
-        argv = ["solve", "--cloud", interval_csv, "--case", "interval_sine",
-                "--t", "0.0001", "--beta", "0.1"]
-    else:
-        argv = ["sweep", "--case", "interval_sine", "--levels", "101"]
-    out = tmp_path / "x.csv"
-    rc = main(["--config", str(cfg)] + argv + ["--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "pim: error:" in err and "Traceback" not in err and "warning" not in err
-    assert f"unknown key 'guardrails.{key}'" in err, err
-    assert not out.exists()
-
-
 # each removed key at its last default, which a config file could still name
 REMOVED_KEYS = ["guardrails.r0_penalty = 2.0", "guardrails.r0_density = 20.0",
                 "oracle.fineness = 8", "reference.factor = 4"]
 
 
-@pytest.mark.parametrize("command", ["solve", "sweep", "oracle-check"])
+@pytest.mark.parametrize("command", ["generate", "solve", "sweep", "oracle-check"])
 @pytest.mark.parametrize("line", REMOVED_KEYS)
 def test_removed_config_key_exits_2_naming_it(tmp_path, capsys, interval_csv, command, line):
-    # these keys could switch off or weaken a check on the run's validity
+    # these keys could switch off or weaken a check on the run's validity (a
+    # NaN ceiling once silenced its guardrail); the key is refused before its
+    # value is read and before any work, even where a guardrail would trip
     cfg = tmp_path / "old.cfg"
     cfg.write_text(line + "\n")
     out = tmp_path / "x.csv"
-    argv = {"solve": ["solve", "--cloud", interval_csv, "--case", "interval_sine",
-                      "--out", str(out)],
+    argv = {"generate": ["generate", "--shape", "interval", "--n", "11", "--out", str(out)],
+            "solve": ["solve", "--cloud", interval_csv, "--case", "interval_sine",
+                      "--t", "0.0001", "--beta", "0.1", "--out", str(out)],
             "sweep": ["sweep", "--case", "interval_sine", "--levels", "51", "--out", str(out)],
             "oracle-check": ["oracle-check"]}[command]
     rc = main(["--config", str(cfg)] + argv)
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"old.cfg:1: unknown key '{line.split()[0]}'" in err and "Traceback" not in err
+    assert err.startswith("pim: error: ") and len(err.splitlines()) == 1
+    assert "warning" not in err and "Traceback" not in err
+    assert f"old.cfg:1: unknown key '{line.split()[0]}'" in err
     assert not out.exists()
 
 
@@ -830,6 +846,26 @@ def test_sweep_has_no_seed(tmp_path, capsys):
     assert not out.exists()
     assert main(["sweep", "--help"]) == 0
     assert "--seed" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--cloud", "{cloud}", "--case", "interval_sine", "--c-t", "5"],
+    ["solve", "--cloud", "{cloud}", "--case", "interval_sine", "--t", "0.001", "--beta", "0.05",
+     "--c-t", "5"],
+    ["sweep", "--case", "interval_sine", "--levels", "51", "--gamma-t", "0.5"],
+], ids=["solve", "solve --t --beta", "sweep"])
+def test_coupling_constants_have_no_flags(tmp_path, capsys, interval_csv, argv):
+    # --t/--beta once silently overrode these flags; the constants are set
+    # only through the coupling.* keys of a config file
+    out = tmp_path / "x.csv"
+    rc = main([a.format(cloud=interval_csv) for a in argv] + ["--out", str(out)])
+    assert rc == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "x.csv.report.txt").exists()
+    for command in ("solve", "sweep"):
+        assert main([command, "--help"]) == 0
+        words = set(capsys.readouterr().out.split())
+        assert "--tol" in words and not {"--c-t", "--c-beta", "--gamma-t"} & words
 
 
 def test_solve_case_dimension_mismatch(tmp_path, capsys):
