@@ -85,6 +85,8 @@ _SHAPE_FLAGS = {"a": ("interval", 0.0, "left end"), "b": ("interval", 1.0, "righ
 def _spec_from_args(args) -> pointcloud.ManifoldSpec:
     if args.seed is not None and not args.jitter:     # the seed draws only the jitter
         raise ValueError("--seed does not apply without --jitter")
+    if args.seed is not None and args.seed < 0:       # numpy's error names neither flag nor value
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     v = {}
     for flag, (shape, default, _) in _SHAPE_FLAGS.items():
         value = getattr(args, flag)
@@ -342,7 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
         g.add_argument(f"--{flag}", type=float, help=f"{shape} {sets} (default {default:g})")
     g.add_argument("--jitter", type=float, default=0.0,
                    help="interior perturbation, fraction of spacing in [0, 0.5)")
-    g.add_argument("--seed", type=int, help="seed of the jitter's draw (needs --jitter; default 0)")
+    g.add_argument("--seed", type=int,
+                   help="seed of the jitter's draw, at least 0 (needs --jitter; default 0)")
     g.add_argument("--out", required=True, help="output cloud CSV path")
     g.set_defaults(func=cmd_generate)
 

@@ -29,7 +29,8 @@ in-support sample pairs from one self-join of the samples, other passes
 from a k-d-tree join per block.  The squared distances the exact cut
 measured are the kernel arguments, so each pair's kernels are evaluated
 once.  A block makes two value sums and, for gradients, two per coordinate,
-each one ``bincount`` in pair order.
+all in one ``np.add.reduceat`` over each query's run of pairs, which are
+in ascending sample order: each sum is numpy's pairwise sum of that run.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .pointcloud import PointCloud
 
 __all__ = ["Interpolant", "OutOfSupport"]
 
-CHUNK = 256  # query points per evaluation block
+CHUNK = 128  # query points per evaluation block
 # samples lie on a sphere when their radii spread by less than this, relative
 SPHERE_RTOL = 1e-12  # to the smallest; generated caps spread by at most 5.6e-16
 
@@ -108,33 +109,42 @@ class Interpolant:
         Each sum runs over the (query, sample) pairs within the support
         radius; ``rows`` names the query of a pair, ``cols`` its sample.
         ``w`` sums R_t V and ``num`` sums R_t uV + Rbar_t h; ``via`` as ``join``'s.
+        The pair terms are the rows of one array; ``rows`` ascends, so one
+        ``np.add.reduceat`` over each query's run of columns gives every sum.
         """
         t, c_t = self.params.t, self.params.C_t
         prof = self.profile
         q = X.shape[0]
 
         rows, cols, diff, sq = self._samples.join(X, via)     # diff = p_j - x
+        d = diff.shape[1]
         s = sq / (4.0 * t)
         rt = c_t * prof.R(s)
         v = self.cloud.volume_weights[cols]
         uv = self._uV[cols]
         h = self._h[cols]
-        w = np.bincount(rows, weights=rt * v, minlength=q)
-        num = np.bincount(rows, weights=rt * uv + c_t * prof.Rbar(s) * h,
-                          minlength=q)
-        if not want_grad:
-            return w, num, None, None
+        # rows R_t V and R_t uV + Rbar_t h, then a d_k and g d_k per coordinate
+        terms = np.empty((2 + 2 * d if want_grad else 2, rows.shape[0]))
+        np.multiply(rt, v, out=terms[0])
+        np.multiply(rt, uv, out=terms[1])
+        terms[1] += c_t * prof.Rbar(s) * h
+        if want_grad:
+            # with y = x - p_j, grad R_t = (C_t/2t) R'(s) y and grad Rbar_t =
+            # -R_t y/(2t); the pair weights a and g carry the sign of diff = -y
+            drt = (-c_t / (2.0 * t)) * prof.Rprime(s)
+            g = drt * uv + rt * h / (2.0 * t)
+            np.multiply(drt * v, diff.T, out=terms[2:2 + d])
+            np.multiply(g, diff.T, out=terms[2 + d:])
 
-        # with y = x - p_j, grad R_t = (C_t/2t) R'(s) y and grad Rbar_t =
-        # -R_t y/(2t); the pair weights a and g carry the sign of diff = -y
-        drt = (-c_t / (2.0 * t)) * prof.Rprime(s)
-        a = drt * v
-        g = drt * uv + rt * h / (2.0 * t)
-        gw = np.column_stack([np.bincount(rows, weights=a * dk, minlength=q)
-                              for dk in diff.T])
-        gnum = np.column_stack([np.bincount(rows, weights=g * dk, minlength=q)
-                                for dk in diff.T])
-        return w, num, gw, gnum
+        # A query without pairs has an empty run, where reduceat would give
+        # the next pair's term (or fail, at the last query): only runs are summed.
+        starts = np.searchsorted(rows, np.arange(q))
+        has = np.diff(starts, append=rows.shape[0]) > 0
+        sums = np.zeros((terms.shape[0], q))
+        sums[:, has] = np.add.reduceat(terms, starts[has], axis=1)
+        if not want_grad:
+            return sums[0], sums[1], None, None
+        return sums[0], sums[1], sums[2:2 + d].T, sums[2 + d:].T
 
     def _queries(self, X) -> np.ndarray:
         X = np.ascontiguousarray(np.atleast_2d(X), dtype=float)

@@ -67,6 +67,16 @@ def test_generate_rejects_seed_without_jitter(tmp_path, capsys, jitter):
     assert not out.exists()
 
 
+def test_generate_rejects_negative_seed(tmp_path, capsys):
+    # numpy's default_rng once rejected it with a message naming neither
+    out = tmp_path / "neg.csv"
+    rc = main(["generate", "--shape", "disk", "--n", "51", "--jitter", "0.25", "--seed", "-5",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "pim: error: --seed must be at least 0, got -5\n"
+    assert not out.exists()
+
+
 def test_generate_rejects_bad_spec(tmp_path, capsys):
     rc = main(["generate", "--shape", "disk", "--n", "-5",
                "--out", str(tmp_path / "x.csv")])

@@ -439,6 +439,29 @@ def test_large_pass_raises_out_of_support_without_widening_the_graph(solved_inte
     assert joins == [radius, radius]
 
 
+@pytest.mark.parametrize("q, at", [(60, 0), (60, 30), (60, 59),
+                                   (2 * CHUNK, CHUNK), (2 * CHUNK, CHUNK + 37),
+                                   (2 * CHUNK, CHUNK - 1), (2 * CHUNK, 2 * CHUNK - 1)])
+def test_query_without_pairs_raises_wherever_it_sits_in_its_block(solved_interval,
+                                                                 monkeypatch, q, at):
+    # A query with no sample in support has no pairs to sum, first, inside or
+    # last in its block, on the tree path (q < n) and the graph path (q >= n).
+    # Its sums stay 0: not the next query's terms, and no index past the pairs.
+    cl, radius = solved_interval.cloud, solved_interval.params.support_radius
+    joins, trees = count_searches(monkeypatch)
+    for far in (cl.points.max() + radius * (1.0 + 1e-8), 5.0):
+        X = np.linspace(0.0, 1.0, q)[:, None]
+        X[at] = far
+        for run in (solved_interval.eval_many, solved_interval.value_and_grad_many):
+            with pytest.raises(OutOfSupport) as exc:
+                run(X)
+            assert exc.value.point == pytest.approx([far], rel=0.0)
+    if q < cl.n:
+        assert not joins and trees
+    else:
+        assert len(joins) == 4 and not trees      # one graph per pass
+
+
 def test_non_finite_query_raises_on_both_paths(solved_interval):
     n = solved_interval.cloud.n
     for q in (3, n + 3):

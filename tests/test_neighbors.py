@@ -290,7 +290,7 @@ def test_join_one_dimensional_points(rng):
 
 
 def test_join_more_queries_than_a_reconstruction_block(rng):
-    # the reconstruction joins 256 queries at a time; a single join must
+    # the reconstruction joins 128 queries at a time; a single join must
     # also handle more than that
     idx = NeighborIndex(rng.uniform(-1, 1, size=(500, 3)), radius=0.35)
     assert_join_matches_brute(idx, rng.uniform(-1.2, 1.2, size=(600, 3)))
