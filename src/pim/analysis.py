@@ -78,7 +78,6 @@ class ManufacturedCase:
     grad_u: Callable[[np.ndarray], np.ndarray]   # ambient tangential gradient
     f: Callable[[np.ndarray], np.ndarray]
     b: Callable[[np.ndarray], np.ndarray]
-    description: str = ""
 
 
 _CASES = {case.name: case for case in (
@@ -89,7 +88,6 @@ _CASES = {case.name: case for case in (
         grad_u=lambda X: math.pi * np.cos(math.pi * X[:, 0])[:, None],
         f=lambda X: math.pi * math.pi * np.sin(math.pi * X[:, 0]),
         b=lambda X: np.zeros(X.shape[0]),
-        description="u = sin(pi x) on [0,1], homogeneous boundary",
     ),
     ManufacturedCase(
         name="disk_paraboloid",
@@ -98,7 +96,6 @@ _CASES = {case.name: case for case in (
         grad_u=lambda X: -2.0 * X,
         f=lambda X: np.full(X.shape[0], 4.0),
         b=lambda X: np.zeros(X.shape[0]),
-        description="u = 1 - x^2 - y^2 on the unit disk, homogeneous boundary",
     ),
     ManufacturedCase(
         name="rectangle_quadratic",
@@ -107,7 +104,6 @@ _CASES = {case.name: case for case in (
         grad_u=lambda X: 2.0 * X,
         f=lambda X: np.full(X.shape[0], -4.0),
         b=lambda X: X[:, 0] ** 2 + X[:, 1] ** 2,
-        description="u = x^2 + y^2 on the unit square, non-homogeneous boundary",
     ),
     ManufacturedCase(
         name="cap_linear",
@@ -118,7 +114,6 @@ _CASES = {case.name: case for case in (
                           - X[:, 2][:, None] * X),
         f=lambda X: 2.0 * X[:, 2],
         b=lambda X: X[:, 2].copy(),
-        description="u = z (degree-1 spherical harmonic) on the cap z >= z0",
     ),
 )}
 

@@ -98,8 +98,10 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
              beta: float, f, b, *, dense_cutoff: int = DENSE_CUTOFF) -> LinearSystem:
     """Build the linear system for source f (per point) and boundary data b.
 
-    The matrix is always CSR; ``dense_cutoff`` only sets ``meta["dense"]``
-    for n <= dense_cutoff, which sends ``solve``'s "auto" to the direct LU.
+    The matrix is always CSR.  ``meta`` holds what :func:`pim.solve.solve`
+    reads, and nothing else: ``dense`` (n <= ``dense_cutoff``, which sends
+    its "auto" to the direct LU), ``boundary_points`` (the boundary size),
+    and ``points`` and ``support_radius`` for the two-level preconditioner.
     Raises ``ValueError`` on non-finite ``f`` or ``b``, and on a point with
     no other point within the support radius.
     """
@@ -186,18 +188,10 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
 
     # Where the exact cut dropped candidates, scipy keeps the first nnz
     # entries: a view, or a copy when most is slack.
-    nnz = int(indptr[n])
     mat = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-
     meta = {
-        "t": t,
-        "beta": beta,
-        "n": n,
-        "h": cloud.metadata.get("h"),
-        "profile": profile.name,
         "support_radius": params.support_radius,
         "dense": n <= dense_cutoff,
-        "fill_ratio": nnz / float(n * n),
         "boundary_points": bi.shape[0],
         "points": points,   # by reference: the two-level preconditioner aggregates them
     }

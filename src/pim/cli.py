@@ -210,7 +210,10 @@ def cmd_solve(args, settings: Settings) -> int:
 def cmd_sweep(args, settings: Settings) -> int:
     _check_out_dirs(args.out)
     case = analysis.get_case(args.case)
-    levels = [int(tok) for tok in args.levels.split(",") if tok.strip()]
+    try:
+        levels = [int(tok) for tok in args.levels.split(",") if tok.strip()]
+    except ValueError:      # int's own error names neither the flag nor its syntax
+        raise ValueError(f"--levels must be comma-separated integers, got {args.levels!r}") from None
     if not levels:
         raise ValueError("empty level list")
     try:

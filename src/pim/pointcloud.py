@@ -65,8 +65,10 @@ class ManifoldSpec:
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}; choose from {SHAPES}")
-        if self.shape == "interval" and not self.a < self.b:
-            raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
+        if self.shape == "interval" and not -math.inf < self.a < self.b < math.inf:
+            raise ValueError(f"interval requires finite a < b, got [{self.a}, {self.b}]")
+        if self.shape == "rectangle" and not all(map(math.isfinite, self.widths)):
+            raise ValueError(f"rectangle requires finite widths, got {self.widths}")
         if self.shape == "rectangle" and min(self.widths) <= 0.0:
             raise ValueError(f"rectangle widths must be positive, got {self.widths}")
         if self.shape == "spherical_cap" and not -1.0 < self.z0 < 1.0:
@@ -105,6 +107,8 @@ class PointCloud:
 
     Arrays are locked read-only on construction, so the same object always
     holds the same samples: ``Interpolant.on_cloud`` keys its memo on it.
+    ``metadata`` holds only ``h``, the :func:`fill_distance`, which
+    :func:`generate` stores; a loaded cloud's is empty.
     """
 
     points: np.ndarray            # (n, d)
@@ -185,7 +189,6 @@ def generate(spec: ManifoldSpec, seed: int = 0, jitter: float = 0.0) -> PointClo
     if not 0.0 <= jitter < 0.5:
         raise ValueError(f"jitter must be in [0, 0.5), got {jitter!r}")
     cloud = _SHAPES[spec.shape].generate(spec)
-    cloud.metadata.update(shape=spec.shape, spec=spec)
     if jitter > 0.0:
         cloud = _apply_jitter(cloud, spec, seed, jitter)
     cloud.metadata["h"] = fill_distance(cloud)
@@ -331,7 +334,7 @@ def _apply_jitter(cloud: PointCloud, spec: ManifoldSpec, seed: int, jitter: floa
         pts[interior] /= np.linalg.norm(pts[interior], axis=1, keepdims=True)
     else:
         pts[interior] += disp[interior]
-    return replace(cloud, points=pts, metadata={**cloud.metadata, "jitter": jitter})
+    return replace(cloud, points=pts)
 
 
 # ---------------------------------------------------------------------------
@@ -397,20 +400,19 @@ def load(path) -> PointCloud:
 
     rows = lines[header_at + 1:]
     try:
-        return _cloud(_parse_bulk(rows, d), k, path)
+        return _cloud(_parse_bulk(rows, d), k)
     except ValueError:      # the line loop alone rejects a file and words the message
         pass
-    return _cloud(_parse_lines(path, rows, d, first_lineno=header_at + 2), k, path)
+    return _cloud(_parse_lines(path, rows, d, first_lineno=header_at + 2), k)
 
 
-def _cloud(table: np.ndarray, k: int, path) -> PointCloud:
+def _cloud(table: np.ndarray, k: int) -> PointCloud:
     """The cloud of a table of rows (coordinates, volume, flag, area weight)."""
     d = table.shape[1] - 3
     on_boundary = table[:, d + 1] == 1.0
     return PointCloud(points=table[:, :d], intrinsic_dim=k,
                       boundary_indices=np.flatnonzero(on_boundary), volume_weights=table[:, d],
-                      area_weights=table[on_boundary, d + 2],
-                      metadata={"shape": None, "source": str(path)})
+                      area_weights=table[on_boundary, d + 2])
 
 
 def _parse_bulk(rows: list, d: int) -> np.ndarray:

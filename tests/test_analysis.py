@@ -126,7 +126,7 @@ def test_reloaded_cloud_matches_the_generated_one(name, tmp_path):
     cloud = generate(case.spec.with_resolution(300), seed=3, jitter=0.25)
     save(cloud, tmp_path / "cloud.csv")
     loaded = load(tmp_path / "cloud.csv")
-    assert loaded.metadata["shape"] is None
+    assert loaded.metadata == {}
     ref = generate(case.spec.with_resolution(600), seed=0)
     coupling = Coupling()
     t = coupling.t_of(cloud.metadata["h"])

@@ -445,15 +445,18 @@ def test_rejects_isolated_point(boundary):
 
 
 def test_metadata(interval_cloud):
-    system, params = make_system(interval_cloud, 0.01, 0.25)
-    meta = system.meta
-    assert meta["t"] == 0.01 and meta["beta"] == 0.25
-    assert meta["n"] == interval_cloud.n
-    assert meta["profile"] == "cubic"
-    assert meta["support_radius"] == params.support_radius
-    assert 0.0 < meta["fill_ratio"] <= 1.0
-    assert meta["boundary_points"] == len(interval_cloud.boundary_indices)
-    assert system.n == interval_cloud.n
+    # meta holds what solve reads and nothing else: t, beta, n, h and the
+    # profile are the caller's own arguments, and the matrix statistics the
+    # system's, so a copy here would only be a second source for them
+    for dense_cutoff in (interval_cloud.n, 0):      # flagged dense, then iterative
+        system, params = make_system(interval_cloud, 0.01, 0.25, dense_cutoff=dense_cutoff)
+        meta = system.meta
+        assert set(meta) == {"dense", "boundary_points", "points", "support_radius"}
+        assert meta["dense"] == bool(dense_cutoff)
+        assert meta["support_radius"] == params.support_radius
+        assert meta["boundary_points"] == len(interval_cloud.boundary_indices)
+        assert meta["points"] is interval_cloud.points
+        assert system.n == interval_cloud.n
 
 
 def test_residual_norm_definition(interval_cloud):

@@ -599,6 +599,28 @@ BAD_INPUT = {
                   "pim: error: need --case, --f-file or --f-const\n"),
     "empty level list": (["sweep", "--case", "interval_sine", "--levels", ",",
                           "--out", "{tmp}/s.csv"], "pim: error: empty level list\n"),
+    # int's own message once named neither --levels nor its syntax
+    "sweep --levels 1.5": (["sweep", "--case", "interval_sine", "--levels", "1.5",
+                            "--out", "{tmp}/s.csv"],
+                           "pim: error: --levels must be comma-separated integers, got '1.5'\n"),
+    "sweep --levels 200,,x": (["sweep", "--case", "interval_sine", "--levels", "200,,x",
+                               "--out", "{tmp}/s.csv"],
+                              "pim: error: --levels must be comma-separated integers, "
+                              "got '200,,x'\n"),
+    # a non-finite shape flag: inf once overflowed int() with a traceback, nan
+    # failed inside it naming no value, an infinite end made non-finite points
+    "generate --a -inf": (["generate", "--shape", "interval", "--n", "11", "--a=-inf",
+                           "--out", "{tmp}/c.csv"],
+                          "pim: error: interval requires finite a < b, got [-inf, 1.0]\n"),
+    "generate --b inf": (["generate", "--shape", "interval", "--n", "11", "--b", "inf",
+                          "--out", "{tmp}/c.csv"],
+                         "pim: error: interval requires finite a < b, got [0.0, inf]\n"),
+    "generate --wx inf": (["generate", "--shape", "rectangle", "--n", "50", "--wx", "inf",
+                           "--out", "{tmp}/c.csv"],
+                          "pim: error: rectangle requires finite widths, got (inf, 1.0)\n"),
+    "generate --wy nan": (["generate", "--shape", "rectangle", "--n", "50", "--wy", "nan",
+                           "--out", "{tmp}/c.csv"],
+                          "pim: error: rectangle requires finite widths, got (1.0, nan)\n"),
     # an output path that is an existing directory: open's own EISDIR text
     "generate --out dir": (["generate", "--shape", "interval", "--n", "11",
                             "--out", "{tmp}"], "Is a directory: '{tmp}'"),

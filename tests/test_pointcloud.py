@@ -182,6 +182,29 @@ def test_spec_validation():
         with pytest.raises(ValueError, match=re.escape(
                 f"rectangle widths must be positive, got {widths}")):
             ManifoldSpec.rectangle(*widths, 100)
+    # a non-finite end or width once passed the spec or failed under another
+    # rule's words: inf overflowed int(), nan failed inside it naming no
+    # value, and an infinite end made the points non-finite
+    for v in (math.inf, -math.inf, math.nan):
+        for make, message in (
+                (lambda: ManifoldSpec.interval(v, 1.0, 11), f"finite a < b, got [{v}, 1.0]"),
+                (lambda: ManifoldSpec.interval(0.0, v, 11), f"finite a < b, got [0.0, {v}]"),
+                (lambda: ManifoldSpec.rectangle(v, 1.0, 50), f"finite widths, got ({v}, 1.0)"),
+                (lambda: ManifoldSpec.rectangle(1.0, v, 50), f"finite widths, got (1.0, {v})")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                make()
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.25])
+@pytest.mark.parametrize("spec", [ManifoldSpec.interval(0.0, 1.0, 11), ManifoldSpec.disk(60),
+                                  ManifoldSpec.rectangle(1.0, 0.5, 60),
+                                  ManifoldSpec.spherical_cap(0.5, 60)],
+                         ids=lambda spec: spec.shape)
+def test_metadata_holds_only_the_fill_distance(tmp_path, spec, jitter):
+    cloud = generate(spec, seed=3, jitter=jitter)
+    assert cloud.metadata == {"h": fill_distance(cloud)}
+    save(cloud, tmp_path / "c.csv")
+    assert load(tmp_path / "c.csv").metadata == {}
 
 
 # ---------------------------------------------------------------------------
