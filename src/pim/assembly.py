@@ -75,11 +75,17 @@ def _segment_sums(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LinearSystem:
-    """Assembled matrix + right-hand side, immutable once built."""
+    """Assembled matrix + right-hand side, immutable once built.
+
+    ``diagonal`` is the matrix's diagonal, which the Jacobi step of GMRES
+    reads: ``assemble`` passes the values its fill wrote there, and a system
+    built without it takes ``matrix.diagonal()``.
+    """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     meta: dict = field(default_factory=dict)
+    diagonal: np.ndarray | None = None
 
     def __post_init__(self):
         # shapes and format only: an O(nnz) check here would tax every GMRES solve
@@ -87,6 +93,11 @@ class LinearSystem:
             raise TypeError(f"LinearSystem needs a scipy CSR matrix, got {type(self.matrix).__name__}")
         if np.ndim(self.rhs) != 1 or self.matrix.shape != (self.n, self.n):
             raise ValueError(f"matrix of shape {self.matrix.shape} does not fit "
+                             f"rhs of shape {np.shape(self.rhs)}")
+        if self.diagonal is None:
+            self.diagonal = self.matrix.diagonal()
+        elif np.shape(self.diagonal) != (self.n,):
+            raise ValueError(f"diagonal of shape {np.shape(self.diagonal)} does not fit "
                              f"rhs of shape {np.shape(self.rhs)}")
 
     @property
@@ -98,7 +109,8 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
              beta: float, f, b, *, dense_cutoff: int = DENSE_CUTOFF) -> LinearSystem:
     """Build the linear system for source f (per point) and boundary data b.
 
-    The matrix is always CSR.  ``meta`` holds what :func:`pim.solve.solve`
+    The matrix is always CSR, and ``diagonal`` holds the values the fill
+    wrote on its diagonal.  ``meta`` holds what :func:`pim.solve.solve`
     reads, and nothing else: ``dense`` (n <= ``dense_cutoff``, which sends
     its "auto" to the direct LU), ``boundary_points`` (the boundary size),
     and ``points`` and ``support_radius`` for the two-level preconditioner.
@@ -137,6 +149,7 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
     data = np.empty(indices.shape[0])
     indptr = np.zeros(n + 1, dtype=indices.dtype)
     rhs = np.empty(n)
+    diagonal = np.empty(n)
 
     def fill(lo: int, hi: int) -> None:
         # rows lo:hi; the block's temporaries die when it returns
@@ -173,7 +186,8 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
         base = int(indptr[lo])
         end = base + a.shape[0]
         vals = np.subtract(penalty, a, out=data[base:end])
-        vals[on_diag] = diag + penalty[on_diag]
+        diagonal[lo:hi] = diag + penalty[on_diag]
+        vals[on_diag] = diagonal[lo:hi]
         indices[base:end] = cols
         indptr[lo + 1:hi + 1] = base + ends
 
@@ -195,7 +209,7 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
         "boundary_points": bi.shape[0],
         "points": points,   # by reference: the two-level preconditioner aggregates them
     }
-    return LinearSystem(matrix=mat, rhs=rhs, meta=meta)
+    return LinearSystem(matrix=mat, rhs=rhs, meta=meta, diagonal=diagonal)
 
 
 def dump_matrixmarket(system: LinearSystem, path) -> None:

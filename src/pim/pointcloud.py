@@ -46,6 +46,10 @@ class CloudFormatError(ValueError):
     """Raised for malformed cloud files or invalid cloud data."""
 
 
+# most points a rectangle's grid may hold, in squares' grids of the same resolution
+RECTANGLE_EXCESS = 4
+
+
 @dataclass(frozen=True)
 class ManifoldSpec:
     """Descriptor of a built-in manifold plus a target resolution.
@@ -75,6 +79,15 @@ class ManifoldSpec:
             raise ValueError(f"spherical cap requires -1 < z0 < 1, got {self.z0}")
         if self.resolution < 2:
             raise ValueError("resolution must be at least 2")
+        if self.shape == "rectangle":
+            # the generator's grid sides, in floats: a width ratio that
+            # overflows makes a side, and so the count, infinite
+            wx, wy = self.widths
+            nx, ny = (max(3.0, math.sqrt(self.resolution * u / v)) for u, v in ((wx, wy), (wy, wx)))
+            if nx * ny > RECTANGLE_EXCESS * max(9, self.resolution):
+                raise ValueError(
+                    f"rectangle width ratio wx/wy = {wx / wy:g} is too extreme for "
+                    f"{self.resolution} points: its grid would hold about {nx * ny:.3g}")
 
     @classmethod
     def interval(cls, a: float, b: float, n: int) -> "ManifoldSpec":

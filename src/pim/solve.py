@@ -7,9 +7,13 @@ diagonal (Jacobi) preconditioning its iterations grow with n, 53 at 2k
 points and 79 at 32k, so from ``TWO_LEVEL_MIN_N`` rows on, systems that
 carry their points take a two-level preconditioner instead: a coarse
 correction on aggregates of nearby points, then one Jacobi step (two-level
-unsmoothed aggregation, after Vanek, Mandel & Brezina, Computing 56, 1996),
-which keeps the count between 9 and 14 on the clouds measured from 4k to
-32k points.  Below that size GMRES keeps Jacobi, bit for bit scipy's
+unsmoothed aggregation, after Vanek, Mandel & Brezina, Computing 56, 1996).
+The aggregates are cells of ``CELL_FACTOR`` times the support radius,
+widened where a dense LU of that many would cost more than
+``COARSE_LU_MATVECS`` matvecs with A, as a small t or a cloud in large units
+would otherwise make thousands of them.  At the default t GMRES then takes
+10 to 14 iterations on the caps and disks measured from 4k to 32k points.
+Below ``TWO_LEVEL_MIN_N`` rows GMRES keeps Jacobi, bit for bit scipy's
 iterate.  Systems flagged for the direct solver go through LU with partial
 pivoting of the matrix's band, scattered straight from the CSR arrays.
 Either way the reported residual is recomputed from scratch after the
@@ -42,9 +46,13 @@ __all__ = [
 
 PIVOT_RTOL = 1e-14  # relative pivot threshold for singularity detection
 TWO_LEVEL_MIN_N = 4096  # GMRES systems from this size on, with points, take the two-level
-# aggregate cell side over the support radius; at cap 32k, 0.25 saved one
-# iteration but doubled the set-up, and 1.0 took 23 iterations against 10
+# narrowest aggregate cell side over the support radius; at cap 32k, 0.25 saved
+# one iteration but doubled the set-up, and 1.0 took 23 iterations against 10.
+# Cells this narrow are widened while their count passes the cost cap below.
 CELL_FACTOR = 0.35
+# The coarse LU may cost what this many matvecs with A do: its (2/3) n_c**3
+# flops against 2 nnz(A) each cap n_c at (3 K nnz(A))**(1/3)
+COARSE_LU_MATVECS = 20
 
 
 class SolverError(RuntimeError):
@@ -228,28 +236,58 @@ def _gmres(a, b: np.ndarray, prec, rtol: float, restart: int,
     return x, 0 if rnorm <= atol else maxiter, {"breakdown": breakdown, "restart_residual": rnorm / bnrm2}
 
 
+def _aggregates(points: np.ndarray, width: float, cap: int) -> tuple[np.ndarray, int]:
+    """``(agg, n_c)``: the points' cells of side ``width``, from the corner of
+    their bounding box, numbered ``0 .. n_c - 1`` in ``agg`` and widened until
+    at most ``cap`` of them hold points.
+
+    A round multiplies the side by ``1.05 (n_c / cap)**(1/d)``, d the number of
+    coordinates: the factor that fits cells filling all d dimensions, and 5%
+    more, so that on a manifold of lower dimension, where the count falls more
+    slowly, it still falls by a share each round.  A side past the box's
+    longest edge leaves one cell, so the rounds are bounded.
+    """
+    offsets = points - points.min(axis=0)
+    while True:
+        cells = np.floor(offsets / width).astype(np.int64)
+        key = np.ravel_multi_index(tuple(cells.T), tuple(cells.max(axis=0) + 1))
+        cell_keys, agg = np.unique(key, return_inverse=True)
+        nc = cell_keys.shape[0]
+        if nc <= cap:
+            return agg, nc
+        width *= 1.05 * (nc / cap) ** (1.0 / points.shape[1])
+
+
+def _coarse_matrix(ap, agg: np.ndarray, nc: int) -> np.ndarray:
+    """``P^T AP`` as a dense F-ordered array, for the CSR ``AP`` and the 0/1
+    aggregate matrix P of ``agg``: one ``bincount`` over AP's entries, keyed by
+    their place ``col * nc + agg[row]`` in that array.  It adds each place's
+    terms in ascending row order, as scipy's ``P.T.tocsr() @ AP`` does, so the
+    two agree bit for bit."""
+    keys = np.repeat(agg, np.diff(ap.indptr))
+    keys += ap.indices.astype(np.intp) * nc
+    return np.bincount(keys, weights=ap.data, minlength=nc * nc).reshape((nc, nc), order="F")
+
+
 def _two_level(a, dinv: np.ndarray, points: np.ndarray, radius: float):
     """Two-level unsmoothed-aggregation preconditioner ``prec(y, out)``.
 
-    The aggregates are the points' cells of side ``CELL_FACTOR * radius``;
-    P is their n x n_c 0/1 matrix, ``AP = A P`` and the dense coarse
-    matrix ``A_c = P^T AP`` is LU-factored.  One application is the coarse
-    correction ``c = A_c^-1 P^T y`` followed by one Jacobi step on what it
-    leaves, ``z = P c + D^-1 (y - AP c)``: no matvec with A.  Returns
-    ``(prec, n_c)``; raises :class:`SingularMatrix` on a coarse LU pivot below
-    the direct solver's threshold, as on a component with no boundary sample.
+    The aggregates are the points' cells of side ``CELL_FACTOR * radius``,
+    widened while there are more than ``(3 K nnz(A))**(1/3)`` of them, K =
+    ``COARSE_LU_MATVECS``; P is their n x n_c 0/1 matrix, ``AP = A P`` and
+    the dense coarse matrix ``A_c = P^T AP`` is LU-factored.  One application
+    is the coarse correction ``c = A_c^-1 P^T y`` followed by one Jacobi step
+    on what it leaves, ``z = P c + D^-1 (y - AP c)``: no matvec with A.
+    Returns ``(prec, n_c)``; raises :class:`SingularMatrix` on a coarse LU
+    pivot below the direct solver's threshold, as on a component with no
+    boundary sample.
     """
     n = points.shape[0]
-    cells = np.floor(points / (CELL_FACTOR * radius)).astype(np.int64)
-    cells -= cells.min(axis=0)
-    key = np.ravel_multi_index(tuple(cells.T), tuple(cells.max(axis=0) + 1))
-    cell_keys, agg = np.unique(key, return_inverse=True)
-    nc = cell_keys.shape[0]
+    cap = int((3 * COARSE_LU_MATVECS * a.nnz) ** (1.0 / 3.0))
+    agg, nc = _aggregates(points, CELL_FACTOR * radius, cap)
     p = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1)), shape=(n, nc))
     ap = a @ p      # new arrays: summing an AP built on A's arrays would re-sort A in place
-    # P^T in CSR keeps scipy from converting AP to CSC for the product
-    coarse = lu_factor((p.T.tocsr() @ ap).toarray(order="F"), overwrite_a=True,
-                       check_finite=False)
+    coarse = lu_factor(_coarse_matrix(ap, agg, nc), overwrite_a=True, check_finite=False)
     _checked_pivots("coarse LU", np.abs(coarse[0].diagonal()), coarse_size=nc)
 
     def prec(y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -267,11 +305,11 @@ def _solve_iterative(system: LinearSystem,
 
     Systems of at least ``TWO_LEVEL_MIN_N`` rows that carry their points
     (``meta["points"]``, as ``assemble`` sets it) take the two-level
-    preconditioner, all others Jacobi.
+    preconditioner, all others Jacobi; both read the system's ``diagonal``.
     """
     a = system.matrix
     n = system.n
-    diag = a.diagonal()
+    diag = system.diagonal
     restart = min(options.restart, n)
     maxiter = max(1, math.ceil(options.max_iter_factor * n / restart))
     history: list[float] = []

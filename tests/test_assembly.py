@@ -10,7 +10,8 @@ from scipy.io import mmread, mmwrite
 
 from pim.analysis import Coupling, get_case
 from oracles import assemble_direct, boundary_column_vector
-from pim.assembly import ROW_BLOCK, _segment_sums, assemble, dump_matrixmarket
+from pim.assembly import (ROW_BLOCK, LinearSystem, _segment_sums, assemble,
+                          dump_matrixmarket)
 from pim.kernel import (KernelParams, cubic_profile, eval_Rbar_t, eval_Rt,
                         truncated_gaussian_profile)
 from pim.neighbors import NeighborIndex
@@ -457,6 +458,24 @@ def test_metadata(interval_cloud):
         assert meta["boundary_points"] == len(interval_cloud.boundary_indices)
         assert meta["points"] is interval_cloud.points
         assert system.n == interval_cloud.n
+
+
+@pytest.mark.parametrize("dense_cutoff", [10 ** 6, 0], ids=["dense-flagged", "iterative"])
+def test_diagonal_is_the_matrix_diagonal(all_clouds, dense_cutoff):
+    # the fill keeps the diagonal it writes, so GMRES need not scan the matrix for it
+    for name, cloud in all_clouds.items():
+        system, _ = make_system(cloud, 0.01, 0.25, dense_cutoff=dense_cutoff)
+        assert system.meta["dense"] == bool(dense_cutoff)
+        assert system.diagonal.tobytes() == system.matrix.diagonal().tobytes(), name
+        # a system built by hand takes the matrix's own
+        hand = LinearSystem(matrix=system.matrix, rhs=system.rhs)
+        assert hand.diagonal.tobytes() == system.matrix.diagonal().tobytes(), name
+
+
+def test_diagonal_must_fit(interval_cloud):
+    system, _ = make_system(interval_cloud, 0.01, 0.25)
+    with pytest.raises(ValueError, match=r"diagonal of shape \(100,\) does not fit"):
+        LinearSystem(matrix=system.matrix, rhs=system.rhs, diagonal=system.diagonal[1:])
 
 
 def test_residual_norm_definition(interval_cloud):

@@ -621,6 +621,13 @@ BAD_INPUT = {
     "generate --wy nan": (["generate", "--shape", "rectangle", "--n", "50", "--wy", "nan",
                            "--out", "{tmp}/c.csv"],
                           "pim: error: rectangle requires finite widths, got (1.0, nan)\n"),
+    # a width ratio that overflows once raised OverflowError inside int()
+    "generate --wx 1e300 --wy 1e-300": (["generate", "--shape", "rectangle", "--n", "50",
+                                         "--wx", "1e300", "--wy", "1e-300",
+                                         "--out", "{tmp}/c.csv"],
+                                        "pim: error: rectangle width ratio wx/wy = inf is "
+                                        "too extreme for 50 points: its grid would hold "
+                                        "about inf\n"),
     # an output path that is an existing directory: open's own EISDIR text
     "generate --out dir": (["generate", "--shape", "interval", "--n", "11",
                             "--out", "{tmp}"], "Is a directory: '{tmp}'"),

@@ -195,6 +195,25 @@ def test_spec_validation():
                 make()
 
 
+@pytest.mark.parametrize("widths,ratio,count", [((1e300, 1e-300), "inf", "inf"),
+                                                ((1e-300, 1e300), "0", "inf"),
+                                                ((1e12, 1.0), "1e+12", "6e+07")])
+def test_rectangle_grid_must_fit_its_resolution(widths, ratio, count):
+    # an overflowing width ratio once raised OverflowError inside int(), and a
+    # large finite one asked for a grid of ~3 sqrt(n wx / wy) points
+    with pytest.raises(ValueError, match=re.escape(
+            f"rectangle width ratio wx/wy = {ratio} is too extreme for 400 points: "
+            f"its grid would hold about {count}")):
+        ManifoldSpec.rectangle(*widths, 400)
+
+
+def test_rectangle_of_moderate_ratio_is_kept():
+    # the grid holds at most RECTANGLE_EXCESS squares' worth: ratio 100 at
+    # 400 points is 3 x 200 = 600 points, and 2 points still make a 3 x 3 grid
+    for widths, n in (((100.0, 1.0), 400), ((1.0, 100.0), 400), ((2.0, 0.5), 2)):
+        ManifoldSpec.rectangle(*widths, n)
+
+
 @pytest.mark.parametrize("jitter", [0.0, 0.25])
 @pytest.mark.parametrize("spec", [ManifoldSpec.interval(0.0, 1.0, 11), ManifoldSpec.disk(60),
                                   ManifoldSpec.rectangle(1.0, 0.5, 60),

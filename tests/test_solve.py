@@ -16,8 +16,9 @@ from pim.assembly import LinearSystem, assemble
 from pim.config import DEFAULTS
 from pim.kernel import KernelParams, cubic_profile, truncated_gaussian_profile
 from pim.pointcloud import generate
-from pim.solve import (NoConvergence, PIVOT_RTOL, SingularMatrix, SolveOptions,
-                       SolverError, TWO_LEVEL_MIN_N, _band_storage, _solve_iterative,
+from pim.solve import (CELL_FACTOR, COARSE_LU_MATVECS, NoConvergence, PIVOT_RTOL,
+                       SingularMatrix, SolveOptions, SolverError, TWO_LEVEL_MIN_N,
+                       _aggregates, _band_storage, _coarse_matrix, _solve_iterative,
                        _true_residual, solve)
 
 
@@ -436,6 +437,57 @@ def test_jacobi_below_the_cutoff(name, n):
     report = solve(system)
     assert report.diagnostics["preconditioner"] == "jacobi"
     assert report.diagnostics["coarse_size"] == 0
+
+
+def coarse_cap(system):
+    """The most aggregates whose dense LU costs at most ``COARSE_LU_MATVECS`` matvecs."""
+    return int((3 * COARSE_LU_MATVECS * system.matrix.nnz) ** (1 / 3))
+
+
+def test_coarse_size_is_capped_by_the_cost_of_its_lu():
+    # at a sixteenth of the default t the support radius is a quarter as wide,
+    # so the 0.35 r cells number about 16 times as many: the 4 186-point disk
+    # once factored a dense coarse matrix of 4 080 of them, and the 8 188-point
+    # cap one of 7 162, which took over 4 s where the default t took 0.1 s
+    case = analysis.get_case("disk_paraboloid")
+    cloud = generate(case.spec.with_resolution(4096), seed=0, jitter=0.25)
+    coupling = analysis.Coupling()
+    t = coupling.t_of(cloud.metadata["h"]) / 16
+    system = assemble(cloud, KernelParams(t=t, k=2), cubic_profile, coupling.beta_of(t),
+                      case.f(cloud.points), case.b(cloud.boundary_points), dense_cutoff=0)
+    assert system.n > TWO_LEVEL_MIN_N
+    report = solve(system)
+    assert report.diagnostics["preconditioner"] == "two-level"
+    assert 1 < report.diagnostics["coarse_size"] <= coarse_cap(system)
+    assert report.residual_norm <= SolveOptions().tol
+
+
+def test_aggregates_widen_only_past_the_cap():
+    points = generate(analysis.get_case("cap_linear").spec.with_resolution(4096),
+                      seed=0, jitter=0.25).points
+    width = 0.05
+    cells = np.floor((points - points.min(axis=0)) / width)
+    _, plain = np.unique(cells, axis=0, return_inverse=True)
+    count = int(plain.max()) + 1
+    agg, nc = _aggregates(points, width, count)
+    assert nc == count and np.array_equal(agg, plain.ravel())
+    for cap in (count - 1, count // 10, 1):
+        agg, nc = _aggregates(points, width, cap)
+        assert 1 <= nc <= cap and np.array_equal(np.unique(agg), np.arange(nc))
+
+
+@pytest.mark.parametrize("name,n", [("cap_linear", 8000), ("interval_sine", 4096),
+                                    ("disk_paraboloid", 4096)])
+def test_coarse_matrix_repeats_the_scipy_product_bit_for_bit(name, n):
+    system = case_system(name, n, cubic_profile)
+    radius = system.meta["support_radius"]
+    agg, nc = _aggregates(system.meta["points"], CELL_FACTOR * radius, coarse_cap(system))
+    p = sp.csr_matrix((np.ones(system.n), agg, np.arange(system.n + 1)), shape=(system.n, nc))
+    ap = system.matrix @ p
+    coarse = _coarse_matrix(ap, agg, nc)
+    expected = (p.T.tocsr() @ ap).toarray(order="F")
+    assert coarse.flags.f_contiguous and coarse.shape == (nc, nc)
+    assert coarse.tobytes(order="F") == expected.tobytes(order="F")
 
 
 def test_solve_leaves_the_matrix_arrays_unchanged():
