@@ -251,7 +251,12 @@ def guardrail_flags(t: float, beta: float, h: float) -> list[str]:
     ratio_tb = math.sqrt(t) / beta
     if ratio_tb > PENALTY_CEILING:
         flags.append(f"sqrt(t)/beta={ratio_tb:.3g}>{PENALTY_CEILING:.3g}")
-    ratio_ht = h / t ** 1.5
+    try:
+        ratio_ht = h / t ** 1.5
+    except OverflowError:       # t ** 1.5 past the largest float: the ratio's limit is 0
+        ratio_ht = 0.0
+    except ZeroDivisionError:   # t ** 1.5 underflowed to 0
+        ratio_ht = math.inf
     if ratio_ht > DENSITY_CEILING:
         flags.append(f"h/t^1.5={ratio_ht:.3g}>{DENSITY_CEILING:.3g}")
     for msg in flags:

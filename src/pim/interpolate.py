@@ -29,8 +29,9 @@ in-support sample pairs from one self-join of the samples, other passes
 from a k-d-tree join per block.  The squared distances the exact cut
 measured are the kernel arguments, so each pair's kernels are evaluated
 once.  A block makes two value sums and, for gradients, two per coordinate,
-all in one ``np.add.reduceat`` over each query's run of pairs, which are
-in ascending sample order: each sum is numpy's pairwise sum of that run.
+all in one ``np.add.reduceat`` over each query's run of pairs, in ascending
+sample order, the runs cut by the join's per-query counts: each sum is the
+run's first term plus numpy's pairwise sum of the rest.
 """
 
 from __future__ import annotations
@@ -71,8 +72,7 @@ class Interpolant:
     u: np.ndarray
     f: np.ndarray
     b: np.ndarray
-    _uV: np.ndarray = field(init=False, repr=False)
-    _h: np.ndarray = field(init=False, repr=False)
+    _weights: np.ndarray = field(init=False, repr=False)     # rows V, uV and h
     _samples: NeighborIndex = field(init=False, repr=False)
     _sphere: bool = field(init=False, repr=False)
     _memo: tuple = field(default=(), init=False, repr=False, compare=False)
@@ -92,11 +92,10 @@ class Interpolant:
             raise ValueError("f length mismatch")
         if self.b.shape != (m,):
             raise ValueError("b length mismatch")
-        t, bi = self.params.t, cl.boundary_indices
-        self._uV = self.u * cl.volume_weights
-        # per-sample Rbar_t weight; boundary indices are distinct
-        self._h = t * self.f * cl.volume_weights
-        self._h[bi] -= (2.0 * t / self.beta) * (self.u[bi] - self.b) * cl.area_weights
+        t, bi, V = self.params.t, cl.boundary_indices, cl.volume_weights
+        # V, uV and the per-sample Rbar_t weight h; boundary indices are distinct
+        self._weights = np.stack([V, self.u * V, t * self.f * V])
+        self._weights[2, bi] -= (2.0 * t / self.beta) * (self.u[bi] - self.b) * cl.area_weights
         self._samples = NeighborIndex(cl.points, self.params.support_radius)
         r = np.linalg.norm(cl.points, axis=1)
         self._sphere = cl.intrinsic_dim == cl.ambient_dim - 1 and np.ptp(r) < SPHERE_RTOL * r.min()
@@ -107,24 +106,22 @@ class Interpolant:
         """Return (w, num) and, if requested, their gradients over a chunk.
 
         Each sum runs over the (query, sample) pairs within the support
-        radius; ``rows`` names the query of a pair, ``cols`` its sample.
-        ``w`` sums R_t V and ``num`` sums R_t uV + Rbar_t h; ``via`` as ``join``'s.
-        The pair terms are the rows of one array; ``rows`` ascends, so one
-        ``np.add.reduceat`` over each query's run of columns gives every sum.
+        radius, in query order: ``counts`` holds each query's number of pairs
+        and ``cols`` their samples.  ``w`` sums R_t V and ``num`` R_t uV +
+        Rbar_t h; ``via`` as ``join``'s.  The pair terms are the rows of one
+        array, so one ``np.add.reduceat`` over each query's run gives every sum.
         """
         t, c_t = self.params.t, self.params.C_t
         prof = self.profile
         q = X.shape[0]
 
-        rows, cols, diff, sq = self._samples.join(X, via)     # diff = p_j - x
+        counts, cols, diff, sq = self._samples.join(X, via)     # diff = p_j - x
         d = diff.shape[1]
         s = sq / (4.0 * t)
         rt = c_t * prof.R(s)
-        v = self.cloud.volume_weights[cols]
-        uv = self._uV[cols]
-        h = self._h[cols]
+        v, uv, h = np.take(self._weights, cols, axis=1)
         # rows R_t V and R_t uV + Rbar_t h, then a d_k and g d_k per coordinate
-        terms = np.empty((2 + 2 * d if want_grad else 2, rows.shape[0]))
+        terms = np.empty((2 + 2 * d if want_grad else 2, cols.shape[0]))
         np.multiply(rt, v, out=terms[0])
         np.multiply(rt, uv, out=terms[1])
         terms[1] += c_t * prof.Rbar(s) * h
@@ -138,8 +135,8 @@ class Interpolant:
 
         # A query without pairs has an empty run, where reduceat would give
         # the next pair's term (or fail, at the last query): only runs are summed.
-        starts = np.searchsorted(rows, np.arange(q))
-        has = np.diff(starts, append=rows.shape[0]) > 0
+        starts = np.cumsum(counts) - counts
+        has = counts > 0
         sums = np.zeros((terms.shape[0], q))
         sums[:, has] = np.add.reduceat(terms, starts[has], axis=1)
         if not want_grad:

@@ -135,8 +135,9 @@ def get_profile(name: str) -> KernelProfile:
 class KernelParams:
     """Bandwidth t (units length^2) and intrinsic dimension k.
 
-    The normalizer C_t = (4 pi t)^(-k/2) is derived in __post_init__ and the
-    support radius 2*sqrt(t) is cached alongside.
+    The normalizer C_t = (4 pi t)^(-k/2), which must be finite and positive,
+    is derived in __post_init__ and the support radius 2*sqrt(t) is cached
+    alongside.
     """
 
     t: float
@@ -149,7 +150,14 @@ class KernelParams:
             raise ValueError(f"bandwidth t must be positive and finite, got {self.t}")
         if self.k < 1:
             raise ValueError(f"intrinsic dimension k must be >= 1, got {self.k}")
-        object.__setattr__(self, "C_t", (4.0 * math.pi * self.t) ** (-self.k / 2.0))
+        try:
+            c_t = (4.0 * math.pi * self.t) ** (-self.k / 2.0)
+        except OverflowError:
+            c_t = math.inf
+        if not 0.0 < c_t < math.inf:
+            raise ValueError(f"normalizer C_t = (4 pi t)^(-k/2) is not finite and positive "
+                             f"for t = {self.t}, k = {self.k}")
+        object.__setattr__(self, "C_t", c_t)
         object.__setattr__(self, "support_radius", 2.0 * math.sqrt(self.t))
 
 

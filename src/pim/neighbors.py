@@ -10,9 +10,10 @@ tree uses internally.
 Queries come in batches: ``join`` joins a tree over a batch to the point
 tree and sorts the pairs once as int64 keys ``q * n + j``, or takes each
 query's candidates from its nearest point's row of one ``self_join`` (below)
-made by ``candidates`` for a whole pass.  It returns the pairs the exact cut
-keeps with the differences and squared distances it computed, so callers
-never measure a pair twice; tests check both ways against a direct scan.
+made by ``candidates`` for a whole pass.  It returns each query's count of
+the pairs the exact cut keeps, one index into the candidates, and the pairs
+with the differences and squared distances it computed, so callers never
+measure a pair twice; tests check both ways against a direct scan.
 
 Assembly takes every pair of the cloud at once from ``self_join``: one tree
 self-join, mirrored into keys ``i * n + j`` with the self keys
@@ -88,12 +89,13 @@ class NeighborIndex:
     def join(self, queries: np.ndarray, via=None) -> tuple[np.ndarray, ...]:
         """Every (query, point) pair within ``radius``, with its difference.
 
-        Returns ``(rows, cols, diff, sq)``: ``rows`` indexes ``queries`` and
-        ascends, ``cols`` indexes the points and ascends within each row,
-        ``diff[p] = points[cols[p]] - queries[rows[p]]`` and ``sq[p]`` is its
-        squared length, the value the radius cut tested.  ``via``, a pass's
-        :meth:`candidates` sliced to these queries, gives the same result.
-        Raises ``ValueError`` if a query is not finite.
+        Returns ``(counts, cols, diff, sq)``, the pairs in query order: query
+        k has ``counts[k]`` (intp, maybe 0), ``cols`` indexes the points and
+        ascends within each query, ``diff[p] = points[cols[p]] - queries[k]``
+        for pair p of query k, and ``sq[p]`` is its squared length, the value
+        the radius cut tested.  ``via``, a pass's :meth:`candidates` sliced to
+        these queries, gives the same result.  Raises ``ValueError`` if a
+        query is not finite.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         if via is None:
@@ -102,18 +104,19 @@ class NeighborIndex:
                 self._tree, self.radius * (1.0 + _PAD), output_type="ndarray")
             keys = hits["i"] * n + hits["j"]
             keys.sort()
-            rows, cols = np.divmod(keys, n)
+            count = np.diff(np.searchsorted(keys, np.arange(queries.shape[0] + 1) * n))
+            cols = keys % n
         else:
             first, count, graph = via
-            rows = np.repeat(np.arange(count.shape[0]), count)
-            at = np.arange(rows.shape[0]) + np.repeat(first - np.cumsum(count) + count, count)
+            at = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
             cols = np.take(graph, at).astype(np.intp)
-        diff = np.empty((queries.shape[1], rows.shape[0]))     # diff.T is returned
+        diff = np.empty((queries.shape[1], cols.shape[0]))     # diff.T is returned
         for p, x, out in zip(self.points.T, queries.T, diff):
-            np.subtract(np.take(p, cols), np.take(x, rows), out=out)
+            np.subtract(np.take(p, cols), np.repeat(x, count), out=out)
         sq = _squared_lengths(diff)
-        keep = sq <= self._r2
-        return rows[keep], cols[keep], np.compress(keep, diff, axis=1).T, sq[keep]
+        idx = np.flatnonzero(sq <= self._r2)    # the exact cut; counts from the runs' ends
+        counts = np.diff(np.searchsorted(idx, np.cumsum(count)), prepend=0)
+        return counts, np.take(cols, idx), np.take(diff, idx, axis=1).T, np.take(sq, idx)
 
     def candidates(self, queries: np.ndarray) -> tuple[np.ndarray, ...] | None:
         """``(first, count, cols)``: query k's candidates ``cols[first[k]:first[k]
@@ -185,6 +188,5 @@ class NeighborIndex:
         n = self.points.shape[0]
         if n == 0:
             return []
-        rows, cols, _, _ = self.join(self.points, self.candidates(self.points))
-        ends = np.cumsum(np.bincount(rows, minlength=n))
-        return np.split(cols.astype(np.int64), ends[:-1])
+        counts, cols, _, _ = self.join(self.points, self.candidates(self.points))
+        return np.split(cols.astype(np.int64), np.cumsum(counts)[:-1])

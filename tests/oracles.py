@@ -6,7 +6,8 @@ the hand-derived source terms of the manufactured cases, the kernel
 gradients of the dense reconstruction oracle, the penalized pointwise
 operator K, the boundary column g = K 1, the LAPACK band storage of a
 dense matrix copied one diagonal at a time, a neighbour search by direct
-scan, and assembly over every pair.  None of them is part of a solve, so
+scan, assembly over every pair, and the reconstruction's sums one query at
+a time.  None of them is part of a solve, so
 they live beside the tests rather than in ``pim``.
 """
 
@@ -202,3 +203,54 @@ def assemble_direct(cloud: PointCloud, *args, **kwargs) -> LinearSystem:
     every_pair = (np.arange(n + 1) * n, np.tile(np.arange(n, dtype=np.int32), n))
     with mock.patch.object(NeighborIndex, "self_join", lambda self: every_pair):
         return assemble(cloud, *args, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# reconstruction sums, one query at a time
+# ---------------------------------------------------------------------------
+
+
+def _run_sum(run: np.ndarray) -> float:
+    """A run's sum as ``np.add.reduceat`` forms it: the first term plus
+    numpy's pairwise sum of the rest; 0 for an empty run."""
+    return run[0] + np.add.reduce(run[1:]) if run.size else 0.0
+
+
+def reconstruction_sums(interp, X: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(w, num, gw, gnum)`` of ``Interpolant._chunk`` at the queries ``X``,
+    one query at a time.  Each query's pairs are the samples within the
+    support radius by a direct scan, in ascending order, measured with
+    ``_squared_lengths``; the pair terms are ``_chunk``'s arithmetic on them,
+    and each sum is that of its run, so the result is the library's to the
+    bit.  The weights uV and h are formed here from ``interp``'s data."""
+    cl, params, prof = interp.cloud, interp.params, interp.profile
+    t, c_t, r2 = params.t, params.C_t, params.support_radius ** 2
+    V = cl.volume_weights
+    uV = interp.u * V
+    h = t * interp.f * V
+    bi = cl.boundary_indices
+    h[bi] -= (2.0 * t / interp.beta) * (interp.u[bi] - interp.b) * cl.area_weights
+    q, d = X.shape
+    w, num = np.zeros(q), np.zeros(q)
+    gw, gnum = np.zeros((q, d)), np.zeros((q, d))
+    for k, x in enumerate(X):
+        diff = (cl.points - x).T
+        sq = _squared_lengths(diff)
+        j = np.flatnonzero(sq <= r2)
+        diff, s = diff[:, j], sq[j] / (4.0 * t)
+        rt = c_t * prof.R(s)
+        w[k] = _run_sum(rt * V[j])
+        num[k] = _run_sum(rt * uV[j] + c_t * prof.Rbar(s) * h[j])
+        drt = (-c_t / (2.0 * t)) * prof.Rprime(s)
+        g = drt * uV[j] + rt * h[j] / (2.0 * t)
+        for a in range(d):
+            gw[k, a] = _run_sum(drt * V[j] * diff[a])
+            gnum[k, a] = _run_sum(g * diff[a])
+    return w, num, gw, gnum
+
+
+def reconstruction_by_query(interp, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and unprojected gradients of ``interp`` at ``X`` by the quotient
+    rule on :func:`reconstruction_sums`, as ``Interpolant._run`` applies it."""
+    w, num, gw, gnum = reconstruction_sums(interp, X)
+    return num / w, (gnum * w[:, None] - num[:, None] * gw) / (w * w)[:, None]

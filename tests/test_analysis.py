@@ -236,6 +236,15 @@ def test_guardrails_flags_and_warnings():
         assert guardrail_flags(t=0.01, beta=0.1, h=0.001) == []
 
 
+@pytest.mark.parametrize("t, want", [
+    (1e-300, ["h/t^1.5=inf>20"]),                # t ** 1.5 underflows to 0
+    (1e300, ["sqrt(t)/beta=1e+150>2"]),          # t ** 1.5 overflows: h/t^1.5 is 0
+])
+def test_guardrails_take_the_ratios_limit_at_extreme_t(t, want):
+    with pytest.warns(RuntimeWarning, match="guardrail"):
+        assert guardrail_flags(t=t, beta=1.0, h=0.01) == want
+
+
 def test_default_coupling_stays_inside_guardrails():
     c = Coupling()
     with warnings.catch_warnings():

@@ -292,6 +292,24 @@ def test_solve_value_length_mismatch(tmp_path, interval_csv, capsys):
     assert "expected 101" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t, rc, message", [
+    ("1e-300", 2, "have no other point within the support radius"),
+    ("1e300", 1, "pim: error: solver failed: "),
+])
+def test_solve_at_an_extreme_t_exits_with_one_message(tmp_path, interval_csv, capsys,
+                                                      t, rc, message):
+    # t ** 1.5 underflows to 0 or overflows in the density guardrail, which
+    # once raised instead of flagging the ratio
+    out = tmp_path / "u.csv"
+    assert main(["solve", "--cloud", interval_csv, "--case", "interval_sine",
+                 "--t", t, "--beta", "1", "--out", str(out)]) == rc
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and message in err
+    assert [ln for ln in err.splitlines() if ln.startswith("pim: error:")] == \
+        [ln for ln in err.splitlines() if message in ln]
+    assert not out.exists()
+
+
 def test_solve_guardrail_warning_on_stderr(tmp_path, interval_csv, capsys):
     out = tmp_path / "warned.csv"
     rc = main(["solve", "--cloud", interval_csv, "--f-const", "0",

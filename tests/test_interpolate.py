@@ -7,7 +7,8 @@ from pim import neighbors
 from pim.analysis import (get_case, h1_error, lemma_norm_check,
                           solve_case_on_cloud)
 from pim.interpolate import CHUNK, Interpolant, OutOfSupport
-from oracles import grad_Rbar_t_x, grad_Rt_x
+from oracles import (grad_Rbar_t_x, grad_Rt_x, reconstruction_by_query,
+                     reconstruction_sums)
 from pim.kernel import KernelParams, cubic_profile, eval_Rbar_t, eval_Rt
 from pim.neighbors import NeighborIndex
 from pim.pointcloud import PointCloud
@@ -300,6 +301,51 @@ def test_neighbour_sums_match_dense_oracle(which, request, rng):
     # a repeat evaluation reproduces the first bit for bit
     assert np.array_equal(interp.eval_many(X), vals)
     assert np.array_equal(raw_grads(interp, X), grads)
+
+
+def near_samples(cloud, radius, rng, count):
+    """``count`` points 0.2 support radii off random samples: a pass over them
+    and the samples takes the samples' own graph, at most 1.2 radii wide."""
+    d = rng.standard_normal((count, cloud.ambient_dim))
+    d *= 0.2 * radius / np.linalg.norm(d, axis=1, keepdims=True)
+    return cloud.points[rng.integers(0, cloud.n, size=count)] + d
+
+
+@pytest.mark.parametrize("which", ["solved_disk", "solved_cap"])
+def test_run_matches_the_per_query_oracle_bit_for_bit(which, request, rng):
+    # the tree path (fewer queries than samples) and the graph path (the
+    # samples and as many points near them), against sums taken one query at
+    # a time in ascending sample order
+    interp = request.getfixturevalue(which)
+    cl, radius = interp.cloud, interp.params.support_radius
+    tree_X = support_edge_queries(cl, radius, rng, 100)
+    graph_X = np.vstack([cl.points, near_samples(cl, radius, rng, cl.n)])
+    assert tree_X.shape[0] < cl.n and interp._samples.candidates(graph_X) is not None
+    for X in (tree_X, graph_X):
+        vals, grads = interp._run(interp._queries(X), True)
+        want_v, want_g = reconstruction_by_query(interp, X)
+        assert np.array_equal(vals, want_v)
+        assert np.array_equal(grads, want_g)
+
+
+@pytest.mark.parametrize("which", ["solved_disk", "solved_cap"])
+def test_block_sums_with_empty_runs_match_the_per_query_oracle(which, request, rng):
+    # queries with no sample in support first, in the middle and last in a
+    # block: their sums are 0 and their neighbours' sums are their own, on
+    # the tree path and through the samples' graph
+    interp = request.getfixturevalue(which)
+    cl, radius = interp.cloud, interp.params.support_radius
+    X = near_samples(cl, radius, rng, CHUNK)
+    X[[0, CHUNK // 2, CHUNK - 1]] = 10.0
+    want = reconstruction_sums(interp, X)
+    assert np.array_equal(want[0] == 0.0, np.isin(np.arange(CHUNK), [0, CHUNK // 2, CHUNK - 1]))
+    for via in (None, interp._samples.candidates(X)):
+        got = interp._chunk(X, True, via)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        w, num, gw, gnum = interp._chunk(X, False, via)
+        assert np.array_equal(w, want[0]) and np.array_equal(num, want[1])
+        assert gw is None and gnum is None
 
 
 def permuted_boundary(cloud, perm):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,10 @@ def test_params_validation():
     for t in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"got {t}"):
             KernelParams(t=t, k=1)
+    # a positive finite t whose normalizer (4 pi t)^(-k/2) overflows or underflows
+    for t, k in ((1e-250, 3), (1e300, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"positive for t = {t}, k = {k}")):
+            KernelParams(t=t, k=k)
 
 
 def test_eval_Rt_hand_values():

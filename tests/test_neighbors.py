@@ -20,8 +20,9 @@ def row_einsum(diff):
 
 def join_one(idx, x):
     """Indices of the points within the radius of ``x``, through ``join``."""
-    rows, cols, diff, sq = idx.join(np.asarray(x, dtype=float).reshape(1, -1))
-    assert not rows.any()
+    counts, cols, diff, sq = idx.join(np.asarray(x, dtype=float).reshape(1, -1))
+    assert not np.repeat(np.arange(1), counts).any()
+    assert counts.dtype == np.intp and np.array_equal(counts, [cols.size])
     assert same_bits(sq, row_einsum(diff))
     return cols
 
@@ -151,8 +152,8 @@ def test_points_at_radius_and_one_ulp_either_side(rng):
     want = query_brute(idx, centre)
     assert 0 < want.size < pts.shape[0]
     assert np.array_equal(join_one(idx, centre), want)
-    rows, cols, _, _ = idx.join(np.vstack([centre, centre]))
-    assert np.array_equal(rows, np.repeat([0, 1], want.size))
+    counts, cols, _, _ = idx.join(np.vstack([centre, centre]))
+    assert np.array_equal(np.repeat(np.arange(2), counts), np.repeat([0, 1], want.size))
     assert np.array_equal(cols, np.concatenate([want, want]))
     for i, row in enumerate(idx.query_self()):
         assert np.array_equal(row, query_brute(idx, pts[i]))
@@ -162,7 +163,8 @@ def test_pairs_rows_and_columns_ascending(rng):
     pts = rng.uniform(-1, 1, size=(400, 3))
     idx = NeighborIndex(pts, radius=0.4)
     queries = rng.uniform(-1.2, 1.2, size=(50, 3))
-    rows, cols, _, _ = idx.join(queries)
+    counts, cols, _, _ = idx.join(queries)
+    rows = np.repeat(np.arange(queries.shape[0]), counts)
     assert np.all(np.diff(rows) >= 0)
     for q in range(queries.shape[0]):
         assert np.array_equal(cols[rows == q], query_brute(idx, queries[q]))
@@ -170,8 +172,9 @@ def test_pairs_rows_and_columns_ascending(rng):
 
 def test_empty_point_set():
     idx = NeighborIndex(np.empty((0, 2)), radius=0.5)
-    rows, cols, diff, sq = idx.join(np.zeros((3, 2)))
-    assert rows.size == 0 and cols.size == 0 and diff.shape == (0, 2) and sq.size == 0
+    counts, cols, diff, sq = idx.join(np.zeros((3, 2)))
+    assert np.repeat(np.arange(3), counts).size == 0 and np.array_equal(counts, [0, 0, 0])
+    assert cols.size == 0 and diff.shape == (0, 2) and sq.size == 0
     assert join_one(idx, np.zeros(2)).size == 0
     assert idx.query_self() == []
     cand_ptr, cols = idx.self_join()
@@ -249,7 +252,9 @@ def test_query_self_matches_brute_on_a_large_cloud_with_shells(rng):
 
 
 def assert_join_matches_brute(idx, queries):
-    rows, cols, diff, sq = idx.join(queries)
+    counts, cols, diff, sq = idx.join(queries)
+    assert counts.shape == (queries.shape[0],) and counts.dtype == np.intp
+    rows = np.repeat(np.arange(queries.shape[0]), counts)
     assert rows.shape == cols.shape == sq.shape == (diff.shape[0],)
     assert diff.shape[1] == idx.points.shape[1]
     assert np.all(np.diff(rows) >= 0)
@@ -339,6 +344,8 @@ def test_graph_path_joins_like_the_dual_tree_bit_for_bit(d, radius, monkeypatch,
     # queries on samples, between samples, duplicated, beyond every support
     # and at random, in shuffled order; blocks of 64 and the whole pass.  The
     # random queries need a graph wider than candidates builds by default.
+    # Queries beyond every support also sit first, in the middle and last in
+    # a block of 64 and in the pass: their counts are 0 on both paths.
     monkeypatch.setattr(neighbors, "_REACH_MAX", np.inf)
     pts = rng.uniform(-1, 1, size=(400, d))
     idx = NeighborIndex(pts, radius)
@@ -346,13 +353,23 @@ def test_graph_path_joins_like_the_dual_tree_bit_for_bit(d, radius, monkeypatch,
     queries = np.vstack([pts[:100], between, pts[5:15], pts[5:15], np.full((3, d), 4.0),
                          rng.uniform(-1.2, 1.2, size=(300, d))])
     queries = queries[rng.permutation(queries.shape[0])]
+    q = queries.shape[0]
+    empty = [0, 31, 63, 64, q // 2, q - 1]
+    queries[empty] = 4.0
     _, count, _ = idx.candidates(queries)
-    for block in (64, queries.shape[0]):
+    for block in (64, q):
+        lo = 0
         for got, want in graph_blocks(idx, queries, block):
             for a, b in zip(got, want):
                 assert same_bits(a, b)
-            assert got[2].shape == (got[0].shape[0], d)
-    assert count.sum() > idx.join(queries)[0].shape[0]     # the exact cut ran
+            counts, cols = got[0], got[1]
+            assert counts.shape == (min(block, q - lo),) and counts.dtype == np.intp
+            assert counts.sum() == cols.size
+            assert got[2].shape == (cols.shape[0], d)
+            at = [k - lo for k in empty if lo <= k < lo + block]
+            assert not counts[at].any()
+            lo += block
+    assert count.sum() > idx.join(queries)[0].sum()     # the exact cut ran
 
 
 def test_graph_candidates_skip_queries_beyond_every_support(monkeypatch):
@@ -372,7 +389,7 @@ def test_graph_candidates_skip_queries_beyond_every_support(monkeypatch):
     assert count[2] == count[4] == 0 and np.all(count[[0, 1, 3]] > 0)
     assert radii == [pytest.approx(1.2 * radius, rel=1e-12)]
     for got, want in graph_blocks(idx, queries, 5):
-        assert not np.isin([2, 4], got[0]).any()
+        assert not np.isin([2, 4], np.repeat(np.arange(5), got[0])).any()
         for a, b in zip(got, want):
             assert same_bits(a, b)
     # a query 0.3 radii off the grid would widen the graph past 1.25 radii:
@@ -388,5 +405,6 @@ def test_graph_candidates_of_an_empty_point_set(monkeypatch):
     radii = record_self_joins(monkeypatch)
     first, count, cols = idx.candidates(np.zeros((3, 2)))
     assert radii == [0.5] and not count.any() and cols.size == 0
-    rows, cols, diff, sq = idx.join(np.zeros((3, 2)), (first, count, cols))
-    assert rows.size == 0 and cols.size == 0 and diff.shape == (0, 2) and sq.size == 0
+    counts, cols, diff, sq = idx.join(np.zeros((3, 2)), (first, count, cols))
+    assert np.repeat(np.arange(3), counts).size == 0 and np.array_equal(counts, [0, 0, 0])
+    assert cols.size == 0 and diff.shape == (0, 2) and sq.size == 0
