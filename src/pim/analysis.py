@@ -33,9 +33,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .assembly import DENSE_CUTOFF, assemble, dump_matrixmarket
+from .assembly import DENSE_CUTOFF, dump_matrixmarket, fill
 from .interpolate import Interpolant
 from .kernel import KernelParams, KernelProfile, cubic_profile
+from .neighbors import NeighborIndex
 from .pointcloud import ManifoldSpec, PointCloud, fill_distance, generate
 from .solve import SolveOptions, SolveReport, SolverError, solve
 
@@ -150,9 +151,8 @@ def l2_error(interp: Interpolant, case: ManufacturedCase,
              reference_cloud: PointCloud, relative: bool = False) -> float:
     """L2 error of the reconstruction on the reference cloud's quadrature.
 
-    It takes the values from :meth:`Interpolant.on_cloud`, so it pays for a
-    value-and-gradient pass (about 1.4 times a values-only pass), which the
-    other norms on the same cloud then share.
+    It takes the values from :meth:`Interpolant.on_cloud`'s value-and-gradient
+    pass, which the other norms on the same cloud then share.
     """
     err = math.sqrt(_reference_errors(interp, case, reference_cloud, False))
     if relative:
@@ -328,9 +328,11 @@ def solve_on_cloud(cloud: PointCloud, f, b, t: float, beta: float,
                    solver_options: Optional[SolveOptions] = None,
                    dense_cutoff: int = DENSE_CUTOFF, matrix_out=None) -> SolveReport:
     """Assemble and solve for source f (per point) and boundary data b (per boundary
-    point); ``matrix_out`` gets the matrix, in MatrixMarket form, before the solve."""
-    system = assemble(cloud, KernelParams(t=t, k=cloud.intrinsic_dim),
-                      profile or cubic_profile, beta, f, b, dense_cutoff=dense_cutoff)
+    point): pair search, fill, ``matrix_out`` (MatrixMarket) if given, solve."""
+    params = KernelParams(t=t, k=cloud.intrinsic_dim)
+    graph = NeighborIndex(cloud.points, params.support_radius).self_join()
+    system = fill(cloud, graph, params, profile or cubic_profile, beta, f, b,
+                  dense_cutoff=dense_cutoff)
     if matrix_out:
         dump_matrixmarket(system, matrix_out)
     return solve(system, solver_options)

@@ -26,24 +26,24 @@ off-diagonal kernel entries negative), so constants are reproduced
 exactly: matrix @ 1 equals the boundary-column vector because the L-part
 annihilates constants.
 
-The matrix is built from a candidate graph in compressed-sparse-row form,
-the k-d-tree self-join of :mod:`pim.neighbors`.  One routine walks it in
-blocks of ``ROW_BLOCK`` rows: it masks the candidates to the open support
-s < 1, evaluates the kernels and gathers the per-sample weights for the
-whole block at once, and writes the values into ``data`` and the kept
-columns back over the graph's column array, which becomes the matrix's
-``indices``.  A block is read before it is written and the write offset
-never passes the read offset, so no second column array exists.  The
-diagonal and the right-hand side are per-row sums over contiguous slices
-in ascending column order, the same pairwise summation a row summed on its
-own gets, so candidates outside the support do not change a bit: a graph
-of every pair, the tests' direct-scan oracle, gives the same output.  The
-matrix is CSR for every n; small clouds are only flagged (``meta["dense"]``)
-for the direct solver, which reads its band from the CSR arrays.
+A pair search gives a candidate graph in compressed-sparse-row form, and
+``fill`` builds the system over it; ``assemble`` runs both, searching by the
+k-d-tree self-join of :mod:`pim.neighbors`.  ``fill`` walks the graph in
+blocks of ``ROW_BLOCK`` rows: it masks the candidates to the open support s <
+1, evaluates the kernels and gathers the per-sample weights for the whole
+block at once, and writes the values into ``data`` and the kept columns back
+over the graph's column array, which becomes the matrix's ``indices``.  A
+block is read before it is written and the write offset never passes the read
+offset, so no second column array exists.  The diagonal and the right-hand
+side are per-row sums over contiguous slices in ascending column order, the
+same pairwise summation a row summed on its own gets, so candidates outside
+the support do not change a bit: a graph of every pair, the tests' direct-scan
+oracle, gives the same output.  The matrix is CSR for every n; small clouds
+are only flagged (``meta["dense"]``) for the direct solver.
 
 A point with no other point inside its support has a row that does not
-couple it to the cloud; ``assemble`` rejects such clouds.  ``meta`` records
-the number of boundary points, so that :func:`pim.solve.solve` can refuse a
+couple it to the cloud; ``fill`` rejects such clouds.  ``meta`` records the
+number of boundary points, so that :func:`pim.solve.solve` can refuse a
 boundary-free system, which is singular because L annihilates constants.
 """
 
@@ -58,7 +58,7 @@ from .kernel import KernelParams, KernelProfile
 from .neighbors import NeighborIndex, _squared_lengths
 from .pointcloud import PointCloud
 
-__all__ = ["LinearSystem", "assemble", "dump_matrixmarket"]
+__all__ = ["LinearSystem", "assemble", "dump_matrixmarket", "fill"]
 
 DENSE_CUTOFF = 512  # default direct-solve switch; config-overridable
 ROW_BLOCK = 128  # matrix rows per vectorized block; bounds the block temporaries
@@ -105,17 +105,18 @@ class LinearSystem:
         return self.rhs.shape[0]
 
 
-def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
-             beta: float, f, b, *, dense_cutoff: int = DENSE_CUTOFF) -> LinearSystem:
-    """Build the linear system for source f (per point) and boundary data b.
+def fill(cloud: PointCloud, graph, params: KernelParams, profile: KernelProfile,
+         beta: float, f, b, *, dense_cutoff: int = DENSE_CUTOFF) -> LinearSystem:
+    """Build the linear system for source f (per point) and boundary data b over
+    the graph ``(cand_ptr, cols)``: row i's candidates, ascending and i among them,
+    are ``cols[cand_ptr[i]:cand_ptr[i + 1]]``, compacted in place into the matrix.
 
-    The matrix is always CSR, and ``diagonal`` holds the values the fill
-    wrote on its diagonal.  ``meta`` holds what :func:`pim.solve.solve`
-    reads, and nothing else: ``dense`` (n <= ``dense_cutoff``, which sends
-    its "auto" to the direct LU), ``boundary_points`` (the boundary size),
-    and ``points`` and ``support_radius`` for the two-level preconditioner.
-    Raises ``ValueError`` on non-finite ``f`` or ``b``, and on a point with
-    no other point within the support radius.
+    ``diagonal`` holds the values the fill wrote on the diagonal.  ``meta`` holds
+    what :func:`pim.solve.solve` reads, and nothing else: ``dense`` (n <=
+    ``dense_cutoff``, which sends its "auto" to the direct LU), ``boundary_points``
+    (the boundary size), and ``points`` and ``support_radius`` for the two-level
+    preconditioner.  Raises ``ValueError`` on non-finite ``f`` or ``b``, and on a
+    point with no other point within the support radius.
     """
     if not 0.0 < beta < np.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
@@ -144,14 +145,13 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
     pen = np.zeros(n)
     pen[bi] = cloud.area_weights
 
-    cand_ptr, indices = NeighborIndex(points, params.support_radius).self_join()
-    # row i's candidates are indices[cand_ptr[i]:cand_ptr[i + 1]]; fill compacts them
+    cand_ptr, indices = graph
     data = np.empty(indices.shape[0])
     indptr = np.zeros(n + 1, dtype=indices.dtype)
     rhs = np.empty(n)
     diagonal = np.empty(n)
 
-    def fill(lo: int, hi: int) -> None:
+    def block(lo: int, hi: int) -> None:
         # rows lo:hi; the block's temporaries die when it returns
         counts = np.diff(cand_ptr[lo:hi + 1])
         cols = indices[cand_ptr[lo]:cand_ptr[hi]]
@@ -171,12 +171,14 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
             ends = np.cumsum(np.bincount(rows - lo, minlength=hi - lo))
         rt = c_t * profile.R(s)
         rbar = c_t * profile.Rbar(s)
+        # Every row holds its own point exactly once, so dropping the self entries
+        # shifts row k of the block back by k in a[~on_diag].  The diagonal overwrites
+        # them: zeroed, an isolated point's cannot overflow in the division at tiny t.
+        on_diag = rows == cols
+        rt[on_diag] = 0.0
         a = rt * np.take(vw, cols) / t
         penalty = two_over_beta * rbar * np.take(pen, cols)
 
-        # Every row holds its own point exactly once, so dropping the self
-        # entries shifts row k of the block back by k in a[~on_diag].
-        on_diag = rows == cols
         # Per-row sums over contiguous slices, each the same pairwise
         # summation, hence the same bits, as summing the row on its own.
         starts = np.concatenate(([0], ends[:-1]))
@@ -192,7 +194,7 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
         indptr[lo + 1:hi + 1] = base + ends
 
     for lo in range(0, n, ROW_BLOCK):
-        fill(lo, min(lo + ROW_BLOCK, n))
+        block(lo, min(lo + ROW_BLOCK, n))
     isolated = np.flatnonzero(np.diff(indptr) == 1)
     if isolated.size:
         raise ValueError(
@@ -210,6 +212,13 @@ def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
         "points": points,   # by reference: the two-level preconditioner aggregates them
     }
     return LinearSystem(matrix=mat, rhs=rhs, meta=meta, diagonal=diagonal)
+
+
+def assemble(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
+             beta: float, f, b, *, dense_cutoff: int = DENSE_CUTOFF) -> LinearSystem:
+    """:func:`fill` over the k-d-tree self-join of the cloud at the support radius."""
+    return fill(cloud, NeighborIndex(cloud.points, params.support_radius).self_join(),
+                params, profile, beta, f, b, dense_cutoff=dense_cutoff)
 
 
 def dump_matrixmarket(system: LinearSystem, path) -> None:

@@ -23,15 +23,15 @@ sum_j [R_t(x,p_j) u_j V_j + Rbar_t(x,p_j) h_j].
 
 The kernels vanish beyond the support radius 2 sqrt(t), so each query sums
 only over the samples within that radius.  Queries are evaluated in blocks
-of ``CHUNK``.  A pass of at least as many queries as samples, none of them
-a quarter to one support radius from every sample, takes each block's
-in-support sample pairs from one self-join of the samples, other passes
-from a k-d-tree join per block.  The squared distances the exact cut
-measured are the kernel arguments, so each pair's kernels are evaluated
-once.  A block makes two value sums and, for gradients, two per coordinate,
-all in one ``np.add.reduceat`` over each query's run of pairs, in ascending
-sample order, the runs cut by the join's per-query counts: each sum is the
-run's first term plus numpy's pairwise sum of the rest.
+of ``CHUNK``.  A pass of at least as many queries as samples, none of them a
+quarter to one support radius from every sample, takes each block's
+in-support sample pairs from one self-join of the samples, other passes from
+a k-d-tree join per block.  The squared distances the exact cut measured are
+the kernel arguments, so each pair's kernels are evaluated once.  Every pass
+sums values and gradients: a block makes two value sums and two per
+coordinate, all in one ``np.add.reduceat`` over each query's run of pairs,
+in ascending sample order, the runs cut by the join's per-query counts: each
+sum is the run's first term plus numpy's pairwise sum of the rest.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ class Interpolant:
 
     # -- core chunk evaluation ------------------------------------------------
 
-    def _chunk(self, X: np.ndarray, want_grad: bool, via):
-        """Return (w, num) and, if requested, their gradients over a chunk.
+    def _chunk(self, X: np.ndarray, via):
+        """Return (w, num) and their gradients over a chunk.
 
         Each sum runs over the (query, sample) pairs within the support
         radius, in query order: ``counts`` holds each query's number of pairs
@@ -121,17 +121,16 @@ class Interpolant:
         rt = c_t * prof.R(s)
         v, uv, h = np.take(self._weights, cols, axis=1)
         # rows R_t V and R_t uV + Rbar_t h, then a d_k and g d_k per coordinate
-        terms = np.empty((2 + 2 * d if want_grad else 2, cols.shape[0]))
+        terms = np.empty((2 + 2 * d, cols.shape[0]))
         np.multiply(rt, v, out=terms[0])
         np.multiply(rt, uv, out=terms[1])
         terms[1] += c_t * prof.Rbar(s) * h
-        if want_grad:
-            # with y = x - p_j, grad R_t = (C_t/2t) R'(s) y and grad Rbar_t =
-            # -R_t y/(2t); the pair weights a and g carry the sign of diff = -y
-            drt = (-c_t / (2.0 * t)) * prof.Rprime(s)
-            g = drt * uv + rt * h / (2.0 * t)
-            np.multiply(drt * v, diff.T, out=terms[2:2 + d])
-            np.multiply(g, diff.T, out=terms[2 + d:])
+        # with y = x - p_j, grad R_t = (C_t/2t) R'(s) y and grad Rbar_t =
+        # -R_t y/(2t); the pair weights a and g carry the sign of diff = -y
+        drt = (-c_t / (2.0 * t)) * prof.Rprime(s)
+        g = drt * uv + rt * h / (2.0 * t)
+        np.multiply(drt * v, diff.T, out=terms[2:2 + d])
+        np.multiply(g, diff.T, out=terms[2 + d:])
 
         # A query without pairs has an empty run, where reduceat would give
         # the next pair's term (or fail, at the last query): only runs are summed.
@@ -139,8 +138,6 @@ class Interpolant:
         has = counts > 0
         sums = np.zeros((terms.shape[0], q))
         sums[:, has] = np.add.reduceat(terms, starts[has], axis=1)
-        if not want_grad:
-            return sums[0], sums[1], None, None
         return sums[0], sums[1], sums[2:2 + d].T, sums[2 + d:].T
 
     def _queries(self, X) -> np.ndarray:
@@ -150,30 +147,28 @@ class Interpolant:
                 f"query dimension {X.shape[1]} != ambient {self.cloud.ambient_dim}")
         return X
 
-    def _run(self, X: np.ndarray, want_grad: bool):
+    def _run(self, X: np.ndarray):
         q = X.shape[0]
         vals = np.empty(q)
-        grads = np.empty((q, X.shape[1])) if want_grad else None
+        grads = np.empty((q, X.shape[1]))
         # On jittered disk (2 044) and cap (8 188) samples the two joins cost about the same at
         # q = n; at q = 4n the graph's took 35-55 against 67-83 ms and 0.45-0.50 against 0.65-0.90 s.
         via = self._samples.candidates(X) if q >= self.cloud.n else None
         for lo in range(0, q, CHUNK):
             hi = min(lo + CHUNK, q)
             block = None if via is None else (via[0][lo:hi], via[1][lo:hi], via[2])
-            w, num, gw, gnum = self._chunk(X[lo:hi], want_grad, block)
+            w, num, gw, gnum = self._chunk(X[lo:hi], block)
             bad = np.flatnonzero(w <= 0.0)
             if bad.size:
                 raise OutOfSupport(X[lo + bad[0]])
             vals[lo:hi] = num / w
-            if want_grad:
-                grads[lo:hi] = (gnum * w[:, None] - num[:, None] * gw) / (w * w)[:, None]
+            grads[lo:hi] = (gnum * w[:, None] - num[:, None] * gw) / (w * w)[:, None]
         return vals, grads
 
     # -- public API -----------------------------------------------------------
 
     def eval_many(self, X) -> np.ndarray:
-        vals, _ = self._run(self._queries(X), want_grad=False)
-        return vals
+        return self._run(self._queries(X))[0]
 
     def eval(self, x) -> float:
         return float(self.eval_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
@@ -184,12 +179,11 @@ class Interpolant:
     def value_and_grad_many(self, X):
         """Values and gradients in one pass over the pairs; returns (vals, grads).
 
-        The values are bit-identical to :meth:`eval_many`'s: both come out of
-        the same per-block sums.  On a sphere's samples the gradients are
-        projected onto the tangent planes with each query's radial normal.
+        The values are :meth:`eval_many`'s.  On a sphere's samples the gradients
+        are projected onto the tangent planes with each query's radial normal.
         """
         X = self._queries(X)
-        vals, grads = self._run(X, want_grad=True)
+        vals, grads = self._run(X)
         if self._sphere:
             nrm = X / np.linalg.norm(X, axis=1, keepdims=True)
             grads = grads - np.einsum("qd,qd->q", grads, nrm)[:, None] * nrm

@@ -14,12 +14,11 @@ they live beside the tests rather than in ``pim``.
 from __future__ import annotations
 
 import math
-from unittest import mock
 
 import numpy as np
 
 from pim.analysis import ManufacturedCase
-from pim.assembly import LinearSystem, assemble
+from pim.assembly import LinearSystem, fill
 from pim.kernel import (KernelParams, KernelProfile, _diff_and_arg, cubic_profile,
                         eval_Rbar_t)
 from pim.neighbors import NeighborIndex, _squared_lengths
@@ -201,8 +200,7 @@ def assemble_direct(cloud: PointCloud, *args, **kwargs) -> LinearSystem:
     oracle the indexed assembly must equal bit for bit."""
     n = cloud.n
     every_pair = (np.arange(n + 1) * n, np.tile(np.arange(n, dtype=np.int32), n))
-    with mock.patch.object(NeighborIndex, "self_join", lambda self: every_pair):
-        return assemble(cloud, *args, **kwargs)
+    return fill(cloud, every_pair, *args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -443,6 +444,19 @@ def test_rejects_isolated_point(boundary):
     for build in (assemble, assemble_direct):
         with pytest.raises(ValueError, match=r"1 point\(s\), first index 51"):
             build(cloud, params, cubic_profile, 0.01, np.ones(52), np.zeros(2))
+
+
+@pytest.mark.parametrize("name", ["interval", "disk"])
+def test_tiny_t_reaches_the_isolated_point_check_without_overflow(all_clouds, name):
+    # at t = 1e-300 no point has another within the support, and a self
+    # entry's R_t V / t would overflow: the fill must zero it first
+    cloud = all_clouds[name]
+    params = KernelParams(t=1e-300, k=cloud.intrinsic_dim)
+    f, b = np.ones(cloud.n), np.ones(cloud.boundary_indices.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"{cloud.n} point\(s\), first index 0, have no other"):
+            assemble(cloud, params, cubic_profile, 1.0, f, b)
 
 
 def test_metadata(interval_cloud):

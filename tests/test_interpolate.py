@@ -126,7 +126,7 @@ def test_gradient_matches_finite_differences(solved_interval, solved_disk):
 
 def raw_grads(interp, X):
     """The unprojected gradients: the pair sums' quotient rule alone."""
-    return interp._run(interp._queries(X), True)[1]
+    return interp._run(interp._queries(X))[1]
 
 
 def test_cap_gradient_is_tangent(solved_cap):
@@ -322,7 +322,7 @@ def test_run_matches_the_per_query_oracle_bit_for_bit(which, request, rng):
     graph_X = np.vstack([cl.points, near_samples(cl, radius, rng, cl.n)])
     assert tree_X.shape[0] < cl.n and interp._samples.candidates(graph_X) is not None
     for X in (tree_X, graph_X):
-        vals, grads = interp._run(interp._queries(X), True)
+        vals, grads = interp._run(interp._queries(X))
         want_v, want_g = reconstruction_by_query(interp, X)
         assert np.array_equal(vals, want_v)
         assert np.array_equal(grads, want_g)
@@ -340,12 +340,9 @@ def test_block_sums_with_empty_runs_match_the_per_query_oracle(which, request, r
     want = reconstruction_sums(interp, X)
     assert np.array_equal(want[0] == 0.0, np.isin(np.arange(CHUNK), [0, CHUNK // 2, CHUNK - 1]))
     for via in (None, interp._samples.candidates(X)):
-        got = interp._chunk(X, True, via)
+        got = interp._chunk(X, via)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
-        w, num, gw, gnum = interp._chunk(X, False, via)
-        assert np.array_equal(w, want[0]) and np.array_equal(num, want[1])
-        assert gw is None and gnum is None
 
 
 def permuted_boundary(cloud, perm):
@@ -390,8 +387,8 @@ def test_boundary_weights_follow_their_samples(which, request, rng):
                         profile=interp.profile, beta=interp.beta,
                         u=interp.u, f=interp.f, b=interp.b[perm])
     X = support_edge_queries(cloud, interp.params.support_radius, rng, 300)
-    for got, want in zip(other._run(other._queries(X), True),
-                         interp._run(interp._queries(X), True)):
+    for got, want in zip(other._run(other._queries(X)),
+                         interp._run(interp._queries(X))):
         assert np.array_equal(got, want)
 
 
