@@ -30,16 +30,17 @@ A pair search gives a candidate graph in compressed-sparse-row form, and
 ``fill`` builds the system over it; ``assemble`` runs both, searching by the
 k-d-tree self-join of :mod:`pim.neighbors`.  ``fill`` walks the graph in
 blocks of ``ROW_BLOCK`` rows: it masks the candidates to the open support s <
-1, evaluates the kernels and gathers the per-sample weights for the whole
-block at once, and writes the values into ``data`` and the kept columns back
-over the graph's column array, which becomes the matrix's ``indices``.  A
-block is read before it is written and the write offset never passes the read
-offset, so no second column array exists.  The diagonal and the right-hand
-side are per-row sums over contiguous slices in ascending column order, the
-same pairwise summation a row summed on its own gets, so candidates outside
-the support do not change a bit: a graph of every pair, the tests' direct-scan
-oracle, gives the same output.  The matrix is CSR for every n; small clouds
-are only flagged (``meta["dense"]``) for the direct solver.
+1, evaluates R and Rbar in one ``profile.terms`` call and gathers the
+per-sample weights for the whole block at once, and writes the values into
+``data`` and the kept columns back over the graph's column array, which
+becomes the matrix's ``indices``.  A block is read before it is written and
+the write offset never passes the read offset, so no second column array
+exists.  The diagonal and the right-hand side are per-row sums over
+contiguous slices in ascending column order, the same pairwise summation a
+row summed on its own gets, so candidates outside the support do not change a
+bit: a graph of every pair, the tests' direct-scan oracle, gives the same
+output.  The matrix is CSR for every n; small clouds are only flagged
+(``meta["dense"]``) for the direct solver.
 
 A point with no other point inside its support has a row that does not
 couple it to the cloud; ``fill`` rejects such clouds.  ``meta`` records the
@@ -169,8 +170,9 @@ def fill(cloud: PointCloud, graph, params: KernelParams, profile: KernelProfile,
         else:
             rows, cols, s = rows[keep], cols[keep], s[keep]
             ends = np.cumsum(np.bincount(rows - lo, minlength=hi - lo))
-        rt = c_t * profile.R(s)
-        rbar = c_t * profile.Rbar(s)
+        rt, rbar, _ = profile.terms(s)     # R and Rbar, then R_t and Rbar_t in place
+        rt *= c_t
+        rbar *= c_t
         # Every row holds its own point exactly once, so dropping the self entries
         # shifts row k of the block back by k in a[~on_diag].  The diagonal overwrites
         # them: zeroed, an isolated point's cannot overflow in the division at tiny t.

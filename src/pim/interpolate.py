@@ -22,16 +22,17 @@ on boundary samples only, and the numerator is
 sum_j [R_t(x,p_j) u_j V_j + Rbar_t(x,p_j) h_j].
 
 The kernels vanish beyond the support radius 2 sqrt(t), so each query sums
-only over the samples within that radius.  Queries are evaluated in blocks
-of ``CHUNK``.  A pass of at least as many queries as samples, none of them a
+only over the samples within that radius.  Queries are evaluated in blocks of
+``CHUNK``.  A pass of at least as many queries as samples, none of them a
 quarter to one support radius from every sample, takes each block's
 in-support sample pairs from one self-join of the samples, other passes from
 a k-d-tree join per block.  The squared distances the exact cut measured are
-the kernel arguments, so each pair's kernels are evaluated once.  Every pass
-sums values and gradients: a block makes two value sums and two per
-coordinate, all in one ``np.add.reduceat`` over each query's run of pairs,
-in ascending sample order, the runs cut by the join's per-query counts: each
-sum is the run's first term plus numpy's pairwise sum of the rest.
+the kernel arguments, so one ``profile.terms`` call gives each pair's R, Rbar
+and R'.  Every pass sums values and gradients: a block makes two value sums
+and two per coordinate, all in one ``np.add.reduceat`` over each query's run
+of pairs, in ascending sample order, the runs cut by the join's per-query
+counts: each sum is the run's first term plus numpy's pairwise sum of the
+rest.
 """
 
 from __future__ import annotations
@@ -112,22 +113,22 @@ class Interpolant:
         array, so one ``np.add.reduceat`` over each query's run gives every sum.
         """
         t, c_t = self.params.t, self.params.C_t
-        prof = self.profile
         q = X.shape[0]
 
         counts, cols, diff, sq = self._samples.join(X, via)     # diff = p_j - x
         d = diff.shape[1]
-        s = sq / (4.0 * t)
-        rt = c_t * prof.R(s)
+        # R_t, Rbar_t and, with y = x - p_j and s = |y|^2/4t, grad R_t = (C_t/2t) R'(s) y
+        # and grad Rbar_t = -R_t y/(2t), scaled in place; drt and g carry the sign of diff = -y
+        rt, rbar, drt = self.profile.terms(sq / (4.0 * t))
+        rt *= c_t
+        rbar *= c_t
+        drt *= -c_t / (2.0 * t)
         v, uv, h = np.take(self._weights, cols, axis=1)
-        # rows R_t V and R_t uV + Rbar_t h, then a d_k and g d_k per coordinate
+        # rows R_t V and R_t uV + Rbar_t h, then drt V d_k and g d_k per coordinate
         terms = np.empty((2 + 2 * d, cols.shape[0]))
         np.multiply(rt, v, out=terms[0])
         np.multiply(rt, uv, out=terms[1])
-        terms[1] += c_t * prof.Rbar(s) * h
-        # with y = x - p_j, grad R_t = (C_t/2t) R'(s) y and grad Rbar_t =
-        # -R_t y/(2t); the pair weights a and g carry the sign of diff = -y
-        drt = (-c_t / (2.0 * t)) * prof.Rprime(s)
+        terms[1] += rbar * h
         g = drt * uv + rt * h / (2.0 * t)
         np.multiply(drt * v, diff.T, out=terms[2:2 + d])
         np.multiply(g, diff.T, out=terms[2 + d:])

@@ -15,10 +15,12 @@ kernels
 with C_t = (4 pi t)^(-k/2) (k the intrinsic manifold dimension) therefore
 have support radius exactly 2*sqrt(t) in the ambient space.
 
-Each profile is a closed form in w = max(1 - r, 0), which vanishes beyond
-the support, so callers that have already cut their pairs to the support
-pay for no mask.  Only the truncated-Gaussian tail integral needs an
-explicit zero there; R' may be -0.0 beyond the support.
+Each profile is one function ``terms(r)`` that gives R, Rbar and R' as
+closed forms in one w = max(1 - r, 0) (and, for the truncated Gaussian, one
+exp(-r)), so assembly and reconstruction evaluate a block's kernels in one
+call.  w vanishes beyond the support, so callers that have already cut their
+pairs to the support pay for no mask.  Only the truncated-Gaussian tail
+integral needs an explicit zero there; R' may be -0.0 beyond the support.
 """
 
 from __future__ import annotations
@@ -45,73 +47,53 @@ __all__ = [
 class KernelProfile:
     """A radial profile R, its tail integral Rbar, and derivative R'.
 
-    All three callables accept scalar or ndarray arguments r >= 0 and must
-    return exact zeros for r >= 1 (compact support).  ``delta0`` is a
+    ``terms(r)`` returns ``(R, Rbar, R')`` at scalar or ndarray arguments
+    r >= 0, all three from one w = max(1 - r, 0), as new arrays that callers
+    may scale in place; they must be exact zeros for r >= 1 (compact support).
+    ``R``, ``Rbar`` and ``Rprime`` each return one of them.  ``delta0`` is a
     positive lower bound for R on [0, 1/2].
     """
 
     name: str
-    R: Callable[[np.ndarray], np.ndarray]
-    Rbar: Callable[[np.ndarray], np.ndarray]
-    Rprime: Callable[[np.ndarray], np.ndarray]
+    terms: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     delta0: float
 
+    def R(self, r):
+        return self.terms(r)[0]
 
-def _cubic_R(r):
+    def Rbar(self, r):
+        return self.terms(r)[1]
+
+    def Rprime(self, r):
+        return self.terms(r)[2]
+
+
+def _cubic_terms(r):
     w = np.maximum(1.0 - r, 0.0)
-    return w * w * w
-
-
-def _cubic_Rbar(r):
-    w = np.maximum(1.0 - r, 0.0)
-    return 0.25 * w * w * w * w
-
-
-def _cubic_Rprime(r):
-    w = np.maximum(1.0 - r, 0.0)
-    return -3.0 * w * w
+    return w * w * w, 0.25 * w * w * w * w, -3.0 * w * w
 
 
 #: Default profile R(r) = (1 - r)^3 on [0, 1].  C^2 across r = 1 (value and
 #: first two derivatives vanish there), nonnegative, R(1/2) = 1/8 > 0, and
 #: the tail integral is the closed form (1 - r)^4 / 4.
-cubic_profile = KernelProfile(
-    name="cubic",
-    R=_cubic_R,
-    Rbar=_cubic_Rbar,
-    Rprime=_cubic_Rprime,
-    delta0=0.125,
-)
+cubic_profile = KernelProfile(name="cubic", terms=_cubic_terms, delta0=0.125)
 
 
-def _tgauss_R(r):
-    w = np.maximum(1.0 - r, 0.0)
-    return np.exp(-r) * w * w * w
-
-
-def _tgauss_Rbar(r):
-    # integral of exp(-s)(1-s)^3 over [r, 1]; antiderivative found by parts.
+def _tgauss_terms(r):
+    # Rbar: integral of exp(-s)(1-s)^3 over [r, 1]; antiderivative found by parts.
     # At w = 0 the closed form leaves 6/e - 6 exp(-r), so zero it explicitly.
     w = np.maximum(1.0 - r, 0.0)
-    return np.where(r < 1.0, 6.0 * math.exp(-1.0) + np.exp(-r) * (
+    e = np.exp(-r)
+    rbar = np.where(r < 1.0, 6.0 * math.exp(-1.0) + e * (
         w * w * w - 3.0 * w * w + 6.0 * w - 6.0), 0.0)
-
-
-def _tgauss_Rprime(r):
-    w = np.maximum(1.0 - r, 0.0)
-    return -np.exp(-r) * w * w * (w + 3.0)
+    return e * w * w * w, rbar, -e * w * w * (w + 3.0)
 
 
 #: Gaussian decay in the normalized argument, mollified to C^2 compact
 #: support by the cubic bump.  Used for robustness checks against kernel
 #: choice; same support and smoothness class as the default.
 truncated_gaussian_profile = KernelProfile(
-    name="truncated_gaussian",
-    R=_tgauss_R,
-    Rbar=_tgauss_Rbar,
-    Rprime=_tgauss_Rprime,
-    delta0=math.exp(-0.5) * 0.125,
-)
+    name="truncated_gaussian", terms=_tgauss_terms, delta0=math.exp(-0.5) * 0.125)
 
 _PROFILES = {
     "cubic": cubic_profile,

@@ -2,13 +2,13 @@
 
 Each routine here is a direct, loop-level evaluation of a quantity the
 library computes another way: the finite-difference Laplacian that guards
-the hand-derived source terms of the manufactured cases, the kernel
-gradients of the dense reconstruction oracle, the penalized pointwise
-operator K, the boundary column g = K 1, the LAPACK band storage of a
-dense matrix copied one diagonal at a time, a neighbour search by direct
-scan, assembly over every pair, and the reconstruction's sums one query at
-a time.  None of them is part of a solve, so
-they live beside the tests rather than in ``pim``.
+the hand-derived source terms of the manufactured cases, each kernel term
+evaluated on its own, the kernel gradients of the dense reconstruction
+oracle, the penalized pointwise operator K, the boundary column g = K 1,
+the LAPACK band storage of a dense matrix copied one diagonal at a time, a
+neighbour search by direct scan, assembly over every pair, and the
+reconstruction's sums one query at a time.  None of them is part of a
+solve, so they live beside the tests rather than in ``pim``.
 """
 
 from __future__ import annotations
@@ -102,6 +102,49 @@ def fd_laplacian_check(case: ManufacturedCase, n_points: int = 100,
     fx = case.f(X)
     rel = np.abs(-lap - fx) / np.maximum(1.0, np.abs(fx))
     return float(rel.max())
+
+
+# ---------------------------------------------------------------------------
+# kernel profiles, one term at a time
+# ---------------------------------------------------------------------------
+
+def _cubic_R(r):
+    w = np.maximum(1.0 - r, 0.0)
+    return w * w * w
+
+
+def _cubic_Rbar(r):
+    w = np.maximum(1.0 - r, 0.0)
+    return 0.25 * w * w * w * w
+
+
+def _cubic_Rprime(r):
+    w = np.maximum(1.0 - r, 0.0)
+    return -3.0 * w * w
+
+
+def _tgauss_R(r):
+    w = np.maximum(1.0 - r, 0.0)
+    return np.exp(-r) * w * w * w
+
+
+def _tgauss_Rbar(r):
+    w = np.maximum(1.0 - r, 0.0)
+    return np.where(r < 1.0, 6.0 * math.exp(-1.0) + np.exp(-r) * (
+        w * w * w - 3.0 * w * w + 6.0 * w - 6.0), 0.0)
+
+
+def _tgauss_Rprime(r):
+    w = np.maximum(1.0 - r, 0.0)
+    return -np.exp(-r) * w * w * (w + 3.0)
+
+
+#: (R, Rbar, R') of each built-in profile, each term recomputing its own w
+#: (and exp(-r)): the reference ``KernelProfile.terms`` must equal bit for bit
+PER_TERM = {
+    "cubic": (_cubic_R, _cubic_Rbar, _cubic_Rprime),
+    "truncated_gaussian": (_tgauss_R, _tgauss_Rbar, _tgauss_Rprime),
+}
 
 
 # ---------------------------------------------------------------------------

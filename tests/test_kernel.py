@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import grad_Rbar_t_x, grad_Rt_x
+from oracles import PER_TERM, grad_Rbar_t_x, grad_Rt_x
 from pim.kernel import (KernelParams, PROFILE_NAMES, cubic_profile,
                         eval_Rbar_t, eval_Rt, get_profile,
                         truncated_gaussian_profile)
@@ -63,6 +63,21 @@ def test_closed_forms_equal_the_masked_reference_bit_for_bit(profile, rng):
                        masked_reference(profile)):
         got, want = fn(r), ref(r)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
+def test_terms_equal_the_per_term_reference_bit_for_bit(profile, rng):
+    # one w for all three terms changes no bit, the -0.0 of R' beyond the support included
+    edges = [0.0, 0.25, 0.5, 1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52, 2.0, 1e300]
+    r = np.concatenate([edges, rng.uniform(0.0, 1.5, 10_000)])
+    for got, ref in zip(profile.terms(r), PER_TERM[profile.name]):
+        want = ref(r)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for x in edges + [np.float64(x) for x in edges]:
+        for got, ref in zip(profile.terms(x), PER_TERM[profile.name]):
+            want = ref(x)
+            assert type(got) is type(want) and np.ndim(got) == 0
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)

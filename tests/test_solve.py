@@ -89,7 +89,10 @@ def test_reported_residual_is_recomputed(interval_cloud):
         again = _true_residual(system, report.solution)
         assert report.residual_norm == pytest.approx(again, rel=1e-12)
         assert report.residual_norm <= 1e-10
-        claimed = report.diagnostics["claimed_residual"]
+        if report.method == "dense-lu":     # LU claims no residual of its own
+            assert "preconditioned_residual" not in report.diagnostics
+            continue
+        claimed = report.diagnostics["preconditioned_residual"]
         # the claimed value may be optimistic but not wildly so
         assert claimed <= 10.0 * max(report.residual_norm, 1e-15) + 1e-12
 
@@ -306,7 +309,7 @@ def test_gmres_repeats_scipy_bit_for_bit(case, profile):
     expected, history, info = scipy_gmres(system, options)
     assert x.tobytes() == expected.tobytes()
     assert iterations == len(history)
-    assert diagnostics["claimed_residual"] == history[-1]
+    assert diagnostics["preconditioned_residual"] == history[-1]
     assert diagnostics["info"] == info
     assert bool(info) == ("spent budget" in case)
     if "restart" in settings:   # several outer cycles
@@ -500,6 +503,19 @@ def test_solve_leaves_the_matrix_arrays_unchanged():
     assert [x.tobytes() for x in (a.data, a.indices, a.indptr)] == before
 
 
+def test_dense_lu_leaves_duplicate_entries_unchanged():
+    # row 0 stores column 0 twice; the band LU sums them on its own copy
+    a = sp.csr_matrix((np.array([1.0, 3.0, -1.0, 4.0, 5.0]), np.array([0, 0, 1, 1, 2]),
+                       np.array([0, 3, 4, 5])), shape=(3, 3))
+    before = [x.tobytes() for x in (a.data, a.indices, a.indptr)]
+    rhs = np.array([1.0, 2.0, 3.0])
+    got = solve(LinearSystem(a, rhs), SolveOptions(method="dense-lu")).solution
+    assert [x.tobytes() for x in (a.data, a.indices, a.indptr)] == before
+    canonical = sp.csr_matrix(np.array([[4.0, -1.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 5.0]]))
+    want = solve(LinearSystem(canonical, rhs), SolveOptions(method="dense-lu")).solution
+    assert got.tobytes() == want.tobytes()
+
+
 def test_two_level_accepts_a_stalled_iterate_inside_tol():
     # at t = 1e-4 the two-level's inner target, 0.005 * tol, lies below the
     # ~1e-12 true residual this system reaches; without the stall rule GMRES
@@ -555,7 +571,7 @@ def test_gmres_breakdown_is_reported_as_a_breakdown():
     diag = exc.value.diagnostics
     assert diag["breakdown"] is True
     assert diag["restart_residual"] == diag["residual"] == pytest.approx(math.sqrt(0.5))
-    assert diag["info"] == 10 and diag["claimed_residual"] == 0.0 and diag["iterations"] == 2
+    assert diag["info"] == 10 and diag["preconditioned_residual"] == 0.0 and diag["iterations"] == 2
     # a converged solve reports no breakdown, and its last restart's ratio is
     # the verified residual
     report = solve(case_system("interval_sine", 801, cubic_profile), SolveOptions(method="iterative"))
