@@ -8,11 +8,11 @@ points and 79 at 32k, so from ``TWO_LEVEL_MIN_N`` rows on, systems that
 carry their points take a two-level preconditioner instead: a coarse
 correction on aggregates of nearby points, then one Jacobi step (two-level
 unsmoothed aggregation, after Vanek, Mandel & Brezina, Computing 56, 1996).
-The aggregates are cells of ``CELL_FACTOR`` times the support radius,
-widened where a dense LU of that many would cost more than
-``COARSE_LU_MATVECS`` matvecs with A, as a small t or a cloud in large units
-would otherwise make thousands of them.  At the default t GMRES then takes
-10 to 14 iterations on the caps and disks measured from 4k to 32k points.
+The aggregates are cells of ``CELL_FACTOR`` times the support radius, widened
+where a dense LU of that many would cost more than ``COARSE_LU_MATVECS`` matvecs
+with A, as a small t or a cloud in large units would otherwise make thousands of
+them; with P their 0/1 matrix, P^T A P and P^T y are scipy products.  At the
+default t GMRES then takes 10 to 14 iterations on caps and disks of 4k to 32k.
 Below ``TWO_LEVEL_MIN_N`` rows GMRES keeps Jacobi, bit for bit scipy's
 iterate.  Systems flagged for the direct solver go through LU with partial
 pivoting of the matrix's band, scattered straight from the CSR arrays.
@@ -260,40 +260,30 @@ def _aggregates(points: np.ndarray, width: float, cap: int) -> tuple[np.ndarray,
         width *= 1.05 * (nc / cap) ** (1.0 / points.shape[1])
 
 
-def _coarse_matrix(ap, agg: np.ndarray, nc: int) -> np.ndarray:
-    """``P^T AP`` as a dense F-ordered array, for the CSR ``AP`` and the 0/1
-    aggregate matrix P of ``agg``: one ``bincount`` over AP's entries, keyed by
-    their place ``col * nc + agg[row]`` in that array.  It adds each place's
-    terms in ascending row order, as scipy's ``P.T.tocsr() @ AP`` does, so the
-    two agree bit for bit."""
-    keys = np.repeat(agg, np.diff(ap.indptr))
-    keys += ap.indices.astype(np.intp) * nc
-    return np.bincount(keys, weights=ap.data, minlength=nc * nc).reshape((nc, nc), order="F")
-
-
 def _two_level(a, dinv: np.ndarray, points: np.ndarray, radius: float):
     """Two-level unsmoothed-aggregation preconditioner ``prec(y, out)``.
 
     The aggregates are the points' cells of side ``CELL_FACTOR * radius``,
     widened while there are more than ``(3 K nnz(A))**(1/3)`` of them, K =
-    ``COARSE_LU_MATVECS``; P is their n x n_c 0/1 matrix, ``AP = A P`` and
-    the dense coarse matrix ``A_c = P^T AP`` is LU-factored.  One application
-    is the coarse correction ``c = A_c^-1 P^T y`` followed by one Jacobi step
-    on what it leaves, ``z = P c + D^-1 (y - AP c)``: no matvec with A.
-    Returns ``(prec, n_c)``; raises :class:`SingularMatrix` on a coarse LU
-    pivot below the direct solver's threshold, as on a component with no
-    boundary sample.
+    ``COARSE_LU_MATVECS``; P is their n x n_c 0/1 matrix.  The scipy products
+    ``AP = A P`` and ``A_c = P^T AP``, P^T in CSR, give a dense F-ordered A_c
+    that the LU factors in place.  One application is the coarse correction
+    ``c = A_c^-1 P^T y``, then one Jacobi step on what it leaves, ``z = P c +
+    D^-1 (y - AP c)`` with ``P c`` the gather ``c[agg]``: no matvec with A.
+    Returns ``(prec, n_c)``; raises :class:`SingularMatrix` on a coarse LU pivot
+    below the direct solver's threshold, as on a component with no boundary sample.
     """
     n = points.shape[0]
     cap = int((3 * COARSE_LU_MATVECS * a.nnz) ** (1.0 / 3.0))
     agg, nc = _aggregates(points, CELL_FACTOR * radius, cap)
     p = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1)), shape=(n, nc))
+    pt = p.T.tocsr()
     ap = a @ p      # new arrays: summing an AP built on A's arrays would re-sort A in place
-    coarse = lu_factor(_coarse_matrix(ap, agg, nc), overwrite_a=True, check_finite=False)
+    coarse = lu_factor((pt @ ap).toarray(order="F"), overwrite_a=True, check_finite=False)
     _checked_pivots("coarse LU", np.abs(coarse[0].diagonal()), coarse_size=nc)
 
     def prec(y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        c = lu_solve(coarse, np.bincount(agg, weights=y, minlength=nc), check_finite=False)
+        c = lu_solve(coarse, pt @ y, check_finite=False)
         np.subtract(y, ap @ c, out=out)
         out *= dinv
         out += c[agg]
