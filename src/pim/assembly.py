@@ -4,8 +4,9 @@ Row i of the assembled matrix encodes
 
   L u(p_i) + (2/beta) sum_l Rbar_t(p_i, s_l) u_l A_l
 
-with L the kernel Laplacian of :mod:`pim.operators`, and the right-hand
-side carries the data terms
+with L u(p_i) = (1/t) sum_j R_t(p_i, p_j) (u_i - u_j) V_j the kernel
+Laplacian (:func:`pim.operators.laplacian_matrix` is this matrix without
+the penalty), and the right-hand side carries the data terms
 
   (2/beta) sum_l Rbar_t(p_i, s_l) b_l A_l  +  sum_j Rbar_t(p_i, p_j) f_j V_j.
 

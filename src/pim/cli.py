@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import analysis, pointcloud
+from . import analysis, assembly, pointcloud
 from .config import merged
 from .kernel import PROFILE_NAMES, KernelParams, KernelProfile, eval_Rbar_t, get_profile
 from .solve import SolveOptions, SolverError
@@ -237,7 +237,7 @@ def cmd_sweep(args, settings: Settings) -> int:
 # ---------------------------------------------------------------------------
 
 def _oracle_checks(profile: KernelProfile) -> list[tuple[str, bool, str]]:
-    from .operators import apply_Lth, energy_identity, oracle_Lt, oracle_v
+    from .operators import energy_identity, laplacian_matrix, oracle_Lt, oracle_v
     checks: list[tuple[str, bool, str]] = []
     rng = np.random.default_rng(7)
 
@@ -248,13 +248,13 @@ def _oracle_checks(profile: KernelProfile) -> list[tuple[str, bool, str]]:
     err = float(np.max(np.abs(fd + profile.R(r))))
     checks.append(("tail kernel derivative (FD)", err <= 1e-6, f"max|dRbar+R|={err:.2e}"))
 
-    # two-point hand value
+    # two-point hand value, read from row 0 of the assembled L
     two = pointcloud.PointCloud(
         points=np.array([[0.0], [0.1]]), intrinsic_dim=1,
         boundary_indices=np.array([], dtype=int),
         volume_weights=np.array([0.5, 0.5]), area_weights=np.array([]))
     params2 = KernelParams(t=0.01, k=1)
-    got = apply_Lth(two, params2, profile, np.array([1.0, 0.0]), 0)
+    got = float((laplacian_matrix(two, params2, profile) @ np.array([1.0, 0.0]))[0])
     hand = (1.0 / 0.01) * (0.04 * math.pi) ** -0.5 \
         * float(profile.R(np.array([0.25]))[0]) * 0.5
     rel = abs(got - hand) / abs(hand)
@@ -279,7 +279,7 @@ def _oracle_checks(profile: KernelProfile) -> list[tuple[str, bool, str]]:
     checks.append(("smoothed average (u=y at 0.5)", abs(v - 0.5) <= 1e-6,
                    f"v={v:.10f}"))
 
-    # energy identity on a random field
+    # energy identity on a random field: the assembled L against a dense double sum
     small = pointcloud.generate(pointcloud.ManifoldSpec.interval(0.0, 1.0, 101))
     ps = KernelParams(t=0.01, k=1)
     uu = rng.standard_normal(small.n)
@@ -289,20 +289,31 @@ def _oracle_checks(profile: KernelProfile) -> list[tuple[str, bool, str]]:
                    rel <= 1e-10 and rhs_e >= 0.0,
                    f"lhs={lhs_e:.10f}, rhs={rhs_e:.10f}, rel={rel:.2e}"))
 
-    # discrete operator approaches the integral, by a quadrature 8x finer, as h shrinks
+    # assembled L approaches the integral, by a quadrature 8x finer, as h shrinks
     diffs = []
     for n in (101, 201):
         cl = pointcloud.generate(pointcloud.ManifoldSpec.interval(0.0, 1.0, n))
         fc = pointcloud.generate(pointcloud.ManifoldSpec.interval(0.0, 1.0, 8 * (n - 1) + 1))
         uv = np.sin(math.pi * cl.points[:, 0])
         i_mid = n // 2
-        disc = apply_Lth(cl, params, profile, uv, i_mid)
+        disc = (laplacian_matrix(cl, params, profile) @ uv)[i_mid]
         orc = oracle_Lt(lambda Y: np.sin(math.pi * Y[:, 0]),
                         cl.points[i_mid], fc, params, profile)
         diffs.append(abs(disc - orc))
     checks.append(("discrete vs integral consistency",
                    diffs[1] < diffs[0],
                    f"|diff(h)|={diffs[0]:.3e} -> |diff(h/2)|={diffs[1]:.3e}"))
+
+    # L kills constants, so A @ 1 is the boundary column (2/beta) sum_l Rbar_t(p_i, s_l) A_l
+    disk = pointcloud.generate(pointcloud.ManifoldSpec.disk(300))
+    pd, beta = KernelParams(t=0.03, k=2), 0.1
+    a1 = assembly.assemble(disk, pd, profile, beta, np.zeros(disk.n),
+                           np.zeros(disk.boundary_indices.size)).matrix @ np.ones(disk.n)
+    rbar = eval_Rbar_t(disk.points[:, None, :], disk.boundary_points[None, :, :], pd, profile)
+    g = (2.0 / beta) * (rbar @ disk.area_weights)
+    rel = float(np.max(np.abs(a1 - g)) / np.max(np.abs(g)))
+    checks.append(("assembled A @ 1 vs boundary column", rel <= 1e-10,
+                   f"max|A1-g|/max|g|={rel:.2e}"))
 
     # interpolant gradient against central differences
     case = analysis.get_case("interval_sine")

@@ -1,32 +1,30 @@
-"""Pointwise discrete operators and quadrature oracles.
+"""The kernel Laplacian as a solve assembles it, and quadrature oracles.
 
-The discrete operator ``apply_Lth`` acts on a vector of sample values u:
-the integral-kernel Laplacian
-  L u(p_i) = (1/t) sum_j R_t(p_i, p_j) (u_i - u_j) V_j,
-which annihilates constants and has a nonnegative V-weighted quadratic
-form (see :func:`energy_identity`).
+:func:`laplacian_matrix` returns the integral-kernel Laplacian
+  L u(p_i) = (1/t) sum_j R_t(p_i, p_j) (u_i - u_j) V_j
+as the CSR matrix :func:`pim.assembly.assemble` builds for a solve, on the
+cloud without its boundary samples, so that the penalty is zero.  L
+annihilates constants and has a nonnegative V-weighted quadratic form,
+which :func:`energy_identity` compares with a dense double sum.
 
 The oracles evaluate the integral Laplacian on a much finer cloud
-(``oracle_Lt``) or form the kernel-smoothed average (``oracle_v``).  They exist to test the discrete operators against an
-independent discretization, not for production use.
+(``oracle_Lt``) or form the kernel-smoothed average (``oracle_v``), to test
+the assembled operator against an independent discretization.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
+from . import assembly
 from .kernel import KernelParams, KernelProfile, eval_Rt
 from .pointcloud import PointCloud
 
-__all__ = [
-    "apply_Lth",
-    "apply_Lth_all",
-    "oracle_Lt",
-    "oracle_v",
-    "energy_identity",
-]
+__all__ = ["laplacian_matrix", "oracle_Lt", "oracle_v", "energy_identity"]
 
 
 def _as_field(u, n: int) -> np.ndarray:
@@ -36,26 +34,14 @@ def _as_field(u, n: int) -> np.ndarray:
     return u
 
 
-def apply_Lth(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
-              u, i: int) -> float:
-    """Integral-kernel Laplacian of the sample vector u at point i.
-
-    The sum formally runs over all points; entries beyond the support
-    radius 2*sqrt(t) are exactly zero, so this equals the neighbor-set sum.
-    """
-    u = _as_field(u, cloud.n)
-    rt = eval_Rt(cloud.points[i], cloud.points, params, profile)
-    return float(np.sum(rt * (u[i] - u) * cloud.volume_weights) / params.t)
-
-
-def apply_Lth_all(cloud: PointCloud, params: KernelParams,
-                  profile: KernelProfile, u) -> np.ndarray:
-    """Vector of apply_Lth values at every sample point (dense pairwise)."""
-    u = _as_field(u, cloud.n)
-    rt = eval_Rt(cloud.points[:, None, :], cloud.points[None, :, :],
-                 params, profile)                     # (n, n)
-    du = u[:, None] - u[None, :]
-    return (rt * du * cloud.volume_weights[None, :]).sum(axis=1) / params.t
+def laplacian_matrix(cloud: PointCloud, params: KernelParams,
+                     profile: KernelProfile) -> sp.csr_matrix:
+    """L as a solve assembles it: the matrix of the cloud with no boundary
+    samples, which carries no penalty whatever beta, with f = 0 and b empty."""
+    none = np.array([], dtype=int)
+    interior = dataclasses.replace(cloud, boundary_indices=none, area_weights=none)
+    return assembly.assemble(interior, params, profile, 1.0,
+                             np.zeros(cloud.n), none).matrix
 
 
 def oracle_Lt(u_fn: Callable[[np.ndarray], np.ndarray], x, fine_cloud: PointCloud,
@@ -94,14 +80,14 @@ def energy_identity(cloud: PointCloud, params: KernelParams,
     """Both sides of the weighted quadratic-form identity.
 
     Returns (lhs, rhs) with
-      lhs = sum_i V_i u_i (L u)(p_i),
+      lhs = sum_i V_i u_i (L u)(p_i),   L from :func:`laplacian_matrix`,
       rhs = (1/2t) sum_{i,j} R_t(p_i, p_j) (u_i - u_j)^2 V_i V_j,
-    computed by independent routes.  Mathematically lhs == rhs >= 0: expand
-    the rhs square and use the symmetry R_t(p_i,p_j) = R_t(p_j,p_i).
+    the rhs by a dense double sum of ``eval_Rt``.  Mathematically lhs ==
+    rhs >= 0: expand the rhs square and use the symmetry R_t(p_i,p_j) =
+    R_t(p_j,p_i).
     """
     u = _as_field(u, cloud.n)
-    lu = apply_Lth_all(cloud, params, profile, u)
-    lhs = float(np.sum(cloud.volume_weights * u * lu))
+    lhs = float(np.sum(cloud.volume_weights * u * (laplacian_matrix(cloud, params, profile) @ u)))
     rt = eval_Rt(cloud.points[:, None, :], cloud.points[None, :, :],
                  params, profile)
     du2 = (u[:, None] - u[None, :]) ** 2

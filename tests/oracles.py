@@ -4,7 +4,8 @@ Each routine here is a direct, loop-level evaluation of a quantity the
 library computes another way: the finite-difference Laplacian that guards
 the hand-derived source terms of the manufactured cases, each kernel term
 evaluated on its own, the kernel gradients of the dense reconstruction
-oracle, the penalized pointwise operator K, the boundary column g = K 1,
+oracle, the kernel Laplacian L and the penalized operator K one point at a
+time and L by a dense pairwise sum, the boundary column g = K 1,
 the LAPACK band storage of a dense matrix copied one diagonal at a time, a
 neighbour search by direct scan, assembly over every pair, and the
 reconstruction's sums one query at a time.  None of them is part of a
@@ -20,9 +21,9 @@ import numpy as np
 from pim.analysis import ManufacturedCase
 from pim.assembly import LinearSystem, fill
 from pim.kernel import (KernelParams, KernelProfile, _diff_and_arg, cubic_profile,
-                        eval_Rbar_t)
+                        eval_Rbar_t, eval_Rt)
 from pim.neighbors import NeighborIndex, _squared_lengths
-from pim.operators import _as_field, apply_Lth
+from pim.operators import _as_field
 from pim.pointcloud import PointCloud
 
 # ---------------------------------------------------------------------------
@@ -170,8 +171,31 @@ def grad_Rbar_t_x(x, y, params: KernelParams, profile: KernelProfile = cubic_pro
 
 
 # ---------------------------------------------------------------------------
-# the penalized operator K = L + boundary penalty, one point at a time
+# the kernel Laplacian L and the penalized operator K = L + boundary penalty
 # ---------------------------------------------------------------------------
+
+def apply_Lth(cloud: PointCloud, params: KernelParams, profile: KernelProfile,
+              u, i: int) -> float:
+    """Integral-kernel Laplacian of the sample vector u at point i:
+    L u(p_i) = (1/t) sum_j R_t(p_i, p_j) (u_i - u_j) V_j.
+
+    The sum formally runs over all points; entries beyond the support
+    radius 2*sqrt(t) are exactly zero, so this equals the neighbor-set sum.
+    """
+    u = _as_field(u, cloud.n)
+    rt = eval_Rt(cloud.points[i], cloud.points, params, profile)
+    return float(np.sum(rt * (u[i] - u) * cloud.volume_weights) / params.t)
+
+
+def apply_Lth_all(cloud: PointCloud, params: KernelParams,
+                  profile: KernelProfile, u) -> np.ndarray:
+    """Vector of apply_Lth values at every sample point (dense pairwise)."""
+    u = _as_field(u, cloud.n)
+    rt = eval_Rt(cloud.points[:, None, :], cloud.points[None, :, :],
+                 params, profile)                     # (n, n)
+    du = u[:, None] - u[None, :]
+    return (rt * du * cloud.volume_weights[None, :]).sum(axis=1) / params.t
+
 
 def _boundary_sum(cloud: PointCloud, params: KernelParams,
                   profile: KernelProfile, beta: float,

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 import sys
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.io import mmread
 
-from pim import analysis, pointcloud
+from pim import analysis, assembly, pointcloud
 from pim.cli import main
 from pim.pointcloud import _csv_rows
 from pim.solve import SolverError
@@ -786,12 +788,50 @@ def test_config_unknown_key(tmp_path, capsys):
     assert "solver.tool" in capsys.readouterr().err
 
 
-def test_oracle_check_all_pass(capsys):
-    rc = main(["oracle-check"])
+@pytest.mark.parametrize("profile", ["cubic", "truncated_gaussian"])
+def test_oracle_check_all_pass(capsys, profile):
+    rc = main(["oracle-check", "--profile", profile])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "0 failure(s) out of 7 checks" in out
-    assert out.count("  pass  ") == 7
+    assert "0 failure(s) out of 8 checks" in out
+    assert out.count("  pass  ") == 8
+
+
+def _half_laplacian(real_fill, cloud, *args, **kwargs):
+    return real_fill(dataclasses.replace(cloud, volume_weights=0.5 * cloud.volume_weights),
+                     *args, **kwargs)
+
+
+def _half_penalty(real_fill, cloud, graph, params, profile, beta, *args, **kwargs):
+    return real_fill(cloud, graph, params, profile, 2.0 * beta, *args, **kwargs)
+
+
+def _row_volume(real_fill, cloud, *args, **kwargs):
+    # each pair weighted by the row's V_i instead of the column's V_j, with the
+    # diagonal recomputed so that every row keeps its sum (L still kills constants)
+    system = real_fill(cloud, *args, **kwargs)
+    m, n = system.matrix, system.n
+    rows = np.repeat(np.arange(n), np.diff(m.indptr))
+    off = rows != m.indices
+    data = m.data.copy()
+    data[off] *= cloud.volume_weights[rows[off]] / cloud.volume_weights[m.indices[off]]
+    data[~off] = m @ np.ones(n) - np.bincount(rows[off], weights=data[off], minlength=n)
+    return assembly.LinearSystem(matrix=sp.csr_matrix((data, m.indices, m.indptr), shape=m.shape),
+                                 rhs=system.rhs, meta=system.meta)
+
+
+@pytest.mark.parametrize("mutation", [_half_laplacian, _half_penalty, _row_volume],
+                         ids=["half-laplacian", "half-penalty", "row-volume"])
+@pytest.mark.parametrize("profile", ["cubic", "truncated_gaussian"])
+def test_oracle_check_catches_a_wrong_fill(monkeypatch, capsys, profile, mutation):
+    # the operator checks read the matrix a solve assembles, so a wrong fill fails them
+    real_fill = assembly.fill
+    monkeypatch.setattr(assembly, "fill",
+                        lambda *args, **kwargs: mutation(real_fill, *args, **kwargs))
+    rc = main(["oracle-check", "--profile", profile])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "  FAIL  " in out and "0 failure(s)" not in out
 
 
 @pytest.mark.parametrize("line,named", [("kernel.profile = bogus", "bogus")])

@@ -5,9 +5,8 @@ import pytest
 
 from pim.kernel import (KernelParams, cubic_profile, eval_Rbar_t,
                         truncated_gaussian_profile)
-from oracles import apply_Kth
-from pim.operators import (apply_Lth, apply_Lth_all,
-                           energy_identity, oracle_Lt, oracle_v)
+from oracles import apply_Kth, apply_Lth, apply_Lth_all
+from pim.operators import energy_identity, laplacian_matrix, oracle_Lt, oracle_v
 from pim.pointcloud import ManifoldSpec, PointCloud, generate
 
 
@@ -55,6 +54,19 @@ def test_apply_all_matches_pointwise(disk_cloud, rng):
         assert full[i] == pytest.approx(
             apply_Lth(disk_cloud, params, cubic_profile, u, i),
             rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("name", ["interval", "disk", "rectangle", "spherical_cap"])
+@pytest.mark.parametrize("profile", [cubic_profile, truncated_gaussian_profile],
+                         ids=lambda p: p.name)
+def test_assembled_laplacian_matches_the_dense_reference(all_clouds, name, profile, rng):
+    # the boundary samples carry no penalty in L: only the dense pairwise sum is left
+    cloud = all_clouds[name]
+    params = KernelParams(t=0.03, k=cloud.intrinsic_dim)
+    u = rng.normal(size=cloud.n)
+    got = laplacian_matrix(cloud, params, profile) @ u
+    want = apply_Lth_all(cloud, params, profile, u)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_Kth_zero_field(interval_cloud):
