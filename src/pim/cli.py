@@ -11,9 +11,9 @@ Exit codes: 0 success, 1 solver or oracle failure, 2 configuration, parse
 or validation errors.  The commands raise; ``main`` alone maps a
 ``SolverError`` to 1 and an ``OSError`` or ``ValueError`` to 2, and prints
 every guardrail warning as one ``warning: …`` line.  Each command checks its
-output directories and its arguments before any work.  Options come from
-defaults, then an optional ``--config`` file (flat ``key = value`` lines),
-then explicit flags.
+outputs (their directories, and that none is the same file as an input or
+another output) and its arguments before any work.  Options come from
+defaults, then an optional ``--config`` file, then explicit flags.
 """
 
 from __future__ import annotations
@@ -49,16 +49,25 @@ def _section(cfg: dict, name: str) -> dict:
     return {k.partition(".")[2]: v for k, v in cfg.items() if k.startswith(name + ".")}
 
 
-def _check_out_dirs(*paths: Optional[str]) -> None:
-    """Raise ``open``'s error, before any work, for an output in a missing
-    directory, under a regular file or that is itself a directory."""
-    for path in filter(None, paths):
+def _check_outputs(outputs: dict, inputs: dict) -> None:
+    """Raise, before any work, ``open``'s error for an output in a missing
+    directory, under a regular file or that is itself a directory, and a
+    ValueError for an output that is the same file as another output or as an
+    input.  Each dict maps a flag to its path, or to None when it is not given."""
+    outputs = [(flag, path) for flag, path in outputs.items() if path]
+    inputs = [(flag, path) for flag, path in inputs.items() if path]
+    for i, (flag, path) in enumerate(outputs):
         try:    # the trailing separator makes a regular file fail as open would
             os.stat(os.path.join(os.path.dirname(path) or ".", ""))
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from None
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for other, other_path in outputs[i + 1:] + inputs:
+            if os.path.realpath(path) == os.path.realpath(other_path) or (
+                    os.path.exists(path) and os.path.exists(other_path)
+                    and os.path.samefile(path, other_path)):
+                raise ValueError(f"{flag} and {other} name the same file: {path!r}")
 
 
 class Settings(NamedTuple):
@@ -98,7 +107,7 @@ def _spec_from_args(args) -> pointcloud.ManifoldSpec:
 
 
 def cmd_generate(args, settings: Settings) -> int:
-    _check_out_dirs(args.out)
+    _check_outputs({"--out": args.out}, {"--config": args.config})
     cloud = pointcloud.generate(_spec_from_args(args), seed=args.seed or 0, jitter=args.jitter)
     pointcloud.save(cloud, args.out)
     print(f"wrote {cloud.n} points ({cloud.boundary_indices.size} boundary) "
@@ -116,7 +125,7 @@ def _read_values(path, const, expected: int, what: str) -> np.ndarray:
     if not path:
         return np.full(expected, 0.0 if const is None else const)
     vals = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -132,7 +141,9 @@ def _read_values(path, const, expected: int, what: str) -> np.ndarray:
 
 def cmd_solve(args, settings: Settings) -> int:
     report_path = args.report or (args.out + ".report.txt")
-    _check_out_dirs(args.out, report_path, args.matrix_out)
+    _check_outputs({"--out": args.out, "--report": report_path, "--matrix-out": args.matrix_out},
+                   {"--cloud": args.cloud, "--f-file": args.f_file, "--b-file": args.b_file,
+                    "--config": args.config})
     if args.case is not None and (args.f_file or args.b_file or args.f_const is not None
                                   or args.b_const is not None):
         raise ValueError("give either --case or explicit f/b data, not both")
@@ -208,7 +219,7 @@ def cmd_solve(args, settings: Settings) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args, settings: Settings) -> int:
-    _check_out_dirs(args.out)
+    _check_outputs({"--out": args.out}, {"--config": args.config})
     case = analysis.get_case(args.case)
     try:
         levels = [int(tok) for tok in args.levels.split(",") if tok.strip()]
@@ -244,8 +255,8 @@ def _oracle_checks(profile: KernelProfile) -> list[tuple[str, bool, str]]:
     # tail-kernel derivative: d/dr Rbar = -R, by central differences
     r = np.linspace(0.01, 0.97, 97)
     eps = 1e-6
-    fd = (profile.Rbar(r + eps) - profile.Rbar(r - eps)) / (2.0 * eps)
-    err = float(np.max(np.abs(fd + profile.R(r))))
+    fd = (profile.terms(r + eps)[1] - profile.terms(r - eps)[1]) / (2.0 * eps)
+    err = float(np.max(np.abs(fd + profile.terms(r)[0])))
     checks.append(("tail kernel derivative (FD)", err <= 1e-6, f"max|dRbar+R|={err:.2e}"))
 
     # two-point hand value, read from row 0 of the assembled L
@@ -256,7 +267,7 @@ def _oracle_checks(profile: KernelProfile) -> list[tuple[str, bool, str]]:
     params2 = KernelParams(t=0.01, k=1)
     got = float((laplacian_matrix(two, params2, profile) @ np.array([1.0, 0.0]))[0])
     hand = (1.0 / 0.01) * (0.04 * math.pi) ** -0.5 \
-        * float(profile.R(np.array([0.25]))[0]) * 0.5
+        * float(profile.terms(0.25)[0]) * 0.5
     rel = abs(got - hand) / abs(hand)
     checks.append(("two-point Laplacian vs hand sum", rel <= 1e-12,
                    f"got={got:.6f}, rel={rel:.2e}"))

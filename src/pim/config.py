@@ -53,7 +53,7 @@ def parse_value(text: str):
 def load_config(path) -> dict:
     """Parse a config file; returns only the keys it sets."""
     out: dict = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -45,27 +45,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelProfile:
-    """A radial profile R, its tail integral Rbar, and derivative R'.
+    """A radial profile, given as the one function ``terms``.
 
     ``terms(r)`` returns ``(R, Rbar, R')`` at scalar or ndarray arguments
     r >= 0, all three from one w = max(1 - r, 0), as new arrays that callers
     may scale in place; they must be exact zeros for r >= 1 (compact support).
-    ``R``, ``Rbar`` and ``Rprime`` each return one of them.  ``delta0`` is a
-    positive lower bound for R on [0, 1/2].
+    R must be positive on [0, 1/2], the paper's lower-bound assumption.
     """
 
     name: str
     terms: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
-    delta0: float
-
-    def R(self, r):
-        return self.terms(r)[0]
-
-    def Rbar(self, r):
-        return self.terms(r)[1]
-
-    def Rprime(self, r):
-        return self.terms(r)[2]
 
 
 def _cubic_terms(r):
@@ -76,7 +65,7 @@ def _cubic_terms(r):
 #: Default profile R(r) = (1 - r)^3 on [0, 1].  C^2 across r = 1 (value and
 #: first two derivatives vanish there), nonnegative, R(1/2) = 1/8 > 0, and
 #: the tail integral is the closed form (1 - r)^4 / 4.
-cubic_profile = KernelProfile(name="cubic", terms=_cubic_terms, delta0=0.125)
+cubic_profile = KernelProfile(name="cubic", terms=_cubic_terms)
 
 
 def _tgauss_terms(r):
@@ -92,8 +81,7 @@ def _tgauss_terms(r):
 #: Gaussian decay in the normalized argument, mollified to C^2 compact
 #: support by the cubic bump.  Used for robustness checks against kernel
 #: choice; same support and smoothness class as the default.
-truncated_gaussian_profile = KernelProfile(
-    name="truncated_gaussian", terms=_tgauss_terms, delta0=math.exp(-0.5) * 0.125)
+truncated_gaussian_profile = KernelProfile(name="truncated_gaussian", terms=_tgauss_terms)
 
 _PROFILES = {
     "cubic": cubic_profile,
@@ -143,10 +131,10 @@ class KernelParams:
         object.__setattr__(self, "support_radius", 2.0 * math.sqrt(self.t))
 
 
-def _diff_and_arg(x, y, t):
-    """x - y and the normalized argument s = |x - y|^2 / 4t."""
+def _arg(x, y, t):
+    """The normalized argument s = |x - y|^2 / 4t."""
     diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return diff, np.sum(diff * diff, axis=-1) / (4.0 * t)
+    return np.sum(diff * diff, axis=-1) / (4.0 * t)
 
 
 def eval_Rt(x, y, params: KernelParams, profile: KernelProfile = cubic_profile):
@@ -155,11 +143,9 @@ def eval_Rt(x, y, params: KernelParams, profile: KernelProfile = cubic_profile):
     ``x`` and ``y`` may be single points or broadcastable arrays of points
     with the coordinate axis last.
     """
-    _, s = _diff_and_arg(x, y, params.t)
-    return params.C_t * profile.R(s)
+    return params.C_t * profile.terms(_arg(x, y, params.t))[0]
 
 
 def eval_Rbar_t(x, y, params: KernelParams, profile: KernelProfile = cubic_profile):
     """C_t * Rbar(|x - y|^2 / 4t).  Exactly zero beyond the support radius."""
-    _, s = _diff_and_arg(x, y, params.t)
-    return params.C_t * profile.Rbar(s)
+    return params.C_t * profile.terms(_arg(x, y, params.t))[1]

@@ -378,7 +378,7 @@ def save(cloud: PointCloud, path) -> None:
 
 
 def load(path) -> PointCloud:
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     k = None
     header_at = None

@@ -20,8 +20,8 @@ import numpy as np
 
 from pim.analysis import ManufacturedCase
 from pim.assembly import LinearSystem, fill
-from pim.kernel import (KernelParams, KernelProfile, _diff_and_arg, cubic_profile,
-                        eval_Rbar_t, eval_Rt)
+from pim.kernel import (KernelParams, KernelProfile, _arg, cubic_profile, eval_Rbar_t,
+                        eval_Rt)
 from pim.neighbors import NeighborIndex, _squared_lengths
 from pim.operators import _as_field
 from pim.pointcloud import PointCloud
@@ -154,8 +154,8 @@ PER_TERM = {
 
 def grad_Rt_x(x, y, params: KernelParams, profile: KernelProfile = cubic_profile):
     """Gradient of R_t(x, y) with respect to x: C_t R'(s) (x - y) / (2t)."""
-    diff, s = _diff_and_arg(x, y, params.t)
-    coeff = params.C_t * profile.Rprime(s) / (2.0 * params.t)
+    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    coeff = params.C_t * profile.terms(_arg(x, y, params.t))[2] / (2.0 * params.t)
     return np.expand_dims(coeff, -1) * diff
 
 
@@ -165,8 +165,8 @@ def grad_Rbar_t_x(x, y, params: KernelParams, profile: KernelProfile = cubic_pro
     Since Rbar' = -R this is -C_t R(s) (x - y) / (2t); evaluated directly
     from R so the pairing with eval_Rt stays exact.
     """
-    diff, s = _diff_and_arg(x, y, params.t)
-    coeff = -params.C_t * profile.R(s) / (2.0 * params.t)
+    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    coeff = -params.C_t * profile.terms(_arg(x, y, params.t))[0] / (2.0 * params.t)
     return np.expand_dims(coeff, -1) * diff
 
 
@@ -303,10 +303,11 @@ def reconstruction_sums(interp, X: np.ndarray) -> tuple[np.ndarray, ...]:
         sq = _squared_lengths(diff)
         j = np.flatnonzero(sq <= r2)
         diff, s = diff[:, j], sq[j] / (4.0 * t)
-        rt = c_t * prof.R(s)
+        R, Rbar, Rprime = prof.terms(s)
+        rt = c_t * R
         w[k] = _run_sum(rt * V[j])
-        num[k] = _run_sum(rt * uV[j] + c_t * prof.Rbar(s) * h[j])
-        drt = (-c_t / (2.0 * t)) * prof.Rprime(s)
+        num[k] = _run_sum(rt * uV[j] + c_t * Rbar * h[j])
+        drt = (-c_t / (2.0 * t)) * Rprime
         g = drt * uV[j] + rt * h[j] / (2.0 * t)
         for a in range(d):
             gw[k, a] = _run_sum(drt * V[j] * diff[a])

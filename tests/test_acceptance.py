@@ -200,8 +200,8 @@ def test_criterion_2_implementation_oracles(capsys):
     deriv_ok = True
     r = np.linspace(0.005, 0.985, 197)
     for profile in (cubic_profile, truncated_gaussian_profile):
-        fd = (profile.Rbar(r + step) - profile.Rbar(r - step)) / (2.0 * step)
-        deriv_ok &= bool(np.max(np.abs(fd + profile.R(r))) <= 1e-6)
+        fd = (profile.terms(r + step)[1] - profile.terms(r - step)[1]) / (2.0 * step)
+        deriv_ok &= bool(np.max(np.abs(fd + profile.terms(r)[0])) <= 1e-6)
 
     elapsed = time.perf_counter() - start
     ok = exact and grads_ok and deriv_ok and elapsed < 60.0

@@ -124,8 +124,8 @@ def assemble_row_by_row(cloud, params, profile, beta, f, b):
         s = np.einsum("ij,ij->i", diff, diff) * (1.0 / (4.0 * t))
         cols = np.flatnonzero(s < 1.0)
         s = s[cols]
-        rt = params.C_t * profile.R(s)
-        rbar = params.C_t * profile.Rbar(s)
+        R, Rbar, _ = profile.terms(s)
+        rt, rbar = params.C_t * R, params.C_t * Rbar
         a = rt * vw[cols] / t
         vals = -a
         vals[cols == i] = np.add.reduce(a[cols != i])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import sys
 import warnings
 
@@ -23,7 +24,8 @@ def interval_csv(tmp_path):
 
 
 def read_solution(path):
-    rows = open(path).read().strip().splitlines()
+    with open(path) as fh:
+        rows = fh.read().strip().splitlines()
     body = np.array([[float(c) for c in r.split(",")] for r in rows[1:]])
     return rows[0], body
 
@@ -389,6 +391,65 @@ def test_solve_alternate_profile(tmp_path, interval_csv):
     assert rc == 0
     _, body = read_solution(out)
     assert np.max(np.abs(body[:, 1] - 3.0)) < 1e-9
+
+
+# each case: the solve flags beside --cloud interval.csv, and the two flags it names
+SAME_FILE = {
+    "out is the cloud": (["--case", "interval_sine", "--out", "interval.csv"],
+                         "--out and --cloud"),
+    "report is out": (["--case", "interval_sine", "--out", "u.csv", "--report", "u.csv"],
+                      "--out and --report"),
+    "matrix-out is out": (["--case", "interval_sine", "--out", "u.csv",
+                           "--matrix-out", "u.csv"], "--out and --matrix-out"),
+    "out is the f file": (["--f-file", "f.txt", "--out", "f.txt"], "--out and --f-file"),
+    "./ spelling of the cloud": (["--case", "interval_sine", "--out", "./interval.csv"],
+                                 "--out and --cloud"),
+    "hard link to the cloud": (["--case", "interval_sine", "--out", "link.csv"],
+                               "--out and --cloud"),
+}
+
+
+@pytest.mark.parametrize("case", list(SAME_FILE))
+def test_solve_refuses_an_output_that_is_an_input_or_another_output(
+        tmp_path, capsys, monkeypatch, interval_csv, case):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.txt").write_text("0\n" * 101)
+    os.link("interval.csv", "link.csv")
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    flags, named = SAME_FILE[case]
+    assert main(["solve", "--cloud", "interval.csv", *flags]) == 2
+    assert f"{named} name the same file" in capsys.readouterr().err
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "--shape", "interval", "--n", "11"],
+    ["sweep", "--case", "interval_sine", "--levels", "11,21"],
+], ids=["generate", "sweep"])
+def test_output_that_is_the_config_file_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("solver.tol = 1e-9\n")
+    assert main(["--config", str(cfg), *command, "--out", str(cfg)]) == 2
+    assert "--out and --config name the same file" in capsys.readouterr().err
+    assert cfg.read_text() == "solver.tol = 1e-9\n" and os.listdir(tmp_path) == ["run.cfg"]
+
+
+def test_solve_reads_files_that_start_with_a_byte_order_mark(tmp_path, interval_csv):
+    # as spreadsheet "CSV UTF-8" exports write them
+    (tmp_path / "f.txt").write_text("".join(f"{v:.17g}\n" for v in np.linspace(-1.0, 1.0, 101)))
+    (tmp_path / "run.cfg").write_text("kernel.profile = truncated_gaussian\n")
+    for name in ("interval.csv", "f.txt", "run.cfg"):
+        (tmp_path / f"bom_{name}").write_bytes(b"\xef\xbb\xbf" + (tmp_path / name).read_bytes())
+
+    def solution(prefix):
+        out = tmp_path / f"{prefix}u.csv"
+        assert main(["--config", str(tmp_path / f"{prefix}run.cfg"), "solve",
+                     "--cloud", str(tmp_path / f"{prefix}interval.csv"),
+                     "--f-file", str(tmp_path / f"{prefix}f.txt"), "--b-const", "1",
+                     "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    assert solution("bom_") == solution("")
 
 
 def per_cell_csv(table):

