@@ -170,7 +170,7 @@ def cmd_solve(args, settings: Settings) -> int:
         bvals = _read_values(args.b_file, args.b_const, cloud.boundary_indices.size,
                              "boundary")
 
-    h = cloud.metadata.get("h") or pointcloud.fill_distance(cloud)
+    h = pointcloud.fill_distance(cloud)
     if (args.t is None) != (args.beta is None):
         raise ValueError("--t and --beta must be given together (or both omitted "
                          "to derive them from the coupling rule)")

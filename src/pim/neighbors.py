@@ -7,24 +7,23 @@ slightly padded radius; the final cut is an exact squared-distance test,
 so indexed and direct-scan results agree exactly whatever rounding the
 tree uses internally.
 
-Queries come in batches: ``join`` joins a tree over a batch to the point
-tree and sorts the pairs once as int64 keys ``q * n + j``, or takes each
-query's candidates from its nearest point's row of one ``self_join`` (below)
-made by ``candidates`` for a whole pass.  It returns each query's count of
-the pairs the exact cut keeps, one index into the candidates, and the pairs
-with the differences and squared distances it computed, so callers never
-measure a pair twice; tests check both ways against a direct scan.
+Queries come in batches: ``join`` takes each query's candidates from the
+batch's own graph, a tree over the batch joined to the point tree, or from
+its nearest point's row of one ``self_join`` (below) made by ``candidates``
+for a whole pass.  It returns each query's count of the pairs the exact cut
+keeps, one index into the candidates, and the pairs with the differences and
+squared distances it computed, so callers never measure a pair twice; tests
+check both ways against a direct scan.
 
 Assembly takes every pair of the cloud at once from ``self_join``: one tree
-self-join, mirrored into keys ``i * n + j`` with the self keys
-``i * (n + 1)`` among them, sorted once and turned into a candidate graph in
-compressed-sparse-row form, ``(cand_ptr, cols)``: row starts from a search
-for ``i * n``, columns as the keys less their row's ``i * n``, in place.
-The keys are int32 (half the bytes to sort) while ``n * n`` fits, up to
-n = 46 340 points, and int64 past that; one path serves every n.  Assembly
-applies its own exact cut (the open kernel support) to the candidates and
-sums in index order, so it is bit-identical to a masked full scan.
-``query_self`` applies the radius cut to the same graph.
+self-join, mirrored, with each point itself among the pairs.  Both searches
+write their pairs as keys ``row * n + col``, int32 (half the bytes to sort)
+while ``rows * n`` fits and int64 past that, and ``_graph`` sorts them once
+into a compressed-sparse-row graph ``(ptr, cols)``: row starts from a search
+for ``row * n``, columns as the keys less their row's base, in place; one
+path serves every n.  Assembly applies its own exact cut (the open kernel
+support) to the candidates and sums in index order, so it is bit-identical to
+a masked full scan.  ``query_self`` applies the radius cut to the same graph.
 
 Every pair's squared distance, here and in assembly, comes from the one
 routine ``_squared_lengths``, which adds the squares in a fixed order: the
@@ -45,7 +44,7 @@ __all__ = ["NeighborIndex"]
 _PAD = 1e-9
 # widest graph ``candidates`` builds, in radii: at 1.5 a tree per batch was faster
 _REACH_MAX = 1.25
-# rows per block when ``self_join`` turns keys into columns
+# rows per block when ``_graph`` turns keys into columns
 _JOIN_ROWS = 4096
 
 
@@ -53,8 +52,7 @@ def _squared_lengths(parts) -> np.ndarray:
     """Squared lengths of vectors given one coordinate array each, such as
     ``diff.T``; ``parts`` is not modified.  Up to three coordinates the sum is
     (x0^2 + x2^2) + x1^2, the order of ``np.einsum("ij,ij->i", diff, diff)``
-    on a contiguous ``diff``; past three, that einsum sums them itself.
-    """
+    on a contiguous ``diff``; past three, that einsum sums them itself."""
     if len(parts) > 3:
         diff = np.stack(parts, axis=1)
         return np.einsum("ij,ij->i", diff, diff)
@@ -62,6 +60,26 @@ def _squared_lengths(parts) -> np.ndarray:
     for x in parts[:0:-1]:
         sq += x * x
     return sq
+
+
+def _graph(keys: np.ndarray, n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorts keys ``row * n + col``, ``row < rows``, in place into a graph ``(ptr, cols)``."""
+    keys.sort()
+    # needles of the keys' dtype: others would make searchsorted cast all of keys
+    bases = np.arange(rows + 1, dtype=keys.dtype) * keys.dtype.type(n)
+    ptr = np.searchsorted(keys, bases)
+    # columns: each key less its row's base i * n, in place unless they need
+    # another dtype (int32 unless the candidates pass 2**31 - 1); the keys
+    # modulo n took four times as long, 5.2 against 1.3 ms at cap 8k.  The
+    # repeated bases go by blocks of rows: whole, past 46 340 points they
+    # would add 8 bytes a key to the join's peak
+    ct = np.int32 if keys.shape[0] <= np.iinfo(np.int32).max else np.int64
+    cols = keys if keys.dtype == ct else np.empty(keys.shape, ct)
+    for lo in range(0, rows, _JOIN_ROWS):
+        hi = min(lo + _JOIN_ROWS, rows)
+        np.subtract(keys[ptr[lo]:ptr[hi]], np.repeat(bases[lo:hi], np.diff(ptr[lo:hi + 1])),
+                    out=cols[ptr[lo]:ptr[hi]], casting="unsafe")
+    return ptr, cols
 
 
 class NeighborIndex:
@@ -94,22 +112,21 @@ class NeighborIndex:
         ascends within each query, ``diff[p] = points[cols[p]] - queries[k]``
         for pair p of query k, and ``sq[p]`` is its squared length, the value
         the radius cut tested.  ``via``, a pass's :meth:`candidates` sliced to
-        these queries, gives the same result.  Raises ``ValueError`` if a
-        query is not finite.
+        these queries, gives the result a tree over them gives.  Raises
+        ``ValueError`` if a query is not finite.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         if via is None:
-            n = self.points.shape[0]
+            n, m = self.points.shape[0], queries.shape[0]
             hits = cKDTree(queries).sparse_distance_matrix(
                 self._tree, self.radius * (1.0 + _PAD), output_type="ndarray")
-            keys = hits["i"] * n + hits["j"]
-            keys.sort()
-            count = np.diff(np.searchsorted(keys, np.arange(queries.shape[0] + 1) * n))
-            cols = keys % n
-        else:
-            first, count, graph = via
-            at = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
-            cols = np.take(graph, at).astype(np.intp)
+            kt = np.int32 if m * n <= np.iinfo(np.int32).max else np.int64
+            keys = np.add(hits["i"] * n, hits["j"], dtype=kt)
+            ptr, graph = _graph(keys, n, m)
+            via = ptr[:-1], np.diff(ptr), graph
+        first, count, graph = via
+        at = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+        cols = np.take(graph, at).astype(np.intp)
         diff = np.empty((queries.shape[1], cols.shape[0]))     # diff.T is returned
         for p, x, out in zip(self.points.T, queries.T, diff):
             np.subtract(np.take(p, cols), np.repeat(x, count), out=out)
@@ -165,28 +182,11 @@ class NeighborIndex:
         mirrored += ij[::-1]
         np.multiply(np.arange(n, dtype=kt), n + 1, out=keys[2 * p:])
         del ij
-        keys.sort()
-        # needles of the keys' dtype: others would make searchsorted cast all of keys
-        bases = np.arange(n + 1, dtype=kt) * kt(n)
-        cand_ptr = np.searchsorted(keys, bases)
-        # columns: each key less its row's base i * n, in place unless they need
-        # another dtype (int32 unless the candidates pass 2**31 - 1); the keys
-        # modulo n took four times as long, 5.2 against 1.3 ms at cap 8k.  The
-        # repeated bases go by blocks of rows: whole, past 46 340 points they
-        # would add 8 bytes a key to the join's peak
-        ct = np.int32 if keys.shape[0] <= np.iinfo(np.int32).max else np.int64
-        cols = keys if ct is kt else np.empty(keys.shape, ct)
-        for lo in range(0, n, _JOIN_ROWS):
-            hi = min(lo + _JOIN_ROWS, n)
-            block = slice(cand_ptr[lo], cand_ptr[hi])
-            np.subtract(keys[block], np.repeat(bases[lo:hi], np.diff(cand_ptr[lo:hi + 1])),
-                        out=cols[block], casting="unsafe")
-        return cand_ptr, cols
+        return _graph(keys, n, n)
 
     def query_self(self) -> list[np.ndarray]:
         """Neighbor list for every indexed point (each includes itself)."""
-        n = self.points.shape[0]
-        if n == 0:
+        if self.points.shape[0] == 0:
             return []
         counts, cols, _, _ = self.join(self.points, self.candidates(self.points))
         return np.split(cols.astype(np.int64), np.cumsum(counts)[:-1])

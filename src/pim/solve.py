@@ -252,7 +252,13 @@ def _aggregates(points: np.ndarray, width: float, cap: int) -> tuple[np.ndarray,
     offsets = points - points.min(axis=0)
     while True:
         cells = np.floor(offsets / width).astype(np.int64)
-        key = np.ravel_multi_index(tuple(cells.T), tuple(cells.max(axis=0) + 1))
+        # the cells' C-order key, axis by axis; ranked down to its distinct values
+        # only where the next multiply would pass int64, as in many coordinates
+        key = cells[:, 0]
+        for c, size in zip(cells.T[1:], cells.max(axis=0)[1:] + 1):
+            if (int(key.max()) + 1) * int(size) - 1 > np.iinfo(np.int64).max:
+                key = np.unique(key, return_inverse=True)[1]
+            key = key * size + c
         cell_keys, agg = np.unique(key, return_inverse=True)
         nc = cell_keys.shape[0]
         if nc <= cap:

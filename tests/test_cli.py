@@ -187,6 +187,25 @@ def test_solve_report_names_the_preconditioner(tmp_path, n, preconditioner):
     assert ("method = dense-lu" in lines) == (preconditioner is None)
 
 
+def test_solve_a_sheet_spread_over_twelve_coordinates(tmp_path):
+    # a 70 x 70 grid of the unit square, scaled by 4 and turned into 12-d
+    # space, its rim flagged: at this t the two-level's cells once keyed a
+    # grid larger than int64 and the solve exited 2 with "invalid dims"
+    g = np.linspace(0.0, 1.0, 70)
+    uv = np.column_stack([np.repeat(g, 70), np.tile(g, 70)])
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((12, 12)))[0]
+    h = 4 / 69
+    rim = np.flatnonzero(((uv == 0.0) | (uv == 1.0)).any(axis=1))
+    cloud = tmp_path / "sheet.csv"
+    pointcloud.save(pointcloud.PointCloud(uv @ (4 * q[:2]), 2, rim, np.full(4900, h * h),
+                                          np.full(rim.size, h)), cloud)
+    out = tmp_path / "u.csv"
+    assert main(["solve", "--cloud", str(cloud), "--f-const", "1", "--b-const", "0",
+                 "--t", "0.002", "--beta", "0.02", "--out", str(out)]) == 0
+    assert "preconditioner = two-level" in (tmp_path / "u.csv.report.txt").read_text()
+    assert np.isfinite(read_solution(out)[1]).all()
+
+
 def test_solve_constant_identity(tmp_path, interval_csv):
     # zero source + constant boundary data must return that constant
     out = tmp_path / "const.csv"

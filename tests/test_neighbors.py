@@ -230,6 +230,29 @@ def test_self_join_without_pairs_either_side_of_the_int32_key_limit(n):
     assert np.array_equal(cols, np.arange(n))
 
 
+def test_join_past_the_int32_key_limit(monkeypatch, rng):
+    # 46 341 queries against 46 341 points: m * n passes int32, so the batch's
+    # keys are int64, and its pairs are those of two halves joined with int32 keys
+    n = 46341
+    pts = np.linspace(0.0, 1.0, n)[:, None]
+    idx = NeighborIndex(pts, radius=1.5 / (n - 1))
+    queries = pts + rng.uniform(-0.5, 0.5, size=pts.shape) / (n - 1)
+    widths = []
+    real = neighbors._graph
+    monkeypatch.setattr(neighbors, "_graph",
+                        lambda keys, *args: widths.append(keys.dtype) or real(keys, *args))
+    counts, cols, diff, sq = idx.join(queries)
+    halves = [idx.join(queries[:n // 2]), idx.join(queries[n // 2:])]
+    assert widths == [np.int64, np.int32, np.int32]
+    assert np.array_equal(counts, np.concatenate([h[0] for h in halves]))
+    for k, got in enumerate((cols, diff, sq), start=1):
+        assert same_bits(got, np.concatenate([halves[0][k], halves[1][k]]))
+    assert 2 <= counts.min() and counts.max() <= 3
+    rows = np.repeat(np.arange(n), counts)
+    for q in np.concatenate(([0, n - 1], rng.choice(n, size=40, replace=False))):
+        assert np.array_equal(cols[rows == q], query_brute(idx, queries[q])), q
+
+
 def test_query_self_matches_brute_on_a_large_cloud_with_shells(rng):
     # a jittered cloud plus, around a few of its points, points at exactly
     # the radius and one ulp either side of it

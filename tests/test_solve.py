@@ -479,6 +479,21 @@ def test_aggregates_widen_only_past_the_cap():
         assert 1 <= nc <= cap and np.array_equal(np.unique(agg), np.arange(nc))
 
 
+def test_aggregates_of_a_sheet_spread_over_twelve_coordinates():
+    # the cells' 12-d index grid has more cells than int64 can number: the
+    # key is ranked down on the way, and the cells keep their C-order labels
+    rng = np.random.default_rng(0)
+    points = rng.uniform(size=(5000, 2)) @ (100 * rng.standard_normal((2, 12)))
+    cells = np.floor((points - points.min(axis=0)) / 0.7)
+    assert np.prod((cells.max(axis=0) + 1).astype(float)) > np.iinfo(np.int64).max
+    _, plain = np.unique(cells, axis=0, return_inverse=True)
+    count = int(plain.max()) + 1
+    agg, nc = _aggregates(points, 0.7, count)
+    assert nc == count and np.array_equal(agg, plain.ravel())
+    agg, nc = _aggregates(points, 0.7, 500)
+    assert 1 <= nc <= 500 and np.array_equal(np.unique(agg), np.arange(nc))
+
+
 @pytest.mark.parametrize("name", ["disk_paraboloid", "cap_linear"])
 def test_two_level_equals_its_dense_construction(name):
     # one application is z = P c + D^-1 (y - A P c) with c = (P^T A P)^-1 P^T y;
